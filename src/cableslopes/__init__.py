@@ -1,13 +1,13 @@
 """Exact intervals of order-detected slopes on cable spaces."""
 
 from .cable import (CableParams, DetectionMode, bezout, cable_detected_set,
-                    cable_genus_bound, infinity_rule, inner_basis_map,
-                    outer_basis_map, torus_knot_detected)
-from .exact import (INF, Arc, ExtRational, IntMobius, SlopeSet, mobius_apply,
+                    cable_genus_bound, inner_basis_map, outer_basis_map,
+                    ray_union, torus_knot_detected)
+from .exact import (INF, Arc, ExtRational, IntMobius, SlopeSet,
                     mobius_set_image, parse_arc, parse_slope_set, rat)
 from .intervals import (InsufficientData, RelativeIntervalResult,
                         WindowClosed, cable_interval, endpoint_search,
-                        ray_union, relative_interval, special_slope_interval)
+                        relative_interval, special_slope_interval)
 from .jn import (JNResult, JNWitness, UnsupportedArity, decide,
                  jn_realizable, search_bound, witness_search)
 from .oracle import ScanReport, exhaustive_witness_check, grid_scan_interval
@@ -23,9 +23,9 @@ __all__ = [
     "SlopeSet", "UnsupportedArity", "WindowClosed", "bezout",
     "cable_detected_set", "cable_genus_bound", "cable_interval", "decide",
     "derived_quantities", "endpoint_search", "exhaustive_witness_check",
-    "grid_scan_interval", "infinity_rule", "inner_basis_map",
-    "jn_realizable", "mobius_apply", "mobius_set_image", "normalize",
-    "outer_basis_map", "parse_arc", "parse_slope_set", "rat", "ray_union",
-    "reduce_integral", "relative_interval", "search_bound",
-    "special_slope_interval", "torus_knot_detected", "witness_search",
+    "grid_scan_interval", "inner_basis_map", "jn_realizable",
+    "mobius_set_image", "normalize", "outer_basis_map", "parse_arc",
+    "parse_slope_set", "rat", "ray_union", "reduce_integral",
+    "relative_interval", "search_bound", "special_slope_interval",
+    "torus_knot_detected", "witness_search",
 ]

@@ -12,7 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .exact import INF, Arc, ExtRational, IntMobius, SlopeSet, mobius_set_image
+from .exact import ExtRational, IntMobius, SlopeSet, mobius_set_image
 from .intervals import cable_interval, extremal_slot_value, special_slope_interval
 
 ONE = ExtRational(1)
@@ -78,13 +78,6 @@ def outer_basis_map(params):
     return IntMobius(pq, pq + 1, 1, 1)
 
 
-def infinity_rule(mode, has_fiber):
-    """Whether the image set contains inf: the fiber slope passes through."""
-    if not isinstance(mode, DetectionMode):
-        raise ValueError("mode must be a DetectionMode")
-    return bool(has_fiber)
-
-
 def _xi_plus(params, tau):
     """Sup of t.high over tau' > tau in the same unit cell (attained)."""
     gamma = params.gamma
@@ -137,6 +130,17 @@ def _ray_left_weak(params, b, include):
     if include:
         return SlopeSet.ray_above(cable_interval(params, frozenset(), b).t.low, True)
     return SlopeSet.ray_above(_eta_plus(params, b), True)
+
+
+def ray_union(params, direction, tau0):
+    """Union of t over all tau >= tau0 (geq) or tau <= tau0 (leq)."""
+    if not isinstance(tau0, ExtRational):
+        tau0 = ExtRational(tau0)
+    if direction == "geq":
+        return _ray_right_weak(params, tau0, True)
+    if direction == "leq":
+        return _ray_left_weak(params, tau0, True)
+    raise ValueError("direction must be 'geq' or 'leq'")
 
 
 def _ray_right_strict(params, a, include):
@@ -206,7 +210,7 @@ def cable_detected_set(params, input_set, mode, exactness="auto"):
     out = SlopeSet.empty()
     for piece in inner.affine_pieces():
         out = out.union(_piece_union(params, piece, use_strict))
-    if infinity_rule(mode, has_fiber):
+    if has_fiber:  # the fiber slope passes through in every mode
         out = out.with_infinity()
     result = mobius_set_image(outer_basis_map(params), out)
     if mode is DetectionMode.WEAK:

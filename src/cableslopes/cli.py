@@ -9,13 +9,11 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .cable import (CableParams, DetectionMode, bezout, cable_detected_set,
+from .cable import (DetectionMode, bezout, cable_detected_set, ray_union,
                     torus_knot_detected)
-from .exact import Arc, ExtRational, SlopeSet, parse_slope_set
-from .intervals import (InsufficientData, WindowClosed, cable_interval,
-                        relative_interval)
-from .intervals import ray_union as ray_union_fn
-from .jn import UnsupportedArity, decide
+from .exact import Arc, ExtRational, parse_slope_set
+from .intervals import cable_interval, relative_interval
+from .jn import decide
 from .oracle import grid_scan_interval
 
 
@@ -59,9 +57,14 @@ def _params(args):
     return bezout(args.p, args.q)
 
 
+def _set_json(s):
+    """The JSON ``set`` list: the pieces the text output joins with U."""
+    return [str(s)] if isinstance(s, Arc) else s.parts()
+
+
 def _interval_payload(t, t_strict):
     return {
-        "set": [str(t)],
+        "set": _set_json(t),
         "strict_set": str(t_strict),
     }
 
@@ -112,10 +115,10 @@ def cmd_ray_union(args):
     taus = _rat_list(args.tau)
     if len(taus) != 1:
         raise ValueError("ray-union takes exactly one --tau")
-    out = ray_union_fn(params, args.direction, taus[0])
+    out = ray_union(params, args.direction, taus[0])
     inputs = {"p": args.p, "q": args.q, "direction": args.direction,
               "tau": args.tau}
-    payload = {"set": [str(a) for a in out.arcs()[0]]}
+    payload = {"set": _set_json(out)}
     return CommandResult("ray-union", inputs, payload,
                          ["ray-union"], str(out))
 
@@ -127,7 +130,7 @@ def cmd_cable(args):
     out, tag = cable_detected_set(params, input_set, mode)
     inputs = {"p": args.p, "q": args.q, "input": args.input,
               "mode": args.mode}
-    payload = {"set": [str(a) for a in out.arcs()[0]], "exactness": tag}
+    payload = {"set": _set_json(out), "exactness": tag}
     text = "%s (%s)" % (out, tag)
     return CommandResult("cable", inputs, payload,
                          ["cable-pipeline", "ray-union"], text)
@@ -136,7 +139,7 @@ def cmd_cable(args):
 def cmd_torus(args):
     regular, strong = torus_knot_detected(args.p, args.q)
     inputs = {"p": args.p, "q": args.q}
-    payload = {"set": [str(regular)], "strong_set": str(strong)}
+    payload = {"set": _set_json(regular), "strong_set": str(strong)}
     text = "%s regular; %s strong" % (regular, strong)
     return CommandResult("torus", inputs, payload,
                          ["torus-closed-form"], text)
@@ -178,11 +181,11 @@ def cmd_bezout(args):
                          ["bezout-normalization"], text)
 
 
-def _add_common(sub, *names):
+def _add_common(sub, *names, pq_required=True):
     if "p" in names:
-        sub.add_argument("--p", type=int)
+        sub.add_argument("--p", type=int, required=pq_required)
     if "q" in names:
-        sub.add_argument("--q", type=int)
+        sub.add_argument("--q", type=int, required=pq_required)
     if "b" in names:
         sub.add_argument("--b", type=int, default=0)
     if "J" in names:
@@ -194,8 +197,14 @@ def _add_common(sub, *names):
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one line on stderr, exit code 2, as for every other failure
+        self.exit(2, "%s: error: %s\n" % (self.prog, message))
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cableslopes",
         description="Detected slope intervals on cable spaces.")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -205,7 +214,7 @@ def build_parser():
     p.set_defaults(func=cmd_jn)
 
     p = subs.add_parser("interval", help="relative interval of a tuple")
-    _add_common(p, "p", "q", "J", "gamma", "tau")
+    _add_common(p, "p", "q", "J", "gamma", "tau", pq_required=False)
     p.set_defaults(func=cmd_interval)
 
     p = subs.add_parser("ray-union", help="union of intervals over a ray")
@@ -240,8 +249,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         result = args.func(args)
-    except (ValueError, UnsupportedArity, WindowClosed,
-            InsufficientData) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
     print(result.to_json() if args.format == "json" else result.text)

@@ -260,17 +260,13 @@ class Arc:
     def __str__(self):
         if self.wraps_infinity:
             return "%s%s,inf]∪[-inf,%s%s" % (
-                "[" if self.low_closed else "(", _endpoint_str(self.low),
-                _endpoint_str(self.high), "]" if self.high_closed else ")")
+                "[" if self.low_closed else "(", self.low, self.high,
+                "]" if self.high_closed else ")")
         lo = "-inf" if self.low.is_infinite else str(self.low)
         hi = "inf" if self.high.is_infinite else str(self.high)
         return "%s%s,%s%s" % ("[" if self.low_closed else "(",
                               lo, hi,
                               "]" if self.high_closed else ")")
-
-
-def _endpoint_str(v):
-    return str(v)
 
 
 _ARC_RE = re.compile(
@@ -443,13 +439,6 @@ class SlopeSet:
         return cls([(_low_cut(arc.low, arc.low_closed),
                      _high_cut(arc.high, arc.high_closed))])
 
-    @classmethod
-    def from_arcs(cls, arcs):
-        out = cls.empty()
-        for arc in arcs:
-            out = out.union(cls.from_arc(arc))
-        return out
-
     # -- queries -------------------------------------------------------
 
     @property
@@ -589,9 +578,8 @@ class SlopeSet:
     def __repr__(self):
         return "SlopeSet(%s)" % (str(self),)
 
-    def __str__(self):
-        if self.is_empty:
-            return "{}"
+    def parts(self):
+        """Text of each arc in order; str() joins them with the union sign."""
         arcs, isolated_inf = self.arcs()
         parts = []
         for arc in arcs:
@@ -606,7 +594,10 @@ class SlopeSet:
                 parts.append(str(arc))
         if isolated_inf:
             parts.append("{inf}")
-        return " ∪ ".join(parts)
+        return parts
+
+    def __str__(self):
+        return " ∪ ".join(self.parts()) or "{}"
 
 
 def parse_slope_set(text):
@@ -683,10 +674,6 @@ class IntMobius:
         return "IntMobius(%d, %d, %d, %d)" % (self.a, self.b, self.c, self.d)
 
 
-def mobius_apply(m, x):
-    return m.apply(x)
-
-
 def _directed_image(u, uc, v, vc):
     """Image set of a directed arc running from u to v positively."""
     if u.is_infinite and v.is_infinite:
@@ -749,18 +736,3 @@ def mobius_set_image(m, s):
     if s.has_infinity:
         out = out.union(SlopeSet.point(m.apply(INF)))
     return out
-
-
-def slopeset_algebra(op, *operands):
-    """Dispatch helper: op in {union, intersect, complement, difference}."""
-    if op == "complement":
-        (a,) = operands
-        return a.complement()
-    a, b = operands
-    if op == "union":
-        return a.union(b)
-    if op == "intersect":
-        return a.intersect(b)
-    if op == "difference":
-        return a.difference(b)
-    raise ValueError("unknown operation: %r" % (op,))

@@ -5,14 +5,16 @@ that (J; 0; gamma; tau_*, tau') is realisable is a closed rational
 interval t, and its strict companion (tau' slot also strict) is either
 the interior of t or a single point.  The core [m0, m1] is always
 contained in t; beyond the core, one extra unit window may open on
-each side, and its exact extent is located by an optimization over
-witness pairs (A, N).
+each side, and its exact extent is the largest value a free slot can
+receive in a witness pair (A, N).  That optimization is
+``extremal_slot_value``, which lives with the single witness solver in
+``jn`` (see there for the per-N interval argument) and is imported here.
 """
 
-import math
 from dataclasses import dataclass
 
 from .exact import Arc, ExtRational, SlopeSet
+from .jn import extremal_slot_value
 from .seifert import DerivedQuantities, derived_quantities
 
 ONE = ExtRational(1)
@@ -37,112 +39,6 @@ def _as_rat(x):
     return x if isinstance(x, ExtRational) else ExtRational(x)
 
 
-def _needs(slots, N):
-    needs = []
-    for num, den, strict in slots:
-        t = num * N
-        if strict:
-            needs.append(t // den + 1)
-        else:
-            needs.append(-((-t) // den))
-    return needs
-
-
-def _cap(num, den, strict):
-    if strict:
-        return (den - 1) // num
-    return den // num
-
-
-def _extremal_bound(slots):
-    """Bound on N over all witnesses of the fixed slots plus a free slot.
-
-    A witness assigns A/N and (N-A)/N to two slots and 1/N elsewhere.
-    If both special slots are fixed, either some other fixed slot caps N
-    through its 1/N constraint, or (when only the free slot remains)
-    A/N must land in the gap between the two fixed values, and a short
-    interval argument bounds the smallest usable N.  If the free slot is
-    special, the remaining fixed slots cap N, and larger N only shrink
-    the candidate values, so the maximum is attained within the bound.
-    """
-    k = len(slots)
-    if k < 2:
-        raise ValueError("need at least 2 fixed slots")
-    caps = [_cap(n, d, st) for n, d, st in slots]
-    best = 0
-    for i in range(k):
-        rest = [caps[m] for m in range(k) if m != i]
-        best = max(best, min(rest))
-        for j in range(i + 1, k):
-            rest2 = [caps[m] for m in range(k) if m != i and m != j]
-            if rest2:
-                best = max(best, min(rest2))
-                continue
-            ni, di, si = slots[i]
-            nj, dj, sj = slots[j]
-            # gap for A/N between v_i and 1 - v_j
-            gap_num = di * dj - ni * dj - nj * di
-            gap_den = di * dj
-            if gap_num > 0:
-                best = max(best, -((-gap_den) // gap_num) + 1)
-            elif gap_num == 0 and not si and not sj:
-                best = max(best, di)
-    return best
-
-
-def extremal_slot_value(fixed):
-    """Largest value a free extra slot can receive in any witness.
-
-    ``fixed`` lists (value in (0,1), strict) constraints.  The search
-    runs over coprime pairs (A, N) with N up to the completeness bound;
-    returns None when no witness exists at all (the window is empty).
-    """
-    slots = []
-    for value, strict in fixed:
-        value = _as_rat(value)
-        if not (0 < value < 1):
-            raise ValueError("fixed slot value must lie in (0,1): %s" % value)
-        slots.append((value.num, value.den, bool(strict)))
-    k = len(slots)
-    bound = _extremal_bound(slots)
-    best = None
-    for N in range(2, bound + 1):
-        needs = _needs(slots, N)
-        big = [i for i, x in enumerate(needs) if x > 1]
-        if len(big) > 2:
-            continue
-        big_set = set(big)
-        for A in range(1, N):
-            if math.gcd(A, N) != 1:
-                continue
-            candidates = []
-            # free slot takes 1/N; two fixed slots take A/N and (N-A)/N
-            for i in range(k):
-                if needs[i] > A:
-                    continue
-                for j in range(k):
-                    if j != i and needs[j] <= N - A and big_set <= {i, j}:
-                        candidates.append(ExtRational(1, N))
-                        break
-                else:
-                    continue
-                break
-            # free slot takes A/N; one fixed slot takes (N-A)/N
-            for j in range(k):
-                if needs[j] <= N - A and big_set <= {j}:
-                    candidates.append(ExtRational(A, N))
-                    break
-            # free slot takes (N-A)/N; one fixed slot takes A/N
-            for i in range(k):
-                if needs[i] <= A and big_set <= {i}:
-                    candidates.append(ExtRational(N - A, N))
-                    break
-            for c in candidates:
-                if best is None or c > best:
-                    best = c
-    return best
-
-
 def _fixed_slots(gammas, taus, J):
     """Surviving (value, strict) constraints with integral taus dropped.
 
@@ -161,21 +57,29 @@ def _complement(fixed):
     return [(ONE - v, st) for v, st in fixed]
 
 
-def _gates(gammas, taus, J, dq):
-    """Whether the windows below m0 and above m1 are nonempty."""
+def _window(side, gammas, taus, J, dq):
+    """Width of the window below m0 (left) or above m1 (right), or None.
+
+    When n + r1 = 2 an arithmetic gate, with its bullet case, decides
+    whether the window opens; otherwise it opens exactly when the
+    extremal search finds a value.
+    """
     fixed = _fixed_slots(gammas, taus, J)
-    if dq.n + dq.r1 == 2:
-        total = -sum(gammas, ExtRational(0)) - sum(taus, ExtRational(0))
-        bullet = (dq.n == 0
-                  and total == dq.m0
-                  and any(idx in J and t.frac().num != 0
-                          for idx, t in enumerate(taus, start=1)))
-        left = total < dq.m0 or bullet
-        right = total > dq.m0 or bullet
-        return left, right
-    left = extremal_slot_value(_complement(fixed)) is not None
-    right = extremal_slot_value(fixed) is not None
-    return left, right
+    if side == "left":
+        fixed = _complement(fixed)
+    if dq.n + dq.r1 != 2:
+        return extremal_slot_value(fixed)
+    total = -sum(gammas, ExtRational(0)) - sum(taus, ExtRational(0))
+    bullet = (dq.n == 0
+              and total == dq.m0
+              and any(idx in J and t.frac().num != 0
+                      for idx, t in enumerate(taus, start=1)))
+    if not (bullet or (total < dq.m0 if side == "left" else total > dq.m0)):
+        return None
+    width = extremal_slot_value(fixed)
+    if width is None:
+        raise AssertionError("open %s gate but empty witness search" % side)
+    return width
 
 
 def endpoint_search(side, gammas, taus, J):
@@ -184,29 +88,22 @@ def endpoint_search(side, gammas, taus, J):
     side="left" returns the minimal realisable tau' below m0;
     side="right" the maximal realisable tau' above m1.
     """
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
     gammas = tuple(_as_rat(g) for g in gammas)
     taus = tuple(_as_rat(t) for t in taus)
     J = frozenset(J)
     dq = derived_quantities(gammas, taus, J)
     if dq.s0 != 0:
         raise WindowClosed("window closed: integral slots pin t to [m0,m1]")
-    left, right = _gates(gammas, taus, J, dq)
-    fixed = _fixed_slots(gammas, taus, J)
+    width = _window(side, gammas, taus, J, dq)
     if side == "left":
-        if not left:
+        if width is None:
             raise WindowClosed("window closed below m0")
-        w = extremal_slot_value(_complement(fixed))
-        if w is None:
-            raise WindowClosed("window closed below m0")
-        return ExtRational(dq.m0) - w
-    if side == "right":
-        if not right:
-            raise WindowClosed("window closed above m1")
-        v = extremal_slot_value(fixed)
-        if v is None:
-            raise WindowClosed("window closed above m1")
-        return ExtRational(dq.m1) + v
-    raise ValueError("side must be 'left' or 'right'")
+        return ExtRational(dq.m0) - width
+    if width is None:
+        raise WindowClosed("window closed above m1")
+    return ExtRational(dq.m1) + width
 
 
 def relative_interval(gammas, taus, J):
@@ -225,20 +122,10 @@ def relative_interval(gammas, taus, J):
         return RelativeIntervalResult(
             Arc(m0, m1), SlopeSet.interval(m0, m1, False, False), dq)
 
-    left, right = _gates(gammas, taus, J, dq)
-    fixed = _fixed_slots(gammas, taus, J)
-    lo = m0
-    if left:
-        w = extremal_slot_value(_complement(fixed))
-        if w is None:
-            raise AssertionError("open left gate but empty witness search")
-        lo = m0 - w
-    hi = m1
-    if right:
-        v = extremal_slot_value(fixed)
-        if v is None:
-            raise AssertionError("open right gate but empty witness search")
-        hi = m1 + v
+    left = _window("left", gammas, taus, J, dq)
+    right = _window("right", gammas, taus, J, dq)
+    lo = m0 if left is None else m0 - left
+    hi = m1 if right is None else m1 + right
     t = Arc(lo, hi)
 
     total = -sum(gammas, ExtRational(0)) - sum(taus, ExtRational(0))
@@ -257,10 +144,6 @@ def relative_interval(gammas, taus, J):
     return RelativeIntervalResult(t, t_strict, dq)
 
 
-def _gamma_of(params):
-    return ExtRational(params.q + params.s, params.q)
-
-
 def cable_interval(params, J, tau):
     """Specialize relative_interval to a cable space with n=1.
 
@@ -271,7 +154,7 @@ def cable_interval(params, J, tau):
     J = frozenset(J)
     if not J <= {1}:
         raise ValueError("J must be a subset of {1}")
-    gamma = _gamma_of(params)
+    gamma = params.gamma
     if 1 in J and tau.frac().num == 0:
         value = -tau - gamma
         dq = derived_quantities((gamma,), (tau,), J)
@@ -307,25 +190,3 @@ def special_slope_interval(params, b, strict=False):
         return Arc(ExtRational(-1),
                    ExtRational(-1) + ExtRational(1, q * b - p))
     raise ValueError("b = p/q is impossible for coprime p, q with q > 1")
-
-
-def ray_union(params, direction, tau0):
-    """Union of t over all tau >= tau0 (geq) or tau <= tau0 (leq)."""
-    tau0 = _as_rat(tau0)
-    gamma = _gamma_of(params)
-    one_minus_gamma = ONE - gamma
-    fl = tau0.floor()
-    tb = tau0.frac()
-    if direction == "geq":
-        if tb.num == 0:
-            return SlopeSet.ray_below(-tau0, True)
-        if tb < one_minus_gamma:
-            xi = cable_interval(params, frozenset(), tau0).t.high
-            return SlopeSet.ray_below(xi, True)
-        return SlopeSet.ray_below(ExtRational(-fl - 1), True)
-    if direction == "leq":
-        if tb <= one_minus_gamma:
-            return SlopeSet.ray_above(ExtRational(-fl - 1), True)
-        eta = cable_interval(params, frozenset(), tau0).t.low
-        return SlopeSet.ray_above(eta, True)
-    raise ValueError("direction must be 'geq' or 'leq'")

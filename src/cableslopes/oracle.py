@@ -57,6 +57,8 @@ def grid_scan_interval(params, J, tau, max_denominator=24, expected=None):
     When ``expected`` (anything with a ``contains`` method) is given,
     disagreements are collected as (point, got, expected) mismatches.
     """
+    if max_denominator < 1:
+        raise ValueError("max_denominator must be at least 1")
     J = frozenset(J)
     gamma = ExtRational(params.q + params.s, params.q)
     tau = tau if isinstance(tau, ExtRational) else ExtRational(tau)

@@ -1,0 +1,188 @@
+"""Reference (A, N) enumerators for the witness solver tests.
+
+These are the original loop searches: for every N up to the bound they
+try every A in [1, N) and every slot pair (i, j).  They are slow but
+plainly follow the definition, so the per-N solver in
+``cableslopes.jn`` is required to return exactly what they return.
+"""
+
+import math
+
+from cableslopes.exact import ExtRational
+from cableslopes.jn import JNWitness
+
+
+def _slot_ints(values):
+    out = []
+    for value, strict in values:
+        if not isinstance(value, ExtRational):
+            value = ExtRational(value)
+        if not (0 < value < 1):
+            raise ValueError("slot value must lie in (0,1): %s" % value)
+        out.append((value.num, value.den, bool(strict)))
+    return out
+
+
+def _cap(num, den, strict):
+    # largest N with num/den < 1/N (strict) or <= 1/N (non-strict)
+    if strict:
+        return (den - 1) // num
+    return den // num
+
+
+def search_bound(values):
+    """Upper bound on N over all witnesses for the given slots.
+
+    In any witness all but two slots receive 1/N, and a slot of value v
+    tolerates 1/N only for N <= floor(1/v) (or strictly below 1/v when
+    the slot is strict).  Maximizing over the choice of the two special
+    slots bounds N.
+    """
+    slots = _slot_ints(values)
+    k = len(slots)
+    if k < 3:
+        raise ValueError("need at least 3 slots")
+    caps = [_cap(n, d, st) for n, d, st in slots]
+    best = 0
+    for i in range(k):
+        for j in range(i + 1, k):
+            rest = min(caps[m] for m in range(k) if m != i and m != j)
+            best = max(best, rest)
+    return best
+
+
+def _needs(slots, N):
+    # minimal numerator x such that the slot accepts the value x/N
+    needs = []
+    for num, den, strict in slots:
+        t = num * N
+        if strict:
+            needs.append(t // den + 1)
+        else:
+            needs.append(-((-t) // den))
+    return needs
+
+
+def witness_search(values):
+    """Find the minimal witness for a b=1 query, or None.
+
+    Exhausts N from 2 up to search_bound(values); completeness of that
+    bound rests on the remaining slots all receiving 1/N.
+    """
+    slots = _slot_ints(values)
+    k = len(slots)
+    if k < 3:
+        raise ValueError("need at least 3 slots")
+    bound = search_bound(values)
+    for N in range(2, bound + 1):
+        needs = _needs(slots, N)
+        big = [i for i, x in enumerate(needs) if x > 1]
+        if len(big) > 2:
+            continue
+        big_set = set(big)
+        for A in range(1, N):
+            if math.gcd(A, N) != 1:
+                continue
+            for i in range(k):
+                if needs[i] > A:
+                    continue
+                for j in range(k):
+                    if j == i or needs[j] > N - A:
+                        continue
+                    if not big_set <= {i, j}:
+                        continue
+                    assignment = [ExtRational(1, N)] * k
+                    assignment[i] = ExtRational(A, N)
+                    assignment[j] = ExtRational(N - A, N)
+                    return JNWitness(N, A, tuple(assignment))
+    return None
+
+
+def _extremal_bound(slots):
+    """Bound on N over all witnesses of the fixed slots plus a free slot.
+
+    A witness assigns A/N and (N-A)/N to two slots and 1/N elsewhere.
+    If both special slots are fixed, either some other fixed slot caps N
+    through its 1/N constraint, or (when only the free slot remains)
+    A/N must land in the gap between the two fixed values, and a short
+    interval argument bounds the smallest usable N.  If the free slot is
+    special, the remaining fixed slots cap N, and larger N only shrink
+    the candidate values, so the maximum is attained within the bound.
+    """
+    k = len(slots)
+    if k < 2:
+        raise ValueError("need at least 2 fixed slots")
+    caps = [_cap(n, d, st) for n, d, st in slots]
+    best = 0
+    for i in range(k):
+        rest = [caps[m] for m in range(k) if m != i]
+        best = max(best, min(rest))
+        for j in range(i + 1, k):
+            rest2 = [caps[m] for m in range(k) if m != i and m != j]
+            if rest2:
+                best = max(best, min(rest2))
+                continue
+            ni, di, si = slots[i]
+            nj, dj, sj = slots[j]
+            # gap for A/N between v_i and 1 - v_j
+            gap_num = di * dj - ni * dj - nj * di
+            gap_den = di * dj
+            if gap_num > 0:
+                best = max(best, -((-gap_den) // gap_num) + 1)
+            elif gap_num == 0 and not si and not sj:
+                best = max(best, di)
+    return best
+
+
+def extremal_slot_value(fixed):
+    """Largest value a free extra slot can receive in any witness.
+
+    ``fixed`` lists (value in (0,1), strict) constraints.  The search
+    runs over coprime pairs (A, N) with N up to the completeness bound;
+    returns None when no witness exists at all (the window is empty).
+    """
+    slots = []
+    for value, strict in fixed:
+        if not isinstance(value, ExtRational):
+            value = ExtRational(value)
+        if not (0 < value < 1):
+            raise ValueError("fixed slot value must lie in (0,1): %s" % value)
+        slots.append((value.num, value.den, bool(strict)))
+    k = len(slots)
+    bound = _extremal_bound(slots)
+    best = None
+    for N in range(2, bound + 1):
+        needs = _needs(slots, N)
+        big = [i for i, x in enumerate(needs) if x > 1]
+        if len(big) > 2:
+            continue
+        big_set = set(big)
+        for A in range(1, N):
+            if math.gcd(A, N) != 1:
+                continue
+            candidates = []
+            # free slot takes 1/N; two fixed slots take A/N and (N-A)/N
+            for i in range(k):
+                if needs[i] > A:
+                    continue
+                for j in range(k):
+                    if j != i and needs[j] <= N - A and big_set <= {i, j}:
+                        candidates.append(ExtRational(1, N))
+                        break
+                else:
+                    continue
+                break
+            # free slot takes A/N; one fixed slot takes (N-A)/N
+            for j in range(k):
+                if needs[j] <= N - A and big_set <= {j}:
+                    candidates.append(ExtRational(A, N))
+                    break
+            # free slot takes (N-A)/N; one fixed slot takes A/N
+            for i in range(k):
+                if needs[i] <= A and big_set <= {i}:
+                    candidates.append(ExtRational(N - A, N))
+                    break
+            for c in candidates:
+                if best is None or c > best:
+                    best = c
+    return best

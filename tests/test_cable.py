@@ -4,10 +4,9 @@ import pytest
 
 from cableslopes.cable import (CableParams, DetectionMode, bezout,
                                cable_detected_set, cable_genus_bound,
-                               infinity_rule, inner_basis_map,
-                               outer_basis_map, torus_knot_detected)
-from cableslopes.exact import (INF, ExtRational, SlopeSet, mobius_apply,
-                               parse_slope_set)
+                               inner_basis_map, outer_basis_map,
+                               torus_knot_detected)
+from cableslopes.exact import INF, ExtRational, SlopeSet, parse_slope_set
 from cableslopes.intervals import cable_interval
 
 R = ExtRational.parse
@@ -45,21 +44,16 @@ class TestBasisMaps:
     def test_inner_map_special_values(self):
         for params in (bezout(2, 3), bezout(5, 2), bezout(7, 4)):
             f = inner_basis_map(params)
-            assert mobius_apply(f, params.fiber_slope) == INF
-            assert mobius_apply(f, INF) == ExtRational(-params.s, params.q)
-            assert mobius_apply(f, ExtRational(0)) == ExtRational(
+            assert f.apply(params.fiber_slope) == INF
+            assert f.apply(INF) == ExtRational(-params.s, params.q)
+            assert f.apply(ExtRational(0)) == ExtRational(
                 params.r, params.p)
 
     def test_outer_map_special_values(self):
         for params in (bezout(2, 3), bezout(5, 2)):
             g = outer_basis_map(params)
-            assert mobius_apply(g, ExtRational(-1)) == INF
-            assert mobius_apply(g, INF) == ExtRational(params.p * params.q)
-
-    def test_infinity_rule_is_passthrough(self):
-        for mode in DetectionMode:
-            assert infinity_rule(mode, True) is True
-            assert infinity_rule(mode, False) is False
+            assert g.apply(ExtRational(-1)) == INF
+            assert g.apply(INF) == ExtRational(params.p * params.q)
 
 
 class TestTorusKnots:
@@ -176,7 +170,7 @@ class TestPipeline:
             input_set = SlopeSet.point(slope)
             out, _ = cable_detected_set(params, input_set,
                                         DetectionMode.WEAK)
-            tau = mobius_apply(inner_basis_map(params), slope)
+            tau = inner_basis_map(params).apply(slope)
             res = cable_interval(params, frozenset(), tau)
             expected = mobius_set_image(
                 outer_basis_map(params),

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from cableslopes.cli import main
+from cableslopes.exact import parse_slope_set
 
 
 def run(capsys, *argv):
@@ -85,12 +86,34 @@ class TestJsonFormat:
         assert doc["result"]["realizable"] is True
         assert doc["result"]["witness"]["N"] == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("cable", "--p", "2", "--q", "3", "--input", "{inf}"),
+        ("cable", "--p", "2", "--q", "3", "--input", "[0,1] U {inf}"),
+        ("cable", "--p", "5", "--q", "2", "--input", "[-inf,1]"),
+        ("ray-union", "--p", "2", "--q", "3", "--tau", "1/2",
+         "--direction", "leq"),
+    ])
+    def test_set_matches_text(self, capsys, argv):
+        code, text, _ = run(capsys, *argv)
+        assert code == 0
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        pieces = json.loads(out)["result"]["set"]
+        text_set = text.rsplit(" (", 1)[0] if argv[0] == "cable" else text
+        assert (parse_slope_set(" U ".join(pieces))
+                == parse_slope_set(text_set))
+
+
+def one_line(err):
+    return len(err.splitlines()) == 1 and "Traceback" not in err
+
 
 class TestExitCodes:
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["interval", "--p", "2", "--q", "3", "--frobnicate"])
         assert exc.value.code == 2
+        assert one_line(capsys.readouterr().err)
 
     def test_domain_error(self, capsys):
         code, out, err = run(capsys, "bezout", "--p", "2", "--q", "4")
@@ -107,3 +130,24 @@ class TestExitCodes:
                            "--tau", "1/2", "--max-denominator", "10")
         assert code == 0
         assert "mismatches 0" in out
+
+    @pytest.mark.parametrize("argv", [
+        ("torus", "--p", "3"),
+        ("cable", "--q", "3", "--input", "[0,1]"),
+    ])
+    def test_missing_p_or_q(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert one_line(capsys.readouterr().err)
+
+    def test_zero_over_zero(self, capsys):
+        code, _, err = run(capsys, "jn", "--gamma", "0/0", "--tau", "1/2,1/3")
+        assert code == 3
+        assert one_line(err)
+
+    def test_oracle_needs_a_denominator(self, capsys):
+        code, _, err = run(capsys, "oracle", "--p", "2", "--q", "3",
+                           "--tau", "1/2", "--max-denominator", "0")
+        assert code == 3
+        assert one_line(err)

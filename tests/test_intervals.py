@@ -1,11 +1,12 @@
 import pytest
 
-from cableslopes.cable import bezout
+from cableslopes import intervals
+from cableslopes.cable import bezout, ray_union
 from cableslopes.exact import Arc, ExtRational, SlopeSet
 from cableslopes.intervals import (InsufficientData, WindowClosed,
                                    cable_interval, endpoint_search,
-                                   extremal_slot_value, ray_union,
-                                   relative_interval, special_slope_interval)
+                                   extremal_slot_value, relative_interval,
+                                   special_slope_interval)
 
 R = ExtRational.parse
 C23 = bezout(2, 3)  # gamma = 2/3
@@ -51,6 +52,20 @@ class TestRelativeInterval:
                 assert core.issubset(res.t_strict)
                 assert res.t_strict.issubset(closed)
                 assert closed.issubset(outer)
+
+    def test_one_search_per_side(self, monkeypatch):
+        # n + r1 = 3: no arithmetic gate, the search itself gates
+        calls = []
+
+        def counted(fixed):
+            calls.append(fixed)
+            return extremal_slot_value(fixed)
+
+        monkeypatch.setattr(intervals, "extremal_slot_value", counted)
+        res = relative_interval((R("1/3"), R("1/4")), (R("1/5"),),
+                                frozenset())
+        assert res.t == Arc(ExtRational(-2), R("-1/2"))
+        assert len(calls) == 2
 
 
 class TestEndpointSearch:
@@ -120,14 +135,18 @@ class TestSpecialSlopeInterval:
                 assert (got.low, got.high) == (res.t.low, res.t.high)
 
     def test_high_branch_matches_search(self):
+        cases = []
         for params in (C23, C52, bezout(3, 5), bezout(7, 4)):
+            lo = -(-params.p // params.q)
+            cases += [(params, b) for b in range(lo, lo + 4)]
+        # b = 8 with p = q + 2: tau has denominator D = 201 and D = 411
+        cases += [(bezout(31, 29), 8), (bezout(61, 59), 8)]
+        for params, b in cases:
             p, q, r, s = params.p, params.q, params.r, params.s
-            lo = -(-p // q)
-            for b in range(lo, lo + 4):
-                tau = ExtRational(b * s + r, p - q * b)
-                got = special_slope_interval(params, b, strict=False)
-                res = cable_interval(params, frozenset(), tau)
-                assert (got.low, got.high) == (res.t.low, res.t.high)
+            tau = ExtRational(b * s + r, p - q * b)
+            got = special_slope_interval(params, b, strict=False)
+            res = cable_interval(params, frozenset(), tau)
+            assert (got.low, got.high) == (res.t.low, res.t.high)
 
     def test_strict_rejected_on_high_branch(self):
         with pytest.raises(ValueError):

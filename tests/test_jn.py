@@ -1,9 +1,14 @@
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import loop_reference
+from cableslopes import jn
 from cableslopes.exact import ExtRational
-from cableslopes.jn import (UnsupportedArity, decide, search_bound,
-                            witness_search)
+from cableslopes.jn import (UnsupportedArity, decide, extremal_slot_value,
+                            search_bound, witness_search)
 from cableslopes.oracle import exhaustive_witness_check
 
 R = ExtRational.parse
@@ -146,3 +151,82 @@ class TestProperties:
         rhs = decide(J, 1, tuple(ONE - g for g in gammas),
                      tuple(ONE - t for t in taus)).realizable
         assert lhs == rhs
+
+
+@st.composite
+def sized_slot_lists(draw, k_min, k_max, max_den):
+    out = []
+    for _ in range(draw(st.integers(k_min, k_max))):
+        d = draw(st.integers(2, max_den))
+        n = draw(st.integers(1, d - 1))
+        out.append((ExtRational(n, d), draw(st.booleans())))
+    return out
+
+
+class TestMatchesLoopReference:
+    """The per-N solver returns exactly what the (N, A, i, j) loops do."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sized_slot_lists(3, 5, 13))
+    def test_witness_search(self, values):
+        assert witness_search(values) == loop_reference.witness_search(values)
+        assert search_bound(values) == loop_reference.search_bound(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sized_slot_lists(2, 4, 17))
+    def test_extremal_slot_value(self, fixed):
+        assert (extremal_slot_value(fixed)
+                == loop_reference.extremal_slot_value(fixed))
+
+
+def _brute_witnesses(values, n_range, free):
+    """Assignments of every witness with N in n_range, by direct check.
+
+    With ``free`` the list gains a last slot with no constraint.
+    """
+    fracs = [(Fraction(v.num, v.den), strict) for v, strict in values]
+    k = len(fracs) + free
+    for N in n_range:
+        for A in range(1, N):
+            if math.gcd(A, N) != 1:
+                continue
+            for i in range(k):
+                for j in range(k):
+                    if i == j:
+                        continue
+                    got = [Fraction(1, N)] * k
+                    got[i] = Fraction(A, N)
+                    got[j] = Fraction(N - A, N)
+                    if all(g > f if strict else g >= f
+                           for (f, strict), g in zip(fracs, got)):
+                        yield got
+
+
+class TestBeyondBound:
+    """Nothing the solver skips past its bound would change its answer.
+
+    The bound is the claim under test, so it only sets how far the
+    brute force looks: every N in (bound, 3 * bound].
+    """
+
+    @staticmethod
+    def _beyond(slots):
+        bound = jn._bound(slots)
+        return range(bound + 1, 3 * max(bound, 2) + 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sized_slot_lists(3, 5, 6))
+    def test_no_witness_beyond_bound(self, values):
+        beyond = self._beyond(jn._slot_ints(values, 3))
+        assert next(_brute_witnesses(values, beyond, False), None) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(sized_slot_lists(2, 4, 6))
+    def test_no_larger_free_value_beyond_bound(self, fixed):
+        beyond = self._beyond(jn._slot_ints(fixed, 2) + [jn._FREE])
+        best = max((got[-1] for got in _brute_witnesses(fixed, beyond, True)),
+                   default=None)
+        value = extremal_slot_value(fixed)
+        if best is not None:
+            assert value is not None
+            assert best <= Fraction(value.num, value.den)
