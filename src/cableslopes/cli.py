@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .cable import (DetectionMode, bezout, cable_detected_set, ray_union,
                     torus_knot_detected)
-from .exact import Arc, ExtRational, parse_slope_set
+from .exact import ExtRational, parse_slope_set
 from .intervals import cable_interval, relative_interval
 from .jn import decide
 from .oracle import grid_scan_interval
@@ -57,18 +57,6 @@ def _params(args):
     return bezout(args.p, args.q)
 
 
-def _set_json(s):
-    """The JSON ``set`` list: the pieces the text output joins with U."""
-    return [str(s)] if isinstance(s, Arc) else s.parts()
-
-
-def _interval_payload(t, t_strict):
-    return {
-        "set": _set_json(t),
-        "strict_set": str(t_strict),
-    }
-
-
 def cmd_jn(args):
     res = decide(_j_set(args.J), args.b, _rat_list(args.gamma),
                  _rat_list(args.tau))
@@ -106,7 +94,7 @@ def cmd_interval(args):
                   "J": sorted(_j_set(args.J))}
         refs = ["relative-interval", "endpoint-search"]
     text = "%s (T), %s (T~)" % (res.t, res.t_strict)
-    payload = _interval_payload(res.t, res.t_strict)
+    payload = {"set": [str(res.t)], "strict_set": str(res.t_strict)}
     return CommandResult("interval", inputs, payload, refs, text)
 
 
@@ -118,7 +106,7 @@ def cmd_ray_union(args):
     out = ray_union(params, args.direction, taus[0])
     inputs = {"p": args.p, "q": args.q, "direction": args.direction,
               "tau": args.tau}
-    payload = {"set": _set_json(out)}
+    payload = {"set": out.parts()}
     return CommandResult("ray-union", inputs, payload,
                          ["ray-union"], str(out))
 
@@ -130,7 +118,7 @@ def cmd_cable(args):
     out, tag = cable_detected_set(params, input_set, mode)
     inputs = {"p": args.p, "q": args.q, "input": args.input,
               "mode": args.mode}
-    payload = {"set": _set_json(out), "exactness": tag}
+    payload = {"set": out.parts(), "exactness": tag}
     text = "%s (%s)" % (out, tag)
     return CommandResult("cable", inputs, payload,
                          ["cable-pipeline", "ray-union"], text)
@@ -139,7 +127,7 @@ def cmd_cable(args):
 def cmd_torus(args):
     regular, strong = torus_knot_detected(args.p, args.q)
     inputs = {"p": args.p, "q": args.q}
-    payload = {"set": _set_json(regular), "strong_set": str(strong)}
+    payload = {"set": regular.parts(), "strong_set": str(strong)}
     text = "%s regular; %s strong" % (regular, strong)
     return CommandResult("torus", inputs, payload,
                          ["torus-closed-form"], text)

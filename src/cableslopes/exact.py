@@ -176,6 +176,9 @@ def rat(num, den=1):
 class Arc:
     """A connected subset of the rational projective circle.
 
+    Arc is the parse type of one arc and the type of an interval result;
+    unions, images and printing of sets belong to SlopeSet.
+
     The circle is ordered like R with infinity glued between +inf and
     -inf.  An arc records its low and high endpoint, whether each is
     included, and whether its interior passes through infinity:
@@ -229,11 +232,6 @@ class Arc:
         return hash((self.low, self.high, self.low_closed, self.high_closed,
                      self.wraps_infinity))
 
-    @property
-    def is_point(self):
-        return (not self.wraps_infinity and self.low == self.high
-                and not self.low.is_infinite)
-
     def contains(self, x):
         if not isinstance(x, ExtRational):
             x = ExtRational(x)
@@ -258,15 +256,20 @@ class Arc:
         return "Arc(%s)" % (str(self),)
 
     def __str__(self):
+        lc, hc = self.low_closed, self.high_closed
         if self.wraps_infinity:
-            return "%s%s,inf]∪[-inf,%s%s" % (
-                "[" if self.low_closed else "(", self.low, self.high,
-                "]" if self.high_closed else ")")
-        lo = "-inf" if self.low.is_infinite else str(self.low)
-        hi = "inf" if self.high.is_infinite else str(self.high)
-        return "%s%s,%s%s" % ("[" if self.low_closed else "(",
-                              lo, hi,
-                              "]" if self.high_closed else ")")
+            return "%s∪%s" % (_arc_text(self.low, lc, None, True),
+                              _arc_text(None, True, self.high, hc))
+        return _arc_text(self.low, lc, self.high, hc)
+
+
+def _arc_text(low, low_closed, high, high_closed):
+    """Text like ``[low,high)``; an end that is None or inf is unbounded."""
+    return "%s%s,%s%s" % (
+        "[" if low_closed else "(",
+        "-inf" if low is None or low.is_infinite else low,
+        "inf" if high is None or high.is_infinite else high,
+        "]" if high_closed else ")")
 
 
 _ARC_RE = re.compile(
@@ -298,27 +301,15 @@ def parse_arc(text):
 # Internally a set is split into its affine part (a sorted list of disjoint,
 # non-touching intervals over Q, possibly unbounded) and a flag saying
 # whether the point at infinity belongs.  Interval endpoints are handled in
-# "cut" coordinates: the cut (v, 0) sits just below the point v and (v, 1)
-# just above it, so every interval becomes half-open in cut space and the
-# usual sweep algorithms apply with no open/closed case analysis.
+# "cut" coordinates: the cut (0, v, 0) sits just below the point v and
+# (0, v, 1) just above it, so every interval becomes half-open in cut space
+# and the usual sweep algorithms apply with no open/closed case analysis.
+# Python's tuple order is the cut order, with _MIN and _MAX beyond every
+# finite cut.
 # ---------------------------------------------------------------------------
 
-_MIN = (-1, None, 0)  # below every rational
-_MAX = (1, None, 0)   # above every rational
-
-
-def _cut_lt(a, b):
-    if a[0] != b[0]:
-        return a[0] < b[0]
-    if a[0] != 0:
-        return False
-    if a[1] == b[1]:
-        return a[2] < b[2]
-    return a[1] < b[1]
-
-
-def _cut_le(a, b):
-    return not _cut_lt(b, a)
+_MIN = (-1,)  # below every rational
+_MAX = (1,)   # above every rational
 
 
 def _low_cut(value, closed):
@@ -334,31 +325,14 @@ def _high_cut(value, closed):
 
 
 def _merge_cut_intervals(ivs):
-    ivs = [iv for iv in ivs if _cut_lt(iv[0], iv[1])]
-    ivs.sort(key=_CutKey)
     out = []
-    for lo, hi in ivs:
-        if out and _cut_le(lo, out[-1][1]):
-            if _cut_lt(out[-1][1], hi):
+    for lo, hi in sorted(iv for iv in ivs if iv[0] < iv[1]):
+        if out and lo <= out[-1][1]:
+            if out[-1][1] < hi:
                 out[-1] = (out[-1][0], hi)
         else:
             out.append((lo, hi))
     return out
-
-
-class _CutKey:
-    __slots__ = ("iv",)
-
-    def __init__(self, iv):
-        self.iv = iv
-
-    def __lt__(self, other):
-        a, b = self.iv, other.iv
-        if _cut_lt(a[0], b[0]):
-            return True
-        if _cut_lt(b[0], a[0]):
-            return False
-        return _cut_lt(a[1], b[1])
 
 
 class SlopeSet:
@@ -373,7 +347,7 @@ class SlopeSet:
     __slots__ = ("_ivs", "_inf")
 
     def __init__(self, _ivs=(), _inf=False):
-        object.__setattr__(self, "_ivs", tuple(_merge_cut_intervals(list(_ivs))))
+        object.__setattr__(self, "_ivs", tuple(_merge_cut_intervals(_ivs)))
         object.__setattr__(self, "_inf", bool(_inf))
 
     def __setattr__(self, name, value):
@@ -460,10 +434,7 @@ class SlopeSet:
             return self._inf
         lo = _low_cut(x, True)
         hi = _high_cut(x, True)
-        for a, b in self._ivs:
-            if _cut_le(a, lo) and _cut_le(hi, b):
-                return True
-        return False
+        return any(a <= lo and hi <= b for a, b in self._ivs)
 
     def __eq__(self, other):
         if not isinstance(other, SlopeSet):
@@ -487,10 +458,10 @@ class SlopeSet:
         ivs = []
         prev = _MIN
         for lo, hi in self._ivs:
-            if _cut_lt(prev, lo):
+            if prev < lo:
                 ivs.append((prev, lo))
             prev = hi
-        if _cut_lt(prev, _MAX):
+        if prev < _MAX:
             ivs.append((prev, _MAX))
         return SlopeSet(ivs, not self._inf)
 
@@ -533,68 +504,36 @@ class SlopeSet:
             out.append((l, lc, h, hc))
         return out
 
-    def arcs(self):
-        """Canonical list of arcs covering this set.
-
-        An isolated point at infinity cannot be expressed as an Arc and
-        is reported separately: the second element of the returned pair
-        is True when infinity belongs to the set but touches no
-        unbounded affine piece.  Returns (arc_list, isolated_infinity).
-        """
-        if self.is_empty:
-            return [], False
-        if self.is_full:
-            return [Arc(INF, INF, True, True)], False
-        pieces = self.affine_pieces()
-        if not self._inf:
-            return [Arc(INF if l is None else l, INF if h is None else h,
-                        lc, hc)
-                    for l, lc, h, hc in pieces], False
-        if not pieces:
-            return [], True
-        first, last = pieces[0], pieces[-1]
-        out = []
-        if first[0] is None and last[2] is None and len(pieces) >= 2:
-            out.append(Arc(last[0], first[2], last[1], first[3],
-                           wraps_infinity=True))
-            middle = pieces[1:-1]
-            isolated = False
-        elif last[2] is None:
-            out.append(Arc(last[0], INF, last[1], True))
-            middle = pieces[:-1]
-            isolated = False
-        elif first[0] is None:
-            out.append(Arc(INF, first[2], True, first[3]))
-            middle = pieces[1:]
-            isolated = False
-        else:
-            middle = pieces
-            isolated = True
-        for l, lc, h, hc in middle:
-            out.append(Arc(INF if l is None else l,
-                           INF if h is None else h, lc, hc))
-        return out, isolated
-
     def __repr__(self):
         return "SlopeSet(%s)" % (str(self),)
 
     def parts(self):
-        """Text of each arc in order; str() joins them with the union sign."""
-        arcs, isolated_inf = self.arcs()
-        parts = []
-        for arc in arcs:
-            if arc.is_point:
-                parts.append("{%s}" % (arc.low,))
-            elif arc.low == INF and arc.high == INF and not arc.wraps_infinity:
-                if arc.low_closed or arc.high_closed:
-                    parts.append("[-inf,inf]")
-                else:
-                    parts.append("(-inf,inf)")
+        """Text of each arc in order; str() joins them with the union sign.
+
+        A point prints as ``{v}``.  When infinity belongs to the set, the
+        piece through it comes first: the two rays joined at infinity as
+        one wrapped arc, or the one ray closed there.  With no ray, an
+        isolated ``{inf}`` comes last.
+        """
+        if self.is_full:
+            return ["[-inf,inf]"]
+        pieces = self.affine_pieces()
+        rays = []
+        if self._inf and pieces and pieces[-1][2] is None:
+            low, low_closed = pieces.pop()[:2]
+            rays.append(_arc_text(low, low_closed, None, True))
+        if self._inf and pieces and pieces[0][0] is None:
+            high, high_closed = pieces.pop(0)[2:]
+            rays.append(_arc_text(None, True, high, high_closed))
+        out = ["∪".join(rays)] if rays else []
+        for l, lc, h, hc in pieces:
+            if l is not None and l == h:
+                out.append("{%s}" % (l,))
             else:
-                parts.append(str(arc))
-        if isolated_inf:
-            parts.append("{inf}")
-        return parts
+                out.append(_arc_text(l, lc, h, hc))
+        if self._inf and not rays:
+            out.append("{inf}")
+        return out
 
     def __str__(self):
         return " ∪ ".join(self.parts()) or "{}"
@@ -675,64 +614,40 @@ class IntMobius:
 
 
 def _directed_image(u, uc, v, vc):
-    """Image set of a directed arc running from u to v positively."""
-    if u.is_infinite and v.is_infinite:
-        if uc or vc:
-            return SlopeSet.full()
-        return SlopeSet.reals()
+    """Image set of a directed arc running from u to v positively.
+
+    Equal ends come only from the affine line, whose image is everything
+    except the image u of infinity.
+    """
+    if u == v:
+        return SlopeSet.point(u).complement()
     if u.is_infinite:
         return SlopeSet([(_MIN, _high_cut(v, vc))], uc)
     if v.is_infinite:
         return SlopeSet([(_low_cut(u, uc), _MAX)], vc)
     if u < v:
         return SlopeSet([(_low_cut(u, uc), _high_cut(v, vc))])
-    if u > v:
-        return SlopeSet([(_low_cut(u, uc), _MAX),
-                         (_MIN, _high_cut(v, vc))], True)
-    # equal endpoints of a non-point arc: everything except possibly u
-    if uc or vc:
-        return SlopeSet.full()
-    return SlopeSet.point(u).complement()
-
-
-def mobius_arc_image(m, arc):
-    """Exact image of an arc under a Moebius map, as a SlopeSet.
-
-    The image of a connected arc is the connected arc between the two
-    image endpoints, traversed positively when det > 0 and negatively
-    when det < 0.
-    """
-    if arc.is_point:
-        return SlopeSet.point(m.apply(arc.low))
-    lo_inf, hi_inf = arc.low.is_infinite, arc.high.is_infinite
-    if not arc.wraps_infinity and lo_inf and hi_inf:
-        if arc.low_closed or arc.high_closed:
-            return SlopeSet.full()
-        # the affine line: everything except the image of infinity
-        return SlopeSet.point(m.apply(INF)).complement()
-    u = m.apply(arc.low)
-    v = m.apply(arc.high)
-    uc, vc = arc.low_closed, arc.high_closed
-    if m.det < 0:
-        u, v = v, u
-        uc, vc = vc, uc
-    return _directed_image(u, uc, v, vc)
+    return SlopeSet([(_low_cut(u, uc), _MAX),
+                     (_MIN, _high_cut(v, vc))], True)
 
 
 def mobius_set_image(m, s):
     """Exact image of a SlopeSet under a Moebius map.
 
-    Works piece by piece: each affine interval is an arc avoiding
-    infinity, and the point at infinity (when present) maps separately.
+    Works piece by piece.  A point maps to a point, and so does the
+    point at infinity when it belongs to s.  Any other affine piece is
+    an arc avoiding infinity; its image is the connected arc between
+    the images of its ends, traversed positively when det > 0 and
+    negatively when det < 0.
     """
-    if s.is_empty:
-        return SlopeSet.empty()
-    if s.is_full:
-        return SlopeSet.full()
-    out = SlopeSet.empty()
+    out = SlopeSet.point(m.apply(INF)) if s.has_infinity else SlopeSet.empty()
     for l, lc, h, hc in s.affine_pieces():
-        arc = Arc(INF if l is None else l, INF if h is None else h, lc, hc)
-        out = out.union(mobius_arc_image(m, arc))
-    if s.has_infinity:
-        out = out.union(SlopeSet.point(m.apply(INF)))
+        if l is not None and l == h:
+            out = out.union(SlopeSet.point(m.apply(l)))
+            continue
+        u = m.apply(INF if l is None else l)
+        v = m.apply(INF if h is None else h)
+        if m.det < 0:
+            u, lc, v, hc = v, hc, u, lc
+        out = out.union(_directed_image(u, lc, v, hc))
     return out

@@ -72,8 +72,8 @@ def _window(side, gammas, taus, J, dq):
     total = -sum(gammas, ExtRational(0)) - sum(taus, ExtRational(0))
     bullet = (dq.n == 0
               and total == dq.m0
-              and any(idx in J and t.frac().num != 0
-                      for idx, t in enumerate(taus, start=1)))
+              and not any(idx in J and t.frac().num != 0
+                          for idx, t in enumerate(taus, start=1)))
     if not (bullet or (total < dq.m0 if side == "left" else total > dq.m0)):
         return None
     width = extremal_slot_value(fixed)

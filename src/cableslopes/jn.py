@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .exact import ExtRational
-from .seifert import SeifertTuple, normalize, reduce_integral
+from .seifert import SeifertTuple, reduce_integral
 
 
 class UnsupportedArity(ValueError):
@@ -241,6 +241,6 @@ def jn_realizable(query):
 
 
 def decide(J, b, gammas, taus):
-    """Decide an arbitrary tuple: normalize, reduce, then dispatch."""
-    tup = normalize(SeifertTuple(frozenset(J), b, tuple(gammas), tuple(taus)))
+    """Decide an arbitrary tuple: validate, reduce, then dispatch."""
+    tup = SeifertTuple(frozenset(J), b, tuple(gammas), tuple(taus))
     return jn_realizable(reduce_integral(tup))

@@ -80,11 +80,18 @@ class ReducedTuple:
 
 
 def reduce_integral(tup):
-    """Strip forced integral tau slots from a normalized tuple."""
+    """Normalize a tuple as ``normalize`` does and strip forced integral slots.
+
+    The tau weights are shifted into [0, 1) on the fly, so a validated
+    SeifertTuple is reduced without being rebuilt.
+    """
+    b = tup.b
     slots = [(g, True) for g in tup.gammas]
     zeros = 0
     kept = []
     for idx, t in enumerate(tup.taus, start=1):
+        b -= t.floor()
+        t = t.frac()
         if t.num == 0:
             if idx in tup.J:
                 continue
@@ -92,7 +99,7 @@ def reduce_integral(tup):
         else:
             slots.append((t, idx in tup.J))
             kept.append(idx)
-    return ReducedTuple(tup.b, tuple(slots), zeros, tuple(kept))
+    return ReducedTuple(b, tuple(slots), zeros, tuple(kept))
 
 
 @dataclass(frozen=True)

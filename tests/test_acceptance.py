@@ -40,7 +40,7 @@ def test_criterion_01_torus_golden_values():
     expected = {(2, 3): 1, (3, 5): 7, (2, 5): 3}
     for (p, q), end in expected.items():
         regular, strong = torus_knot_detected(p, q)
-        assert regular == Arc(INF, ExtRational(end), True, True)
+        assert regular == SlopeSet.ray_below(ExtRational(end)).with_infinity()
         assert strong == SlopeSet.ray_below(ExtRational(end), False)
         assert str(regular) == "[-inf,%d]" % end
         assert str(strong) == "(-inf,%d)" % end

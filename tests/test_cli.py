@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cableslopes.cli import main
 from cableslopes.exact import parse_slope_set
@@ -53,6 +57,13 @@ class TestGoldenOutputs:
         code, out, _ = run(capsys, "bezout", "--p", "5", "--q", "2")
         assert code == 0
         assert out == "p=5 q=2 r=3 s=-1 gamma=1/2"
+
+    def test_interval_without_gamma(self, capsys):
+        # fractions summing to 1, both taus strict: both windows stay closed
+        code, out, _ = run(capsys, "interval", "--gamma", "", "--tau",
+                           "9/7,5/7", "--J", "1,2")
+        assert code == 0
+        assert out == "[-2,-2] (T), {-2} (T~)"
 
     def test_ray_union(self, capsys):
         code, out, _ = run(capsys, "ray-union", "--p", "2", "--q", "3",
@@ -151,3 +162,73 @@ class TestExitCodes:
                            "--tau", "1/2", "--max-denominator", "0")
         assert code == 3
         assert one_line(err)
+
+
+FRACTIONS = st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 7))
+RATIONALS = st.one_of(
+    FRACTIONS, FRACTIONS, FRACTIONS, st.integers(-9, 9).map(str),
+    st.sampled_from(["inf", "0/0", "1/0", "x", "1.5", "", "2/-3"]))
+COPRIME = st.sampled_from([(str(p), str(q)) for p in range(1, 10)
+                           for q in range(2, 10) if math.gcd(p, q) == 1])
+SMALL_INTS = st.sampled_from("2 3 5 7 4 9 1 6 8 0 -1 x".split())
+ARCS = st.builds("{}{},{}{}".format, st.sampled_from("[("), RATIONALS,
+                 RATIONALS, st.sampled_from("])"))
+OPTIONS = {
+    "--p": SMALL_INTS,
+    "--q": SMALL_INTS,
+    "--b": st.integers(-3, 3).map(str),
+    "--J": st.sampled_from(["", "1", "", "1", "2", "1,2", "3", "x"]),
+    "--gamma": st.lists(RATIONALS, max_size=3).map(",".join),
+    "--tau": st.one_of(RATIONALS,
+                       st.lists(RATIONALS, max_size=3).map(",".join)),
+    "--input": st.one_of(
+        st.lists(st.one_of(ARCS, RATIONALS.map("{{{}}}".format)),
+                 max_size=3).map(" U ".join),
+        st.sampled_from(["{}", "junk", "[1,2", "[-inf,inf]"])),
+    "--mode": st.sampled_from(["weak", "regular", "strong", "bogus"]),
+    "--direction": st.sampled_from(["geq", "leq", "up"]),
+    "--max-denominator": st.integers(0, 6).map(str),
+    "--format": st.sampled_from(["text", "json"]),
+}
+COMMAND_OPTIONS = {
+    "jn": ("--b", "--J", "--gamma", "--tau"),
+    "interval": ("--p", "--q", "--J", "--gamma", "--tau"),
+    "ray-union": ("--p", "--q", "--tau", "--direction"),
+    "cable": ("--p", "--q", "--input", "--mode"),
+    "torus": ("--p", "--q"),
+    "oracle": ("--p", "--q", "--J", "--tau", "--max-denominator"),
+    "bezout": ("--p", "--q"),
+}
+MOSTLY = st.sampled_from((True,) * 19 + (False,))
+
+
+@st.composite
+def argvs(draw):
+    """Mostly the command's own flags; sometimes one missing or one stray."""
+    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
+    flags = [f for f in COMMAND_OPTIONS[command] + ("--format",)
+             if draw(MOSTLY)]
+    if not draw(MOSTLY):
+        flags.append(draw(st.sampled_from(sorted(OPTIONS))))
+    pq = dict(zip(("--p", "--q"), draw(COPRIME))) if draw(MOSTLY) else {}
+    argv = [command]
+    for flag in flags:
+        value = pq[flag] if flag in pq else draw(OPTIONS[flag])
+        # "--tau -1/2" is an argparse usage error; "--tau=-1/2" is not
+        argv += ["%s=%s" % (flag, value)] if draw(MOSTLY) else [flag, value]
+    return argv
+
+
+class TestArgvFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(argvs())
+    @example(["interval", "--gamma", "", "--tau", "9/7,5/7", "--J", "1,2"])
+    def test_exit_code_and_one_line(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2, 3, 4)
+        assert len(err.getvalue().splitlines()) <= 1

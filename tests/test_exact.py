@@ -149,6 +149,32 @@ class TestSlopeSetAlgebra:
             s = parse_slope_set(text)
             assert parse_slope_set(str(s)) == s
 
+    @pytest.mark.parametrize("s, parts", [
+        (SlopeSet.empty(), []),
+        (SlopeSet.point(INF), ["{inf}"]),
+        (SlopeSet.point(R("1/2")), ["{1/2}"]),
+        (SlopeSet.point(ExtRational(2)).with_infinity(), ["{2}", "{inf}"]),
+        (SlopeSet.full(), ["[-inf,inf]"]),
+        (SlopeSet.reals(), ["(-inf,inf)"]),
+        (SlopeSet.ray_below(ExtRational(1), False), ["(-inf,1)"]),
+        (SlopeSet.ray_below(ExtRational(1), False).with_infinity(),
+         ["[-inf,1)"]),
+        (SlopeSet.ray_above(ExtRational(3)).with_infinity()
+         | SlopeSet.interval(ExtRational(0), ExtRational(1), False, True),
+         ["[3,inf]", "(0,1]"]),
+        (SlopeSet.ray_above(ExtRational(5))
+         | SlopeSet.ray_below(ExtRational(1))
+         | SlopeSet.point(R("3/2")) | SlopeSet.point(INF)
+         | SlopeSet.interval(ExtRational(2), ExtRational(3), True, False),
+         ["[5,inf]∪[-inf,1]", "{3/2}", "[2,3)"]),
+        (SlopeSet.ray_above(ExtRational(5), False)
+         | SlopeSet.ray_below(ExtRational(-1), False),
+         ["(-inf,-1)", "(5,inf)"]),
+    ])
+    def test_printed_layout(self, s, parts):
+        assert s.parts() == parts
+        assert str(s) == (" ∪ ".join(parts) or "{}")
+
     @settings(max_examples=150, deadline=None)
     @given(slope_sets(), slope_sets())
     def test_de_morgan(self, a, b):

@@ -7,6 +7,7 @@ from cableslopes.intervals import (InsufficientData, WindowClosed,
                                    cable_interval, endpoint_search,
                                    extremal_slot_value, relative_interval,
                                    special_slope_interval)
+from cableslopes.oracle import _decide_point
 
 R = ExtRational.parse
 C23 = bezout(2, 3)  # gamma = 2/3
@@ -52,6 +53,26 @@ class TestRelativeInterval:
                 assert core.issubset(res.t_strict)
                 assert res.t_strict.issubset(closed)
                 assert closed.issubset(outer)
+
+    @pytest.mark.parametrize("taus, J", [
+        ((R("3/4"), R("-3/4")), frozenset()),
+        ((R("3/4"), R("-3/4")), frozenset({1})),
+        ((R("9/7"), R("5/7")), frozenset({1, 2})),
+        ((R("1/3"), R("5/3")), frozenset({2})),
+        ((R("1/3"), R("1/2")), frozenset()),
+    ])
+    def test_no_gamma_matches_decide_scan(self, taus, J):
+        # n = 0: two tau slots and the free slot, checked point by point
+        res = relative_interval((), taus, J)
+        m0, m1 = res.quantities.m0, res.quantities.m1
+        points = {res.t.low, res.t.high}
+        for den in range(1, 9):
+            for num in range((m0 - 2) * den, (m1 + 2) * den + 1):
+                points.add(ExtRational(num, den))
+        for x in points:
+            assert _decide_point(J, 0, (), taus + (x,)) == res.t.contains(x)
+            assert (_decide_point(J | {3}, 0, (), taus + (x,))
+                    == res.t_strict.contains(x))
 
     def test_one_search_per_side(self, monkeypatch):
         # n + r1 = 3: no arithmetic gate, the search itself gates

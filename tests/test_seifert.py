@@ -54,6 +54,14 @@ class TestReduce:
         assert red.slots == ((R("2/3"), True), (R("1/2"), True),
                              (R("1/4"), False))
 
+    def test_normalizes_on_the_fly(self):
+        for J in (frozenset(), frozenset({2}), frozenset({1, 3})):
+            tup = SeifertTuple(J, 1, (R("2/3"),),
+                               (R("7/2"), R("-2"), R("-5/4")))
+            red = reduce_integral(tup)
+            assert red == reduce_integral(normalize(tup))
+            assert red.b == 1 - (3 - 2 - 2)
+
 
 class TestDerivedQuantities:
     def test_cable_relative_data(self):
