@@ -9,7 +9,7 @@ from .intervals import (InsufficientData, RelativeIntervalResult,
                         WindowClosed, cable_interval, endpoint_search,
                         relative_interval, special_slope_interval)
 from .jn import (JNResult, JNWitness, UnsupportedArity, decide,
-                 jn_realizable, search_bound, witness_search)
+                 jn_realizable, witness_search)
 from .oracle import ScanReport, exhaustive_witness_check, grid_scan_interval
 from .seifert import (ReducedTuple, SeifertTuple, derived_quantities,
                       normalize, reduce_integral)
@@ -26,6 +26,6 @@ __all__ = [
     "grid_scan_interval", "inner_basis_map", "jn_realizable",
     "mobius_set_image", "normalize", "outer_basis_map", "parse_arc",
     "parse_slope_set", "rat", "ray_union", "reduce_integral",
-    "relative_interval", "search_bound", "special_slope_interval",
+    "relative_interval", "special_slope_interval",
     "torus_knot_detected", "witness_search",
 ]

@@ -8,7 +8,8 @@ contained in t; beyond the core, one extra unit window may open on
 each side, and its exact extent is the largest value a free slot can
 receive in a witness pair (A, N).  That optimization is
 ``extremal_slot_value``, which lives with the single witness solver in
-``jn`` (see there for the per-N interval argument) and is imported here.
+``jn`` (see there for the Stern-Brocot walk that finds it without a
+scan over N) and is imported here.
 """
 
 from dataclasses import dataclass

@@ -6,26 +6,28 @@ A reduced query consists of an integer b, a list of slot constraints
 - with zero slots present, realisability is an integer window on b;
 - otherwise b outside [1, k-1] is never realisable, 2 <= b <= k-2 is
   always realisable, b = k-1 reduces to b = 1 by complementing every
-  slot value, and b = 1 is decided by an exhaustive search for a
-  coprime witness pair (A, N) whose multiset {A/N, (N-A)/N, 1/N, ...}
-  can be assigned to the slots respecting every inequality.
+  slot value, and b = 1 is decided by a search for a coprime witness
+  pair (A, N) whose multiset {A/N, (N-A)/N, 1/N, ...} can be assigned
+  to the slots respecting every inequality.
 
 This module holds the one solver for that search; ``intervals`` takes
-``extremal_slot_value`` from here.  It works one N at a time.  A slot
-accepts x/N exactly when x >= needs, the least numerator that meets
-its inequality, so for a fixed N the A that let slot i take A/N and
-slot j take (N-A)/N form the integer interval [needs_i, N - needs_j],
-and only pairs {i, j} covering every slot with needs > 1 qualify.  The
-solver therefore needs, per N and qualifying pair, only the smallest
-or the largest A coprime to N in that interval.
+``extremal_slot_value`` from here.  A witness gives two special slots
+i and j the values A/N and (N-A)/N and every other slot 1/N.  So A/N
+lies in the window [v_i, 1 - v_j], open at a strict end, and N is at
+most the cap (largest N with 1/N acceptable) of every other slot.
+Caps only bound N from above, so each ordered pair needs just one
+fraction: the least-denominator A/N in its window, found by a walk
+down the Stern-Brocot tree (Graham-Knuth-Patashnik, Concrete
+Mathematics, 4.5 and 6.7) in O(log D) integer steps.  The largest
+value a free slot can take is a one-sided best approximation found by
+the same walk.  No bound on N is needed.
 
-The witness search is deterministic: ascending N, then ascending A,
-then the lexicographically first slot assignment, so reported
-witnesses are minimal and stable.
+The witness search is deterministic: least N, then least A, then the
+lexicographically first slot pair, so reported witnesses are minimal
+and stable.
 """
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -73,145 +75,120 @@ def _slot_ints(values, least):
     return out
 
 
-# The free slot of extremal_slot_value: the constraint "value > 0",
-# which every x/N meets.
-_FREE = (0, 1, True)
-
-
 def _cap(num, den, strict):
-    # largest N with num/den < 1/N (strict) or <= 1/N (non-strict);
-    # None for the free slot, which tolerates 1/N at every N
-    if num == 0:
-        return None
+    # largest N with num/den < 1/N (strict) or <= 1/N (non-strict)
     if strict:
         return (den - 1) // num
     return den // num
 
 
-def _bound(slots):
-    """Upper bound on N over the witnesses the solver must visit.
+def _rest_cap(caps, i, j):
+    # the least cap among the slots other than i and j, or None
+    rest = [c for m, c in enumerate(caps) if m != i and m != j]
+    return min(rest) if rest else None
 
-    A witness assigns A/N and (N-A)/N to a special pair of slots and
-    1/N to every other slot, and a slot of value v tolerates 1/N only
-    for N <= floor(1/v) (or strictly below 1/v when the slot is
-    strict).  So for each pair the capped slots outside it bound N.
-    When no capped slot lies outside the pair (two fixed slots and the
-    free slot), A/N must land in the gap between v_i and 1 - v_j, the
-    free slot receives 1/N, which only shrinks as N grows, and a short
-    interval argument bounds the smallest usable N.
+
+def _walk(low, high, cap):
+    """Walk down the Stern-Brocot tree towards a window of fractions.
+
+    The window runs from ``low`` to ``high``, each given as (num, den,
+    open), inside (0, 1).  Returns (True, A, N) for the window's
+    least-denominator fraction A/N when N <= cap (None: no cap), or
+    else (False, a, n) for the largest fraction a/n below the window
+    with n <= cap (0/1 when there is none).  Each run of steps in one
+    direction is taken in one batch, so the walk takes O(log den) steps.
     """
-    caps = [_cap(*slot) for slot in slots]
-    best = 0
-    for i, j in itertools.combinations(range(len(slots)), 2):
-        rest = [c for m, c in enumerate(caps)
-                if m != i and m != j and c is not None]
-        if rest:
-            best = max(best, min(rest))
-        elif caps[i] is not None and caps[j] is not None:
-            ni, di, si = slots[i]
-            nj, dj, sj = slots[j]
-            # gap for A/N between v_i and 1 - v_j
-            gap_num = di * dj - ni * dj - nj * di
-            gap_den = di * dj
-            if gap_num > 0:
-                best = max(best, -((-gap_den) // gap_num) + 1)
-            elif gap_num == 0 and not si and not sj:
-                best = max(best, di)
-    return best
-
-
-def search_bound(values):
-    """Upper bound on N over all witnesses for three or more slots."""
-    return _bound(_slot_ints(values, 3))
-
-
-def _needs(slots, N):
-    # minimal numerator x such that the slot accepts the value x/N
-    needs = []
-    for num, den, strict in slots:
-        t = num * N
-        if strict:
-            needs.append(t // den + 1)
+    ln, ld, lopen = low
+    un, ud, uopen = high
+    a, b, c, d = 0, 1, 1, 1  # a/b lies below the window, c/d above it
+    while cap is None or b + d <= cap:
+        m, n = a + c, b + d
+        if m * ld < ln * n or lopen and m * ld == ln * n:
+            # largest t with (a + t c)/(b + t d) still below the window;
+            # g = 0 only when c/d closes an empty window [x, x): no limit
+            g = c * ld - ln * d
+            t = (ln * b - a * ld - (not lopen)) // g if g else cap
+            if cap is not None:
+                t = min(t, (cap - b) // d)
+            a, b = a + t * c, b + t * d
+        elif m * ud > un * n or uopen and m * ud == un * n:
+            # largest s with (c + s a)/(d + s b) still above the window
+            s = (c * ud - un * d - (not uopen)) // (un * b - a * ud)
+            c, d = c + s * a, d + s * b
         else:
-            needs.append(-((-t) // den))
-    return needs
+            return True, m, n
+    return False, a, b
 
 
-def _windows(slots, N):
-    """The slot pairs that can be special at this N, with their A range.
+def _pair_witness(slots, caps, i, j):
+    """The least (N, A) of a witness with special pair (i, j), or None.
 
-    Returns (i, j, lo, hi) in lexicographic order of (i, j): slot i
-    accepts A/N, slot j accepts (N-A)/N and every other slot accepts
-    1/N exactly when lo <= A <= hi.
+    Slot i takes A/N, slot j takes (N-A)/N and every other slot 1/N.
+    The A/N that suit the pair are the fractions in the window
+    [v_i, 1 - v_j], open at a strict end, and the other slots accept
+    1/N exactly for N up to their least cap.  The least-denominator
+    fraction of a window is unique and reduced, so it is the witness.
     """
-    needs = _needs(slots, N)
-    big = sum(x > 1 for x in needs)
-    if big > 2:
-        return []
-    # the pair must hold every slot that cannot take 1/N
-    return [(i, j, needs[i], N - needs[j])
-            for i, j in itertools.permutations(range(len(needs)), 2)
-            if (needs[i] > 1) + (needs[j] > 1) == big
-            and needs[i] + needs[j] <= N]
-
-
-def _coprime(N, start, stop, step):
-    """The first A coprime to N in range(start, stop, step), or None."""
-    for A in range(start, stop, step):
-        if math.gcd(A, N) == 1:
-            return A
-    return None
+    ni, di, si = slots[i]
+    nj, dj, sj = slots[j]
+    gap = (dj - nj) * di - ni * dj
+    if gap < 0 or gap == 0 and (si or sj):
+        return None
+    hit, A, N = _walk((ni, di, si), (dj - nj, dj, sj),
+                      _rest_cap(caps, i, j))
+    return (N, A) if hit else None
 
 
 def witness_search(values):
     """Find the minimal witness for a b=1 query, or None.
 
-    Scans N from 2 up to search_bound(values) and returns at the first
-    N that has one: with the least A, then the first slot pair.
+    Takes the least N over every ordered slot pair, then the least A,
+    then the first pair.
     """
     slots = _slot_ints(values, 3)
-    for N in range(2, _bound(slots) + 1):
-        found = []
-        for i, j, lo, hi in _windows(slots, N):
-            A = _coprime(N, lo, hi + 1, 1)
-            if A is not None:
-                found.append((A, i, j))
-        if found:
-            A, i, j = min(found)
-            assignment = [ExtRational(1, N)] * len(slots)
-            assignment[i] = ExtRational(A, N)
-            assignment[j] = ExtRational(N - A, N)
-            return JNWitness(N, A, tuple(assignment))
-    return None
+    caps = [_cap(*slot) for slot in slots]
+    found = []
+    for i, j in itertools.permutations(range(len(slots)), 2):
+        fit = _pair_witness(slots, caps, i, j)
+        if fit is not None:
+            found.append(fit + (i, j))
+    if not found:
+        return None
+    N, A, i, j = min(found)
+    assignment = [ExtRational(1, N)] * len(slots)
+    assignment[i] = ExtRational(A, N)
+    assignment[j] = ExtRational(N - A, N)
+    return JNWitness(N, A, tuple(assignment))
 
 
 def extremal_slot_value(fixed):
     """Largest value a free extra slot can receive in any witness.
 
     ``fixed`` lists at least two (value in (0,1), strict) constraints.
-    The free slot joins them with no constraint.  At each N it receives
-    A/N as the first special slot (best with the largest A), (N-A)/N as
-    the second (best with the smallest A), and 1/N otherwise.  Returns
-    None when no witness exists at all (the window is empty).
+    The free slot joins them with no constraint.  Either it is special
+    with one fixed slot j, and takes the largest x/n <= 1 - v_j (< when
+    j is strict) whose n fits under the caps of the other fixed slots,
+    or two fixed slots are special and it takes 1/N at the least N of
+    any pair.  Returns None when no witness exists at all.
     """
-    slots = _slot_ints(fixed, 2) + [_FREE]
-    free = len(slots) - 1
+    slots = _slot_ints(fixed, 2)
+    caps = [_cap(*slot) for slot in slots]
     best_num, best_den = 0, 1
-    for N in range(2, _bound(slots) + 1):
-        for i, j, lo, hi in _windows(slots, N):
-            if i == free:
-                A = _coprime(N, hi, lo - 1, -1)
-            else:
-                A = _coprime(N, lo, hi + 1, 1)
-            if A is None:
-                continue
-            num = A if i == free else N - A if j == free else 1
-            if num * best_den > best_num * N:
-                best_num, best_den = num, N
+    for j, (nj, dj, sj) in enumerate(slots):
+        # the one-point window {1 - v_j}, empty when j is strict: the
+        # walk returns that point or the largest fraction below it
+        _, x, n = _walk((dj - nj, dj, False), (dj - nj, dj, sj),
+                        _rest_cap(caps, j, j))
+        if x * best_den > best_num * n:
+            best_num, best_den = x, n
+    for i, j in itertools.permutations(range(len(slots)), 2):
+        fit = _pair_witness(slots, caps, i, j)
+        if fit is not None and fit[0] * best_num < best_den:
+            best_num, best_den = 1, fit[0]
     return ExtRational(best_num, best_den) if best_num else None
 
 
-@lru_cache(maxsize=1 << 20)
+@lru_cache(maxsize=1 << 16)
 def _decide(b, slot_key, zeros):
     k = len(slot_key)
     total = k + zeros

@@ -25,6 +25,14 @@ def _check_gamma(g):
     return g
 
 
+def _check_indices(J, taus):
+    J = frozenset(J)
+    for j in J:
+        if not (isinstance(j, int) and 1 <= j <= len(taus)):
+            raise ValueError("J must contain 1-based tau indices")
+    return J
+
+
 @dataclass(frozen=True)
 class SeifertTuple:
     """An input tuple (J; b; gamma; tau)."""
@@ -42,11 +50,7 @@ class SeifertTuple:
             if t.is_infinite:
                 raise ValueError("tau weight must be finite")
         object.__setattr__(self, "taus", taus)
-        J = frozenset(self.J)
-        for j in J:
-            if not (isinstance(j, int) and 1 <= j <= len(taus)):
-                raise ValueError("J must contain 1-based tau indices")
-        object.__setattr__(self, "J", J)
+        object.__setattr__(self, "J", _check_indices(self.J, taus))
 
 
 def normalize(tup):
@@ -126,7 +130,7 @@ class DerivedQuantities:
 def derived_quantities(gammas, taus, J):
     gammas = tuple(_check_gamma(g) for g in gammas)
     taus = tuple(_as_rat(t) for t in taus)
-    J = frozenset(J)
+    J = _check_indices(J, taus)
     n = len(gammas)
     r1 = sum(1 for t in taus if t.frac().num != 0)
     s0 = sum(1 for idx, t in enumerate(taus, start=1)

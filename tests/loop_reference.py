@@ -2,7 +2,7 @@
 
 These are the original loop searches: for every N up to the bound they
 try every A in [1, N) and every slot pair (i, j).  They are slow but
-plainly follow the definition, so the per-N solver in
+plainly follow the definition, so the Stern-Brocot solver in
 ``cableslopes.jn`` is required to return exactly what they return.
 """
 

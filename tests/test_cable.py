@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -84,6 +85,31 @@ class TestGenusBound:
             cable_genus_bound(2, 4, 1)
         with pytest.raises(ValueError):
             cable_genus_bound(2, 3, -1)
+
+    def test_hedden_hom_net(self):
+        # Hedden-Hom: the cable K_{p,q} of an L-space knot K of genus g
+        # is an L-space knot exactly when p/q >= 2g - 1.  From the
+        # trefoil's [-inf,1], each L-space step must detect
+        # [-inf, 2g(K_{p,q}) - 1] plus inf, and any later step the
+        # full circle.
+        rng = random.Random(1)
+        for _ in range(50):
+            current, g, lspace = parse_slope_set("[-inf,1]"), 1, True
+            for _ in range(rng.randint(1, 3)):
+                q = rng.randint(2, 300)
+                p = rng.randint(2, 3 * q)
+                while math.gcd(p, q) != 1:
+                    p = rng.randint(2, 3 * q)
+                current, _ = cable_detected_set(bezout(p, q), current,
+                                                DetectionMode.REGULAR)
+                bound = cable_genus_bound(p, q, g)
+                lspace = lspace and p >= (2 * g - 1) * q
+                if lspace:
+                    assert current == SlopeSet.ray_below(
+                        bound).with_infinity()
+                    g = (bound.num + 1) // 2
+                else:
+                    assert current.is_full
 
 
 class TestStrictRayTables:

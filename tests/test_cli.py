@@ -131,6 +131,13 @@ class TestExitCodes:
         assert code == 3
         assert "coprime" in err
 
+    def test_j_names_no_tau(self, capsys):
+        code, out, err = run(capsys, "interval", "--gamma", "1/2",
+                             "--tau", "1/3", "--J", "3")
+        assert code == 3
+        assert out == ""
+        assert err == "error: J must contain 1-based tau indices"
+
     def test_malformed_rational(self, capsys):
         code, _, err = run(capsys, "interval", "--p", "2", "--q", "3",
                            "--tau", "0.5")

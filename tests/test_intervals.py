@@ -36,6 +36,10 @@ class TestRelativeInterval:
         assert res.t_strict == SlopeSet.interval(
             ExtRational(-1), ExtRational(0), False, False)
 
+    def test_j_names_no_tau(self):
+        with pytest.raises(ValueError, match="1-based tau indices"):
+            relative_interval((R("1/2"),), (R("1/3"),), frozenset({3}))
+
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
             relative_interval((R("1/2"),), (), frozenset())
@@ -168,6 +172,21 @@ class TestSpecialSlopeInterval:
             got = special_slope_interval(params, b, strict=False)
             res = cable_interval(params, frozenset(), tau)
             assert (got.low, got.high) == (res.t.low, res.t.high)
+
+    @pytest.mark.parametrize("q", [3, 5, 29, 119, 1001, 4999, 9999, 14285])
+    def test_large_denominators_match_search(self, q):
+        # b = 8: p = q + 2 gives the high branch with D = 7q - 2 and
+        # p = 15q + 2 the low branch with D = 7q + 2, up to D = 10^5
+        b = 8
+        for p, J_values in ((q + 2, ((frozenset(), False),)),
+                            (15 * q + 2, ((frozenset(), False),
+                                          (frozenset({1}), True)))):
+            params = bezout(p, q)
+            tau = ExtRational(b * params.s + params.r, p - q * b)
+            for J, strict in J_values:
+                got = special_slope_interval(params, b, strict=strict)
+                res = cable_interval(params, J, tau)
+                assert (got.low, got.high) == (res.t.low, res.t.high)
 
     def test_strict_rejected_on_high_branch(self):
         with pytest.raises(ValueError):

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import loop_reference
-from cableslopes import jn
 from cableslopes.exact import ExtRational
 from cableslopes.jn import (UnsupportedArity, decide, extremal_slot_value,
-                            search_bound, witness_search)
+                            witness_search)
 from cableslopes.oracle import exhaustive_witness_check
 
 R = ExtRational.parse
@@ -50,18 +49,16 @@ class TestDecideExamples:
 class TestSearchBound:
     def test_mixed_slots(self):
         values = ((R("1/3"), True), (R("1/2"), False), (R("1/2"), False))
-        bound = search_bound(values)
-        assert bound >= 2
         w = witness_search(values)
-        assert w is not None and w.N <= bound
+        assert w is not None
 
     def test_all_halves(self):
         values = ((R("1/2"), False),) * 3
-        assert search_bound(values) == 2
+        w = witness_search(values)
+        assert (w.N, w.A) == (2, 1)
 
     def test_large_strict_values(self):
         values = ((R("2/3"), True),) * 3
-        assert search_bound(values) <= 1
         assert witness_search(values) is None
 
     def test_soundness_no_witness_beyond_bound(self):
@@ -164,13 +161,12 @@ def sized_slot_lists(draw, k_min, k_max, max_den):
 
 
 class TestMatchesLoopReference:
-    """The per-N solver returns exactly what the (N, A, i, j) loops do."""
+    """The Stern-Brocot solver returns what the (N, A, i, j) loops return."""
 
     @settings(max_examples=300, deadline=None)
     @given(sized_slot_lists(3, 5, 13))
     def test_witness_search(self, values):
         assert witness_search(values) == loop_reference.witness_search(values)
-        assert search_bound(values) == loop_reference.search_bound(values)
 
     @settings(max_examples=300, deadline=None)
     @given(sized_slot_lists(2, 4, 17))
@@ -180,9 +176,10 @@ class TestMatchesLoopReference:
 
 
 def _brute_witnesses(values, n_range, free):
-    """Assignments of every witness with N in n_range, by direct check.
+    """Every witness (N, A, assignment) with N in n_range, by direct check.
 
-    With ``free`` the list gains a last slot with no constraint.
+    Yields in ascending N, then A, then slot pair (i, j).  With ``free``
+    the list gains a last slot with no constraint.
     """
     fracs = [(Fraction(v.num, v.den), strict) for v, strict in values]
     k = len(fracs) + free
@@ -199,34 +196,46 @@ def _brute_witnesses(values, n_range, free):
                     got[j] = Fraction(N - A, N)
                     if all(g > f if strict else g >= f
                            for (f, strict), g in zip(fracs, got)):
-                        yield got
+                        yield N, A, got
 
 
-class TestBeyondBound:
-    """Nothing the solver skips past its bound would change its answer.
+class TestBruteForce:
+    """The solver's answers equal a Fraction brute force over N <= LIMIT.
 
-    The bound is the claim under test, so it only sets how far the
-    brute force looks: every N in (bound, 3 * bound].
+    The lists below have denominators at most 6, which makes N <= 12
+    complete.  A slot of value v accepts 1/N only for N <= 1/v <= 6.
+    With three or more slots, some slot takes 1/N, so every witness has
+    N <= 6.  The free slot takes more than 1/N only when it is special
+    with one fixed slot; some other fixed slot then takes 1/N, so again
+    N <= 6.  Otherwise it takes 1/N, which is largest at the least N
+    whose A/N lies in the window [v_i, 1 - v_j] of two fixed slots, whose
+    ends have denominators at most 6.  A closed end lies in the window,
+    and when both ends are open their mediant lies strictly inside.
+    Either way that least N is at most 12.
     """
 
-    @staticmethod
-    def _beyond(slots):
-        bound = jn._bound(slots)
-        return range(bound + 1, 3 * max(bound, 2) + 1)
+    LIMIT = 12
 
     @settings(max_examples=100, deadline=None)
     @given(sized_slot_lists(3, 5, 6))
-    def test_no_witness_beyond_bound(self, values):
-        beyond = self._beyond(jn._slot_ints(values, 3))
-        assert next(_brute_witnesses(values, beyond, False), None) is None
+    def test_witness_search(self, values):
+        brute = next(_brute_witnesses(values, range(2, self.LIMIT + 1),
+                                      False), None)
+        w = witness_search(values)
+        if brute is None:
+            assert w is None
+        else:
+            assert w is not None
+            assert (w.N, w.A, [Fraction(a.num, a.den) for a in w.assignment]
+                    ) == brute
 
     @settings(max_examples=100, deadline=None)
     @given(sized_slot_lists(2, 4, 6))
-    def test_no_larger_free_value_beyond_bound(self, fixed):
-        beyond = self._beyond(jn._slot_ints(fixed, 2) + [jn._FREE])
-        best = max((got[-1] for got in _brute_witnesses(fixed, beyond, True)),
-                   default=None)
+    def test_extremal_slot_value(self, fixed):
+        best = max((got[-1] for _, _, got in _brute_witnesses(
+            fixed, range(2, self.LIMIT + 1), True)), default=None)
         value = extremal_slot_value(fixed)
-        if best is not None:
-            assert value is not None
-            assert best <= Fraction(value.num, value.den)
+        if best is None:
+            assert value is None
+        else:
+            assert Fraction(value.num, value.den) == best
