@@ -58,27 +58,40 @@ def _complement(fixed):
     return [(ONE - v, st) for v, st in fixed]
 
 
-def _window(side, gammas, taus, J, dq):
+def _gates(gammas, taus, J, dq):
+    """The arithmetic gates: (left opens, right opens, degenerate).
+
+    When n + r1 = 2, total = -(sum of all weights) against m0 decides
+    each window: the left one opens when total < m0, the right one when
+    total > m0.  At total = m0 the tuple is degenerate (t_strict is the
+    point m0) when a gamma or a strict non-integral tau is present, and
+    otherwise, the bullet case, both windows open.  For other n + r1
+    the extremal search gates itself: (None, None, False).
+    """
+    if dq.n + dq.r1 != 2:
+        return None, None, False
+    total = -sum(gammas, ExtRational(0)) - sum(taus, ExtRational(0))
+    if total != dq.m0:
+        return total < dq.m0, total > dq.m0, False
+    degenerate = dq.n != 0 or any(idx in J and t.frac().num != 0
+                                  for idx, t in enumerate(taus, start=1))
+    return not degenerate, not degenerate, degenerate
+
+
+def _window(side, gammas, taus, J, opens):
     """Width of the window below m0 (left) or above m1 (right), or None.
 
-    When n + r1 = 2 an arithmetic gate, with its bullet case, decides
-    whether the window opens; otherwise it opens exactly when the
-    extremal search finds a value.
+    ``opens`` is the side's gate from ``_gates``: False keeps the
+    window shut, True requires the extremal search to find a value, and
+    None lets the search decide.
     """
+    if opens is False:
+        return None
     fixed = _fixed_slots(gammas, taus, J)
     if side == "left":
         fixed = _complement(fixed)
-    if dq.n + dq.r1 != 2:
-        return extremal_slot_value(fixed)
-    total = -sum(gammas, ExtRational(0)) - sum(taus, ExtRational(0))
-    bullet = (dq.n == 0
-              and total == dq.m0
-              and not any(idx in J and t.frac().num != 0
-                          for idx, t in enumerate(taus, start=1)))
-    if not (bullet or (total < dq.m0 if side == "left" else total > dq.m0)):
-        return None
     width = extremal_slot_value(fixed)
-    if width is None:
+    if opens and width is None:
         raise AssertionError("open %s gate but empty witness search" % side)
     return width
 
@@ -97,7 +110,9 @@ def endpoint_search(side, gammas, taus, J):
     dq = derived_quantities(gammas, taus, J)
     if dq.s0 != 0:
         raise WindowClosed("window closed: integral slots pin t to [m0,m1]")
-    width = _window(side, gammas, taus, J, dq)
+    left_opens, right_opens, _ = _gates(gammas, taus, J, dq)
+    width = _window(side, gammas, taus, J,
+                    left_opens if side == "left" else right_opens)
     if side == "left":
         if width is None:
             raise WindowClosed("window closed below m0")
@@ -123,19 +138,13 @@ def relative_interval(gammas, taus, J):
         return RelativeIntervalResult(
             Arc(m0, m1), SlopeSet.interval(m0, m1, False, False), dq)
 
-    left = _window("left", gammas, taus, J, dq)
-    right = _window("right", gammas, taus, J, dq)
+    left_opens, right_opens, degenerate = _gates(gammas, taus, J, dq)
+    left = _window("left", gammas, taus, J, left_opens)
+    right = _window("right", gammas, taus, J, right_opens)
     lo = m0 if left is None else m0 - left
     hi = m1 if right is None else m1 + right
     t = Arc(lo, hi)
 
-    total = -sum(gammas, ExtRational(0)) - sum(taus, ExtRational(0))
-    degenerate = (
-        dq.n + dq.r1 == 2
-        and total == dq.m0
-        and (dq.n != 0
-             or any(idx in J and tau.frac().num != 0
-                    for idx, tau in enumerate(taus, start=1))))
     if degenerate:
         t_strict = SlopeSet.point(m0)
     elif lo == hi:

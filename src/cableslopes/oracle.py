@@ -3,17 +3,26 @@
 The scanner enumerates rational slopes on a denominator-bounded grid
 and decides each one directly through the realisability test, so the
 closed-form and search-based intervals can be validated point by
-point.  This module deliberately depends only on the decision core,
-not on the interval code it is checking.
+point.  This module shares no code with the solver it checks: it
+imports nothing from ``jn``, ``seifert`` or ``intervals``, and decides
+on integer (num, den, strict) slots with a witness loop of its own.
+
+A b = 1 witness gives two slots i and j the values A/N and (N-A)/N and
+every other slot 1/N, so N runs from 2 up to the least cap (the
+largest N whose 1/N the slot accepts) of the other slots, and for each
+N some integer A must lie in [v_i N, (1 - v_j) N], open at a strict
+end.  A need not be coprime to N: a non-reduced A/N equals some a/n
+with n < N, and 1/n > 1/N still suits every other slot, so a/n is a
+witness too.  The loop is finite and complete with no gap argument.
 """
 
 import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact import ExtRational
-from .jn import UnsupportedArity, decide
 
 
 @dataclass
@@ -28,25 +37,96 @@ class ScanReport:
         return not self.mismatches
 
 
-def _decide_point(J, b, gammas, taus):
-    """Realisability of one tuple, with a local rule for arity 2.
+def _as_rat(x):
+    return x if isinstance(x, ExtRational) else ExtRational(x)
 
-    When only two constraint slots survive reduction the decision core
-    declines; there the translation numbers of the two factors are
-    pinned and the tuple is realisable exactly when the surviving
-    values add up to the shifted b.
+
+def _check_J(J, count):
+    J = frozenset(J)
+    for j in J:
+        if not (isinstance(j, int) and 1 <= j <= count):
+            raise ValueError("J must contain 1-based tau indices")
+    return J
+
+
+def _gamma_slot(g):
+    g = _as_rat(g)
+    if g.is_infinite or not 0 < g.num < g.den:
+        raise ValueError("gamma weight must lie strictly between 0 and 1: %s"
+                         % g)
+    return (g.num, g.den, True)
+
+
+def _witness_exists(slots):
+    """Whether two or more (num, den, strict) slots admit a b = 1 witness."""
+    caps = [(d - st) // n for n, d, st in slots]
+    for i, j in itertools.combinations(range(len(slots)), 2):
+        ni, di, si = slots[i]
+        nj, dj, sj = slots[j]
+        # no N helps a pair whose window [v_i, 1 - v_j] is empty
+        room = (dj - nj) * di - ni * dj
+        if room < 0 or room == 0 and (si or sj):
+            continue
+        rest = [c for m, c in enumerate(caps) if m != i and m != j]
+        if not rest:
+            # nothing bounds N, and a non-empty window holds a fraction
+            return True
+        for N in range(2, min(rest) + 1):
+            # least A above v_i N against largest A below (1 - v_j) N
+            if (ni * N + di - 1 + si) // di <= ((dj - nj) * N - sj) // dj:
+                return True
+    return False
+
+
+@lru_cache(maxsize=1 << 16)
+def _realisable(b, slots, zeros):
+    """Decide a reduced query: integer b, (num, den, strict) slots, zeros."""
+    k = len(slots)
+    if zeros:
+        return 2 - zeros <= b <= k + zeros - 2
+    if k < 3:
+        # arity 2: both translation numbers are pinned, so the slot
+        # values must add up to b exactly
+        num, den = 0, 1
+        for n, d, _ in slots:
+            num, den = num * d + n * den, den * d
+        return num == b * den
+    if b == k - 1:
+        return _witness_exists(tuple((d - n, d, st) for n, d, st in slots))
+    if b == 1:
+        return _witness_exists(slots)
+    return 2 <= b <= k - 2
+
+
+def _reduce(J, b, gammas, taus):
+    """Validate a tuple (J; b; gammas; taus) and reduce it to integers.
+
+    Returns (b, slots, zeros).  Every gamma is a strict slot; each tau
+    adds its floor to the shift of b and its fractional part as a slot
+    (strict when its index is in J), unless that part is 0: then it is
+    a zero slot outside J and no constraint inside.  Raises ValueError
+    for a gamma outside (0, 1), an infinite tau or a J index that names
+    no tau.
     """
-    try:
-        return decide(J, b, gammas, taus).realizable
-    except UnsupportedArity:
-        shift = sum(t.floor() for t in taus)
-        b0 = b - shift
-        total = ExtRational(0)
-        for g in gammas:
-            total = total + g
-        for t in taus:
-            total = total + t.frac()
-        return total == b0
+    slots = [_gamma_slot(g) for g in gammas]
+    taus = [_as_rat(t) for t in taus]
+    if any(t.is_infinite for t in taus):
+        raise ValueError("tau weight must be finite")
+    J = _check_J(J, len(taus))
+    zeros = 0
+    for idx, t in enumerate(taus, start=1):
+        fl, fn = divmod(t.num, t.den)
+        b -= fl
+        if fn:
+            slots.append((fn, t.den, idx in J))
+        elif idx not in J:
+            zeros += 1
+    return b, tuple(slots), zeros
+
+
+def _decide_point(J, b, gammas, taus):
+    """Realisability of one tuple (J; b; gammas; taus)."""
+    return _realisable(*_reduce(J, b, gammas, taus))
 
 
 def grid_scan_interval(params, J, tau, max_denominator=24, expected=None):
@@ -59,98 +139,43 @@ def grid_scan_interval(params, J, tau, max_denominator=24, expected=None):
     """
     if max_denominator < 1:
         raise ValueError("max_denominator must be at least 1")
-    J = frozenset(J)
+    # the tuple is (J; 0; gamma; tau, tau'): tau has index 1, tau' 2
+    J = _check_J(J, 2)
     gamma = ExtRational(params.q + params.s, params.q)
-    tau = tau if isinstance(tau, ExtRational) else ExtRational(tau)
-    fl = tau.floor()
-    tb = tau.frac()
-    # core window: b0 = -floor(tau); one gamma slot; tau slot unless
-    # integral; m0 = b0 - (slots), m1 = b0 + s0 - 1
-    s0 = 1 if (tb.num == 0 and 1 not in J) else 0
-    r1 = 0 if tb.num == 0 else 1
-    b0 = -fl
-    m0 = b0 - (1 + r1 + s0 - 1)
-    m1 = b0 + s0 - 1
-    lo = Fraction(m0 - 2)
-    hi = Fraction(m1 + 2)
-    hull_low = hull_high = None
+    b0, fixed, zeros = _reduce(J - {2}, 0, (gamma,), (tau,))
+    strict = 2 in J
+    # core window [m0, m1]: m0 = b0 - (tau slots + zeros) and
+    # m1 = b0 + zeros - 1; the scan runs over (m0 - 2, m1 + 2)
+    lo = b0 - (len(fixed) - 1 + zeros) - 2
+    hi = b0 + zeros + 1
+    low = high = None
     tested = 0
     mismatches = []
     for den in range(1, max_denominator + 1):
-        start = math.floor(lo * den) + 1
-        stop = math.ceil(hi * den)
-        for num in range(start, stop):
+        for num in range(lo * den + 1, hi * den):
             if math.gcd(num, den) != 1:
                 continue
-            point = ExtRational(num, den)
             tested += 1
-            got = _decide_point(J, 0, (gamma,), (tau, point))
-            if got:
-                if hull_low is None or point < hull_low:
-                    hull_low = point
-                if hull_high is None or point > hull_high:
-                    hull_high = point
-            if expected is not None and got != expected.contains(point):
-                mismatches.append((point, got, expected.contains(point)))
-    return ScanReport(hull_low, hull_high, tested, mismatches)
-
-
-def _brute_bound(values):
-    """Independent bound on witness denominators, via Fraction arithmetic.
-
-    Any witness with N beyond this bound assigns 1/N to some slot
-    whose constraint it then violates, or squeezes A/N into a rational
-    gap too narrow for new denominators.
-    """
-    fracs = [(Fraction(v.num, v.den), strict) for v, strict in values]
-    k = len(fracs)
-    caps = []
-    for f, strict in fracs:
-        inv = Fraction(1) / f
-        if strict:
-            caps.append(math.ceil(inv) - 1)
-        else:
-            caps.append(math.floor(inv))
-    best = 0
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            rest = [caps[m] for m in range(k) if m not in (i, j)]
-            if rest:
-                best = max(best, min(rest))
+            fl, fn = divmod(num, den)
+            if fn:
+                got = _realisable(b0 - fl, fixed + ((fn, den, strict),),
+                                  zeros)
             else:
-                gap = 1 - fracs[i][0] - fracs[j][0]
-                if gap > 0:
-                    best = max(best, math.ceil(1 / gap) + 1)
-                elif gap == 0 and not fracs[i][1] and not fracs[j][1]:
-                    best = max(best, fracs[i][0].denominator)
-    return best
-
-
-def _witness_exists(values):
-    """Exhaustive enumeration over (A, N) and slot assignments."""
-    fracs = [(Fraction(v.num, v.den), strict) for v, strict in values]
-    k = len(fracs)
-    bound = _brute_bound(values)
-    for N in range(2, bound + 1):
-        for A in range(1, N):
-            if math.gcd(A, N) != 1:
-                continue
-            multiset = [Fraction(A, N), Fraction(N - A, N)]
-            multiset += [Fraction(1, N)] * (k - 2)
-            for perm in set(itertools.permutations(multiset)):
-                good = True
-                for (f, strict), assigned in zip(fracs, perm):
-                    if strict and not assigned > f:
-                        good = False
-                        break
-                    if not strict and not assigned >= f:
-                        good = False
-                        break
-                if good:
-                    return True
-    return False
+                got = _realisable(b0 - fl, fixed, zeros + (not strict))
+            if got:
+                if low is None or num * low[1] < low[0] * den:
+                    low = (num, den)
+                if high is None or num * high[1] > high[0] * den:
+                    high = (num, den)
+            if expected is not None:
+                point = ExtRational(num, den)
+                want = expected.contains(point)
+                if got != want:
+                    mismatches.append((point, got, want))
+    if low is None:
+        return ScanReport(None, None, tested, mismatches)
+    return ScanReport(ExtRational(*low), ExtRational(*high), tested,
+                      mismatches)
 
 
 def exhaustive_witness_check(values, claimed):
@@ -159,7 +184,8 @@ def exhaustive_witness_check(values, claimed):
     ``values`` lists (value, strict) slot constraints with at least two
     slots.  A claimed witness is checked directly against the slot
     inequalities and the required multiset shape; claimed=None is
-    confirmed by exhausting all denominators up to an independent bound.
+    confirmed by the witness loop over every N up to the other slots'
+    caps (with two slots, by the window itself).
     """
     values = [(v if isinstance(v, ExtRational) else ExtRational(v), bool(st))
               for v, st in values]
@@ -169,7 +195,7 @@ def exhaustive_witness_check(values, claimed):
         if not (ExtRational(0) < v < ExtRational(1)):
             raise ValueError("slot values must lie in (0,1)")
     if claimed is None:
-        return not _witness_exists(values)
+        return not _witness_exists([(v.num, v.den, st) for v, st in values])
     N, A = claimed.N, claimed.A
     if not (0 < A < N) or math.gcd(A, N) != 1:
         return False

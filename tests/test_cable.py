@@ -73,6 +73,22 @@ class TestTorusKnots:
         with pytest.raises(ValueError):
             torus_knot_detected(1, 2)
 
+    def test_known_answer_net(self):
+        # T(p, q) has genus (p-1)(q-1)/2, so 2g - 1 = pq - p - q: the
+        # regular set is [-inf, pq-p-q] plus inf, the strong set the
+        # open ray below pq-p-q
+        rng = random.Random(8)
+        pairs = 0
+        while pairs < 300:
+            p, q = rng.randint(2, 400), rng.randint(2, 400)
+            if math.gcd(p, q) != 1:
+                continue
+            pairs += 1
+            end = ExtRational(p * q - p - q)
+            regular, strong = torus_knot_detected(p, q)
+            assert regular == SlopeSet.ray_below(end).with_infinity()
+            assert strong == SlopeSet.ray_below(end, False)
+
 
 class TestGenusBound:
     def test_formula(self):

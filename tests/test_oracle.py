@@ -1,14 +1,69 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cableslopes.cable import bezout
 from cableslopes.exact import ExtRational
 from cableslopes.intervals import cable_interval
-from cableslopes.jn import witness_search
-from cableslopes.oracle import (ScanReport, exhaustive_witness_check,
-                                grid_scan_interval)
+from cableslopes.jn import UnsupportedArity, decide, witness_search
+from cableslopes.oracle import (ScanReport, _decide_point,
+                                exhaustive_witness_check, grid_scan_interval)
 
 R = ExtRational.parse
 C23 = bezout(2, 3)
+
+
+@st.composite
+def tuples(draw):
+    """(J, b, gammas, taus): 0-2 gammas, 1-3 taus, denominators <= 15."""
+    gammas = []
+    for _ in range(draw(st.integers(0, 2))):
+        d = draw(st.integers(2, 15))
+        gammas.append(ExtRational(draw(st.integers(1, d - 1)), d))
+    taus = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, 15))
+        taus.append(ExtRational(draw(st.integers(-3 * d, 3 * d)), d))
+    J = draw(st.frozensets(st.integers(1, len(taus))))
+    return J, draw(st.integers(-2, 4)), tuple(gammas), tuple(taus)
+
+
+# ways to make a tuple malformed: a gamma outside (0,1), an infinite
+# tau, or a J index that names no tau
+BAD_GAMMAS = (ExtRational(0), ExtRational(1), R("3/2"), R("-1/2"),
+              ExtRational(1, 0))
+
+
+def _corrupt(draw, J, gammas, taus):
+    kind = draw(st.sampled_from(("gamma", "tau", "J")))
+    if kind == "gamma":
+        gammas = gammas + (draw(st.sampled_from(BAD_GAMMAS)),)
+    elif kind == "tau":
+        taus = taus + (ExtRational(1, 0),)
+    else:
+        J = J | {draw(st.sampled_from((0, len(taus) + 1)))}
+    return J, gammas, taus
+
+
+class TestDecidePoint:
+    @settings(max_examples=300, deadline=None)
+    @given(tuples(), st.data())
+    def test_agrees_with_solver(self, tup, data):
+        J, b, gammas, taus = tup
+        got = _decide_point(J, b, gammas, taus)
+        try:
+            want = decide(J, b, gammas, taus).realizable
+        except UnsupportedArity:
+            # two slots at most: the weights must add up to b exactly
+            total = sum(Fraction(x.num, x.den) for x in gammas + taus)
+            want = total == b
+        assert got == want
+        J, gammas, taus = _corrupt(data.draw, J, gammas, taus)
+        with pytest.raises(ValueError):
+            decide(J, b, gammas, taus)
+        with pytest.raises(ValueError):
+            _decide_point(J, b, gammas, taus)
 
 
 class TestGridScan:
@@ -21,6 +76,17 @@ class TestGridScan:
                 assert report.mismatches == []
                 assert report.hull_low == res.t.low
                 assert report.hull_high == res.t.high
+
+    def test_large_tau_denominator(self):
+        # the tau slot accepts 1/N up to N ~ 10**7, so the witness loop
+        # must stop at a hit or skip an empty window, not run to the cap
+        for tau in (ExtRational(1, 10**7), ExtRational(10**7 - 1, 10**7),
+                    ExtRational(-10**7 - 1, 10**7)):
+            for J in (frozenset(), frozenset({1})):
+                res = cable_interval(C23, J, tau)
+                report = grid_scan_interval(C23, J, tau, 24, expected=res.t)
+                assert report.mismatches == []
+                assert report.tested_points > 0
 
     def test_mismatch_detection(self):
         from cableslopes.exact import Arc
