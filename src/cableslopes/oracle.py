@@ -14,15 +14,23 @@ N some integer A must lie in [v_i N, (1 - v_j) N], open at a strict
 end.  A need not be coprime to N: a non-reduced A/N equals some a/n
 with n < N, and 1/n > 1/N still suits every other slot, so a/n is a
 witness too.  The loop is finite and complete with no gap argument.
+
+The scan does its per-point work on integers too.  For each
+denominator it builds the slot key of every residue coprime to it
+once, and turns the expected set into integer cuts on the
+numerator: each affine piece gives an inclusive start and an exclusive
+end, so num/den lies in the set exactly when an odd number of cuts is
+at most num.
 """
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import ExtRational
+from .exact import Arc, ExtRational, SlopeSet
 
 
 @dataclass
@@ -129,16 +137,46 @@ def _decide_point(J, b, gammas, taus):
     return _realisable(*_reduce(J, b, gammas, taus))
 
 
+def _member_cuts(pieces, den, lo, hi):
+    """Integer cuts on num for membership of num/den in affine pieces.
+
+    Each piece (low, low_closed, high, high_closed) gives the least num
+    inside it and the least num above it; an unbounded end gives the
+    scan limit lo or hi.  Bounded cuts are non-decreasing and every
+    scanned num lies strictly between lo and hi, so the cuts at most
+    num always come first, which is all ``bisect_right`` needs.
+    """
+    cuts = []
+    for l, lc, h, hc in pieces:
+        if l is None:
+            cuts.append(lo)
+        else:
+            q, r = divmod(l.num * den, l.den)
+            cuts.append(q + 1 if r or not lc else q)
+        if h is None:
+            cuts.append(hi)
+        else:
+            q, r = divmod(h.num * den, h.den)
+            cuts.append(q + 1 if r or hc else q)
+    return cuts
+
+
 def grid_scan_interval(params, J, tau, max_denominator=24, expected=None):
     """Scan tau' over a denominator-bounded grid around the core window.
 
     Tests every reduced fraction with denominator <= max_denominator in
     (m0 - 2, m1 + 2) and returns the hull of the realisable points.
-    When ``expected`` (anything with a ``contains`` method) is given,
-    disagreements are collected as (point, got, expected) mismatches.
+    When ``expected`` (an ``Arc`` or a ``SlopeSet``) is given,
+    disagreements are collected as (point, got, expected) mismatches in
+    (denominator, numerator) order; any other type raises TypeError.
     """
     if max_denominator < 1:
         raise ValueError("max_denominator must be at least 1")
+    if isinstance(expected, Arc):
+        expected = SlopeSet.from_arc(expected)
+    elif not (expected is None or isinstance(expected, SlopeSet)):
+        raise TypeError("expected must be an Arc or a SlopeSet")
+    pieces = None if expected is None else expected.affine_pieces()
     # the tuple is (J; 0; gamma; tau, tau'): tau has index 1, tau' 2
     J = _check_J(J, 2)
     gamma = ExtRational(params.q + params.s, params.q)
@@ -152,26 +190,34 @@ def grid_scan_interval(params, J, tau, max_denominator=24, expected=None):
     tested = 0
     mismatches = []
     for den in range(1, max_denominator + 1):
-        for num in range(lo * den + 1, hi * den):
-            if math.gcd(num, den) != 1:
+        # the (slots, zeros) key of each residue coprime to den
+        keys = [None] * den
+        for fn in range(den):
+            if math.gcd(fn, den) == 1:
+                keys[fn] = ((fixed + ((fn, den, strict),), zeros) if fn
+                            else (fixed, zeros + (not strict)))
+        start, stop = lo * den, hi * den
+        if pieces is not None:
+            cuts = _member_cuts(pieces, den, start, stop)
+        first = last = None
+        for num in range(start + 1, stop):
+            fl, fn = divmod(num, den)
+            key = keys[fn]
+            if key is None:
                 continue
             tested += 1
-            fl, fn = divmod(num, den)
-            if fn:
-                got = _realisable(b0 - fl, fixed + ((fn, den, strict),),
-                                  zeros)
-            else:
-                got = _realisable(b0 - fl, fixed, zeros + (not strict))
+            got = _realisable(b0 - fl, *key)
             if got:
-                if low is None or num * low[1] < low[0] * den:
-                    low = (num, den)
-                if high is None or num * high[1] > high[0] * den:
-                    high = (num, den)
-            if expected is not None:
-                point = ExtRational(num, den)
-                want = expected.contains(point)
-                if got != want:
-                    mismatches.append((point, got, want))
+                if first is None:
+                    first = num
+                last = num
+            if pieces is not None and got != bisect_right(cuts, num) & 1:
+                mismatches.append((ExtRational(num, den), got, not got))
+        if first is not None:
+            if low is None or first * low[1] < low[0] * den:
+                low = (first, den)
+            if high is None or last * high[1] > high[0] * den:
+                high = (last, den)
     if low is None:
         return ScanReport(None, None, tested, mismatches)
     return ScanReport(ExtRational(*low), ExtRational(*high), tested,

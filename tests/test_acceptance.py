@@ -134,6 +134,21 @@ def test_criterion_04_case_dispatch_vs_oracle():
         assert report.hull_high == res.t.high
 
 
+def test_strict_companion_vs_oracle():
+    # t_strict is the set of tau' that stay realisable with the tau'
+    # slot strict, i.e. with index 2 in J
+    for p, q in _coprime_pairs(7, 7):
+        params = bezout(p, q)
+        special = [ExtRational(b * params.s + params.r, p - q * b)
+                   for b in range(13)]
+        for tau in GRID + special:
+            for J in (frozenset(), frozenset({1})):
+                res = cable_interval(params, J, tau)
+                report = grid_scan_interval(params, J | {2}, tau, 12,
+                                            expected=res.t_strict)
+                assert report.mismatches == []
+
+
 def test_criterion_05_inchworm_and_nesting():
     intervals = [cable_interval(C23, frozenset(), tau).t for tau in GRID]
     # both endpoint functions are non-increasing, and they never both

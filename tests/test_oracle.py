@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cableslopes.cable import bezout
-from cableslopes.exact import ExtRational
+from cableslopes.exact import INF, Arc, ExtRational, SlopeSet
 from cableslopes.intervals import cable_interval
 from cableslopes.jn import UnsupportedArity, decide, witness_search
 from cableslopes.oracle import (ScanReport, _decide_point,
@@ -12,6 +13,8 @@ from cableslopes.oracle import (ScanReport, _decide_point,
 
 R = ExtRational.parse
 C23 = bezout(2, 3)
+COPRIME = [(p, q) for q in range(2, 6) for p in range(1, 8)
+           if math.gcd(p, q) == 1]
 
 
 @st.composite
@@ -101,6 +104,99 @@ class TestGridScan:
         assert isinstance(report, ScanReport)
         assert report.tested_points > 0
         assert report.ok
+
+
+def _rationals(lo=-5, hi=5, max_den=12):
+    return st.integers(1, max_den).flatmap(
+        lambda d: st.integers(lo * d, hi * d).map(
+            lambda n: ExtRational(n, d)))
+
+
+@st.composite
+def arcs(draw):
+    """Closed, open and half-open arcs, points, rays and wrapped arcs."""
+    a, b = sorted(draw(st.lists(_rationals(), min_size=2, max_size=2,
+                                unique=True)))
+    lc, hc = draw(st.booleans()), draw(st.booleans())
+    kind = draw(st.sampled_from(("arc", "point", "below", "above", "wrapped",
+                                 "line")))
+    if kind == "arc":
+        return Arc(a, b, lc, hc)
+    if kind == "point":
+        return Arc(a, a)
+    if kind == "below":
+        return Arc(INF, b, lc, hc)
+    if kind == "above":
+        return Arc(a, INF, lc, hc)
+    if kind == "wrapped":
+        return Arc(b, a, lc, hc, wraps_infinity=True)
+    return Arc(INF, INF, lc, hc)
+
+
+@st.composite
+def expectations(draw):
+    """An Arc, or a SlopeSet: a union of arcs, its complement, empty or full."""
+    kind = draw(st.sampled_from(("arc", "set", "complement", "empty",
+                                 "full")))
+    if kind == "arc":
+        return draw(arcs())
+    if kind == "empty":
+        return SlopeSet.empty()
+    if kind == "full":
+        return SlopeSet.full()
+    s = SlopeSet.empty()
+    for arc in draw(st.lists(arcs(), min_size=2, max_size=4)):
+        s = s | SlopeSet.from_arc(arc)
+    return s.complement() if kind == "complement" else s
+
+
+def _reference_scan(params, J, tau, max_denominator, expected):
+    """A point-by-point scan: gcd filter, _decide_point and contains."""
+    gamma = ExtRational(params.q + params.s, params.q)
+    dq = cable_interval(params, J - {2}, tau).quantities
+    low = high = None
+    tested = 0
+    mismatches = []
+    for den in range(1, max_denominator + 1):
+        for num in range((dq.m0 - 2) * den + 1, (dq.m1 + 2) * den):
+            if math.gcd(num, den) != 1:
+                continue
+            tested += 1
+            x = ExtRational(num, den)
+            got = _decide_point(J, 0, (gamma,), (tau, x))
+            if got:
+                low = x if low is None else min(low, x)
+                high = x if high is None else max(high, x)
+            want = expected.contains(x)
+            if got != want:
+                mismatches.append((x, got, want))
+    return low, high, tested, mismatches
+
+
+class TestScanMembership:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(COPRIME), st.frozensets(st.integers(1, 2)),
+           _rationals(-3, 3, 8), st.integers(1, 8), expectations())
+    # a wrong arc: the scan must report its mismatches in order
+    @example((2, 3), frozenset(), R("1/2"), 8,
+             Arc(ExtRational(-2), ExtRational(-1)))
+    def test_matches_reference_loop(self, pq, J, tau, max_denominator,
+                                    expected):
+        params = bezout(*pq)
+        report = grid_scan_interval(params, J, tau, max_denominator,
+                                    expected=expected)
+        got = (report.hull_low, report.hull_high, report.tested_points,
+               report.mismatches)
+        assert got == _reference_scan(params, J, tau, max_denominator,
+                                      expected)
+        assert all(type(g) is bool and type(w) is bool
+                   for _, g, w in report.mismatches)
+
+    def test_rejects_other_expectations(self):
+        for expected in ("[-2,-1]", [ExtRational(-1)], ExtRational(-1)):
+            with pytest.raises(TypeError):
+                grid_scan_interval(C23, frozenset(), R("1/2"), 4,
+                                   expected=expected)
 
 
 class TestExhaustiveWitnessCheck:
