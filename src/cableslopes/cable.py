@@ -207,9 +207,8 @@ def cable_detected_set(params, input_set, mode, exactness="auto"):
     inner = mobius_set_image(inner_basis_map(params), input_set)
     inner = inner.without_infinity()
     use_strict = mode is DetectionMode.STRONG
-    out = SlopeSet.empty()
-    for piece in inner.affine_pieces():
-        out = out.union(_piece_union(params, piece, use_strict))
+    out = SlopeSet.union_all(_piece_union(params, piece, use_strict)
+                             for piece in inner.affine_pieces())
     if has_fiber:  # the fiber slope passes through in every mode
         out = out.with_infinity()
     result = mobius_set_image(outer_basis_map(params), out)

@@ -4,9 +4,16 @@ Values live in Q together with a single point at infinity, i.e. the
 rational points of RP^1.  Subsets are unions of arcs with rational
 endpoints and explicit open/closed flags.  All arithmetic is integer
 based; nothing in this module ever rounds.
+
+The hot paths avoid building objects: ExtRational compares another
+ExtRational or an int by cross-multiplying integers, and the SlopeSet
+algebra works in one pass over sorted cut lists (complement and
+intersect build their results already canonical; Moebius images and
+unions of many sets collect cut intervals and canonicalise once).
 """
 
 import math
+import operator
 import re
 
 
@@ -109,38 +116,43 @@ class ExtRational:
             raise ValueError("arithmetic with infinity")
         return ExtRational(-self.num, self.den)
 
+    # Compares work on the integers of an ExtRational or an int (a bool
+    # included, as the int it equals) and leave other types to Python.
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
+        if isinstance(other, ExtRational):
+            return self.num == other.num and self.den == other.den
+        if isinstance(other, int):
+            return self.den == 1 and self.num == other
+        return NotImplemented
 
     def __hash__(self):
+        # an integer hashes like the int it equals
+        if self.den == 1:
+            return hash(self.num)
         return hash((self.num, self.den))
 
-    def _cmp(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_infinite or other.is_infinite:
-            raise TypeError("infinity is not ordered")
-        return self.num * other.den - other.num * self.den
+    def _order(test):
+        """An order method: ``test`` on the two cross products.
 
-    def __lt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c < 0
+        Infinity is not ordered: comparing it raises TypeError.
+        """
+        def compare(self, other):
+            if isinstance(other, ExtRational):
+                onum, oden = other.num, other.den
+            elif isinstance(other, int):
+                onum, oden = other, 1
+            else:
+                return NotImplemented
+            if not self.den or not oden:
+                raise TypeError("infinity is not ordered")
+            return test(self.num * oden, onum * self.den)
+        return compare
 
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c >= 0
+    __lt__ = _order(operator.lt)
+    __le__ = _order(operator.le)
+    __gt__ = _order(operator.gt)
+    __ge__ = _order(operator.ge)
+    del _order
 
     def __repr__(self):
         return "ExtRational(%r)" % (str(self),)
@@ -305,7 +317,9 @@ def parse_arc(text):
 # (0, v, 1) just above it, so every interval becomes half-open in cut space
 # and the usual sweep algorithms apply with no open/closed case analysis.
 # Python's tuple order is the cut order, with _MIN and _MAX beyond every
-# finite cut.
+# finite cut.  A canonical cut list is sorted, and each interval ends
+# strictly before the next begins, so complement and intersect are single
+# sweeps whose results need no merge.
 # ---------------------------------------------------------------------------
 
 _MIN = (-1,)  # below every rational
@@ -353,6 +367,14 @@ class SlopeSet:
     def __setattr__(self, name, value):
         raise AttributeError("SlopeSet is immutable")
 
+    @classmethod
+    def _canonical(cls, ivs, inf):
+        """A set whose cut intervals are already canonical: no merge."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "_ivs", tuple(ivs))
+        object.__setattr__(out, "_inf", inf)
+        return out
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -395,6 +417,15 @@ class SlopeSet:
         if not isinstance(low, ExtRational):
             low = ExtRational(low)
         return cls([(_low_cut(low, closed), _MAX)])
+
+    @classmethod
+    def union_all(cls, sets):
+        """The union of any number of sets, canonicalised once."""
+        ivs, inf = [], False
+        for s in sets:
+            ivs.extend(s._ivs)
+            inf = inf or s._inf
+        return cls(ivs, inf)
 
     @classmethod
     def from_arc(cls, arc):
@@ -455,6 +486,8 @@ class SlopeSet:
     __or__ = union
 
     def complement(self):
+        # the gaps between non-touching intervals are non-empty and do
+        # not touch each other, so the result is canonical as built
         ivs = []
         prev = _MIN
         for lo, hi in self._ivs:
@@ -463,10 +496,25 @@ class SlopeSet:
             prev = hi
         if prev < _MAX:
             ivs.append((prev, _MAX))
-        return SlopeSet(ivs, not self._inf)
+        return SlopeSet._canonical(ivs, not self._inf)
 
     def intersect(self, other):
-        return self.complement().union(other.complement()).complement()
+        # one sweep over both cut lists; pieces of canonical sets meet in
+        # sorted, non-empty, non-touching intervals
+        a, b = self._ivs, other._ivs
+        ivs = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            (alo, ahi), (blo, bhi) = a[i], b[j]
+            lo = alo if blo < alo else blo
+            hi = ahi if ahi < bhi else bhi
+            if lo < hi:
+                ivs.append((lo, hi))
+            if ahi < bhi:
+                i += 1
+            else:
+                j += 1
+        return SlopeSet._canonical(ivs, self._inf and other._inf)
 
     __and__ = intersect
 
@@ -479,10 +527,10 @@ class SlopeSet:
         return self.difference(other).is_empty
 
     def without_infinity(self):
-        return SlopeSet(self._ivs, False)
+        return SlopeSet._canonical(self._ivs, False)
 
     def with_infinity(self):
-        return SlopeSet(self._ivs, True)
+        return SlopeSet._canonical(self._ivs, True)
 
     # -- structure -------------------------------------------------------
 
@@ -544,16 +592,16 @@ def parse_slope_set(text):
     text = text.strip()
     if text in ("{}", ""):
         return SlopeSet.empty()
-    out = SlopeSet.empty()
+    pieces = []
     for chunk in re.split(r"∪|U", text):
         chunk = chunk.strip()
         if not chunk:
             continue
         if chunk.startswith("{") and chunk.endswith("}"):
-            out = out.union(SlopeSet.point(ExtRational.parse(chunk[1:-1])))
+            pieces.append(SlopeSet.point(ExtRational.parse(chunk[1:-1])))
         else:
-            out = out.union(SlopeSet.from_arc(parse_arc(chunk)))
-    return out
+            pieces.append(SlopeSet.from_arc(parse_arc(chunk)))
+    return SlopeSet.union_all(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -613,41 +661,63 @@ class IntMobius:
         return "IntMobius(%d, %d, %d, %d)" % (self.a, self.b, self.c, self.d)
 
 
-def _directed_image(u, uc, v, vc):
-    """Image set of a directed arc running from u to v positively.
+def _point_cuts(x, ivs):
+    """Add the point x to the cut list ivs; True when x is infinity."""
+    if x.is_infinite:
+        return True
+    ivs.append((_low_cut(x, True), _high_cut(x, True)))
+    return False
 
-    Equal ends come only from the affine line, whose image is everything
-    except the image u of infinity.
+
+def _directed_cuts(u, uc, v, vc, ivs):
+    """Add the directed arc from u to v (positively) to the cut list ivs.
+
+    Returns whether the arc passes through infinity.  Equal ends come
+    only from the affine line, whose image is everything except the
+    image u of infinity.
     """
     if u == v:
-        return SlopeSet.point(u).complement()
+        if u.is_infinite:
+            ivs.append((_MIN, _MAX))
+            return False
+        ivs.append((_MIN, _low_cut(u, True)))
+        ivs.append((_high_cut(u, True), _MAX))
+        return True
     if u.is_infinite:
-        return SlopeSet([(_MIN, _high_cut(v, vc))], uc)
+        ivs.append((_MIN, _high_cut(v, vc)))
+        return uc
     if v.is_infinite:
-        return SlopeSet([(_low_cut(u, uc), _MAX)], vc)
+        ivs.append((_low_cut(u, uc), _MAX))
+        return vc
     if u < v:
-        return SlopeSet([(_low_cut(u, uc), _high_cut(v, vc))])
-    return SlopeSet([(_low_cut(u, uc), _MAX),
-                     (_MIN, _high_cut(v, vc))], True)
+        ivs.append((_low_cut(u, uc), _high_cut(v, vc)))
+        return False
+    ivs.append((_low_cut(u, uc), _MAX))
+    ivs.append((_MIN, _high_cut(v, vc)))
+    return True
 
 
 def mobius_set_image(m, s):
     """Exact image of a SlopeSet under a Moebius map.
 
-    Works piece by piece.  A point maps to a point, and so does the
-    point at infinity when it belongs to s.  Any other affine piece is
-    an arc avoiding infinity; its image is the connected arc between
-    the images of its ends, traversed positively when det > 0 and
-    negatively when det < 0.
+    Works piece by piece and canonicalises once.  A point maps to a
+    point, and so does the point at infinity when it belongs to s.  Any
+    other affine piece is an arc avoiding infinity; its image is the
+    connected arc between the images of its ends, traversed positively
+    when det > 0 and negatively when det < 0.
     """
-    out = SlopeSet.point(m.apply(INF)) if s.has_infinity else SlopeSet.empty()
+    ivs = []
+    inf = False
+    if s.has_infinity:
+        inf = _point_cuts(m.apply(INF), ivs)
+    flip = m.det < 0
     for l, lc, h, hc in s.affine_pieces():
         if l is not None and l == h:
-            out = out.union(SlopeSet.point(m.apply(l)))
+            inf = _point_cuts(m.apply(l), ivs) or inf
             continue
         u = m.apply(INF if l is None else l)
         v = m.apply(INF if h is None else h)
-        if m.det < 0:
+        if flip:
             u, lc, v, hc = v, hc, u, lc
-        out = out.union(_directed_image(u, lc, v, hc))
-    return out
+        inf = _directed_cuts(u, lc, v, hc, ivs) or inf
+    return SlopeSet(ivs, inf)

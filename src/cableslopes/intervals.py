@@ -10,6 +10,12 @@ receive in a witness pair (A, N).  That optimization is
 ``extremal_slot_value``, which lives with the single witness solver in
 ``jn`` (see there for the Stern-Brocot walk that finds it without a
 scan over N) and is imported here.
+
+Up to that call the assembly is integer work on (num, den, strict)
+slots: a tau's fractional part is num mod den, the gate compares an
+integer sum with m0 times its denominator, the left window complements
+each slot to (den - num, den), and each endpoint m0 - w or m1 + w is
+built once from the integers of m and w.
 """
 
 from dataclasses import dataclass
@@ -41,21 +47,17 @@ def _as_rat(x):
 
 
 def _fixed_slots(gammas, taus, J):
-    """Surviving (value, strict) constraints with integral taus dropped.
+    """Surviving (num, den, strict) constraints with integral taus dropped.
 
     Valid in the s0=0 regime, where every integral tau has its index
-    in J and is forced to the identity.
+    in J and is forced to the identity.  A tau's fractional part is
+    (num mod den)/den, already reduced.
     """
-    fixed = [(g, True) for g in gammas]
+    fixed = [(g.num, g.den, True) for g in gammas]
     for idx, t in enumerate(taus, start=1):
-        tb = t.frac()
-        if tb.num != 0:
-            fixed.append((tb, idx in J))
+        if t.den != 1:
+            fixed.append((t.num % t.den, t.den, idx in J))
     return fixed
-
-
-def _complement(fixed):
-    return [(ONE - v, st) for v, st in fixed]
 
 
 def _gates(gammas, taus, J, dq):
@@ -70,30 +72,42 @@ def _gates(gammas, taus, J, dq):
     """
     if dq.n + dq.r1 != 2:
         return None, None, False
-    total = -sum(gammas, ExtRational(0)) - sum(taus, ExtRational(0))
-    if total != dq.m0:
-        return total < dq.m0, total > dq.m0, False
-    degenerate = dq.n != 0 or any(idx in J and t.frac().num != 0
+    # total = -num/den, compared with m0 over the same denominator
+    num, den = 0, 1
+    for w in gammas + taus:
+        num, den = num * w.den + w.num * den, den * w.den
+    total, m0 = -num, dq.m0 * den
+    if total != m0:
+        return total < m0, total > m0, False
+    degenerate = dq.n != 0 or any(idx in J and t.den != 1
                                   for idx, t in enumerate(taus, start=1))
     return not degenerate, not degenerate, degenerate
 
 
-def _window(side, gammas, taus, J, opens):
-    """Width of the window below m0 (left) or above m1 (right), or None.
+def _window(side, fixed, opens, m):
+    """Far end of a window: m - w with m = m0 on the left, m + w with
+    m = m1 on the right, or None when the window is shut.
 
-    ``opens`` is the side's gate from ``_gates``: False keeps the
-    window shut, True requires the extremal search to find a value, and
-    None lets the search decide.
+    ``fixed`` holds the (num, den, strict) slots of ``_fixed_slots``;
+    the left window takes their complements 1 - v.  The width w is the
+    extremal slot value.  ``opens`` is the side's gate from ``_gates``:
+    False keeps the window shut, True requires the extremal search to
+    find a value, and None lets the search decide.
     """
     if opens is False:
         return None
-    fixed = _fixed_slots(gammas, taus, J)
+    sign = 1
     if side == "left":
-        fixed = _complement(fixed)
-    width = extremal_slot_value(fixed)
-    if opens and width is None:
-        raise AssertionError("open %s gate but empty witness search" % side)
-    return width
+        fixed = [(d - n, d, st) for n, d, st in fixed]
+        sign = -1
+    width = extremal_slot_value([(ExtRational(n, d), st)
+                                 for n, d, st in fixed])
+    if width is None:
+        if opens:
+            raise AssertionError(
+                "open %s gate but empty witness search" % side)
+        return None
+    return ExtRational(m * width.den + sign * width.num, width.den)
 
 
 def endpoint_search(side, gammas, taus, J):
@@ -111,15 +125,16 @@ def endpoint_search(side, gammas, taus, J):
     if dq.s0 != 0:
         raise WindowClosed("window closed: integral slots pin t to [m0,m1]")
     left_opens, right_opens, _ = _gates(gammas, taus, J, dq)
-    width = _window(side, gammas, taus, J,
-                    left_opens if side == "left" else right_opens)
+    fixed = _fixed_slots(gammas, taus, J)
     if side == "left":
-        if width is None:
+        end = _window(side, fixed, left_opens, dq.m0)
+        if end is None:
             raise WindowClosed("window closed below m0")
-        return ExtRational(dq.m0) - width
-    if width is None:
+        return end
+    end = _window(side, fixed, right_opens, dq.m1)
+    if end is None:
         raise WindowClosed("window closed above m1")
-    return ExtRational(dq.m1) + width
+    return end
 
 
 def relative_interval(gammas, taus, J):
@@ -139,10 +154,11 @@ def relative_interval(gammas, taus, J):
             Arc(m0, m1), SlopeSet.interval(m0, m1, False, False), dq)
 
     left_opens, right_opens, degenerate = _gates(gammas, taus, J, dq)
-    left = _window("left", gammas, taus, J, left_opens)
-    right = _window("right", gammas, taus, J, right_opens)
-    lo = m0 if left is None else m0 - left
-    hi = m1 if right is None else m1 + right
+    fixed = _fixed_slots(gammas, taus, J)
+    lo = _window("left", fixed, left_opens, dq.m0)
+    hi = _window("right", fixed, right_opens, dq.m1)
+    lo = m0 if lo is None else lo
+    hi = m1 if hi is None else hi
     t = Arc(lo, hi)
 
     if degenerate:
@@ -165,7 +181,7 @@ def cable_interval(params, J, tau):
     if not J <= {1}:
         raise ValueError("J must be a subset of {1}")
     gamma = params.gamma
-    if 1 in J and tau.frac().num == 0:
+    if 1 in J and tau.den == 1:
         value = -tau - gamma
         dq = derived_quantities((gamma,), (tau,), J)
         return RelativeIntervalResult(

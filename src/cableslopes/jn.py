@@ -67,7 +67,7 @@ def _slot_ints(values, least):
     for value, strict in values:
         if not isinstance(value, ExtRational):
             value = ExtRational(value)
-        if not (0 < value < 1):
+        if not 0 < value.num < value.den:
             raise ValueError("slot value must lie in (0,1): %s" % value)
         out.append((value.num, value.den, bool(strict)))
     if len(out) < least:

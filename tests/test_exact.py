@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cableslopes.exact import (INF, Arc, ExtRational, IntMobius, SlopeSet,
                                mobius_set_image, parse_arc, parse_slope_set,
@@ -37,6 +37,28 @@ class TestExtRational:
         assert R("1/3") < R("1/2") < R("2/3") <= R("2/3")
         with pytest.raises(TypeError):
             INF < ExtRational(1)
+
+    def test_compare_with_int_and_foreign_types(self):
+        assert ExtRational(2) == 2 and 2 == ExtRational(2)
+        assert ExtRational(1) == True  # noqa: E712  (bool goes through int)
+        assert ExtRational(1, 2) != 0 and INF != 1
+        assert R("1/2") < 1 and not R("3/2") <= 1 and 2 > R("3/2")
+        assert ExtRational(-3) >= -3
+        assert ExtRational(1).__lt__(1.5) is NotImplemented
+        assert ExtRational(1).__eq__("1") is NotImplemented
+        with pytest.raises(TypeError):
+            INF < 1
+        with pytest.raises(TypeError):
+            ExtRational(1) >= INF
+        with pytest.raises(TypeError):
+            ExtRational(1) < 1.5
+
+    def test_hash_agrees_with_eq(self):
+        assert hash(ExtRational(2)) == hash(2)
+        assert 2 in {ExtRational(2)}
+        assert ExtRational(-6, 2) in {-3}
+        assert {ExtRational(4, 2): "two"}[2] == "two"
+        assert hash(ExtRational(2, 4)) == hash(ExtRational(1, 2))
 
     def test_floor_frac(self):
         assert R("-3/2").floor() == -2
@@ -205,6 +227,60 @@ class TestSlopeSetAlgebra:
     @given(slope_sets())
     def test_str_round_trip(self, a):
         assert parse_slope_set(str(a)) == a
+
+
+def _endpoints(s):
+    """The finite endpoints of a set's pieces, and infinity."""
+    out = [INF]
+    for l, _, h, _ in s.affine_pieces():
+        out.extend(v for v in (l, h) if v is not None)
+    return out
+
+
+def _assert_canonical(x):
+    ivs = x._ivs
+    assert all(lo < hi for lo, hi in ivs)
+    # sorted, and each interval ends strictly before the next begins:
+    # no overlap and no touching
+    assert all(prev[1] < nxt[0] for prev, nxt in zip(ivs, ivs[1:]))
+    assert SlopeSet(x._ivs, x._inf) == x
+    assert parse_slope_set(str(x)) == x
+
+
+class TestCanonicalForm:
+    @settings(max_examples=150, deadline=None)
+    @example(IntMobius(1, 0, 0, 1), SlopeSet.full(), SlopeSet.full())
+    @example(IntMobius(0, 1, 1, 0), SlopeSet.reals(), SlopeSet.point(INF))
+    @given(mobius_maps, slope_sets(), slope_sets())
+    def test_every_result_is_canonical(self, m, a, b):
+        results = {
+            "union": (a.union(b), lambda x: a.contains(x) or b.contains(x)),
+            "union_all": (SlopeSet.union_all([b, a, b]),
+                          lambda x: a.contains(x) or b.contains(x)),
+            "intersect": (a.intersect(b),
+                          lambda x: a.contains(x) and b.contains(x)),
+            "complement": (a.complement(), lambda x: not a.contains(x)),
+            "difference": (a.difference(b),
+                           lambda x: a.contains(x) and not b.contains(x)),
+            "with_infinity": (a.with_infinity(),
+                              lambda x: x.is_infinite or a.contains(x)),
+            "without_infinity": (a.without_infinity(),
+                                 lambda x: not x.is_infinite
+                                 and a.contains(x)),
+        }
+        points = SAMPLE_POINTS[::7] + _endpoints(a) + _endpoints(b)
+        for name, (result, member) in results.items():
+            _assert_canonical(result)
+            for x in points:
+                assert result.contains(x) == member(x), (name, x)
+        image = mobius_set_image(m, a)
+        _assert_canonical(image)
+        for x in SAMPLE_POINTS[::13] + _endpoints(a):
+            assert image.contains(m.apply(x)) == a.contains(x), x
+
+    def test_identity_image_of_full_circle(self):
+        full = mobius_set_image(IntMobius(1, 0, 0, 1), SlopeSet.full())
+        assert full.is_full and str(full) == "[-inf,inf]"
 
 
 class TestMobius:

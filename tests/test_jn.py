@@ -80,6 +80,15 @@ class TestWitnessSearch:
         assert witness_search(values) is None
         assert exhaustive_witness_check(values, None)
 
+    @pytest.mark.parametrize("bad", [ExtRational(0), ONE, R("3/2"),
+                                     R("-1/2"), R("inf")])
+    def test_slot_value_outside_unit_interval(self, bad):
+        half = (R("1/2"), False)
+        with pytest.raises(ValueError, match="must lie in"):
+            witness_search((half, half, (bad, True)))
+        with pytest.raises(ValueError, match="must lie in"):
+            extremal_slot_value((half, (bad, False)))
+
     def test_all_quarters(self):
         values = ((R("1/4"), True),) * 3
         w = witness_search(values)
