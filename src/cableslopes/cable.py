@@ -29,7 +29,8 @@ class CableParams:
     """Cable parameters p/q with the normalized Bezout pair (r, s).
 
     Invariants: gcd(p, q) = 1, p*s + q*r = 1, -q < s < 0 < r <= p,
-    and r = p only when p = 1.
+    and r = p only when p = 1.  Construction also sets the slopes
+    gamma = (q + s)/q and fiber_slope = p/q.
     """
     p: int
     q: int
@@ -48,14 +49,10 @@ class CableParams:
             raise ValueError("need -q < s < 0 < r <= p")
         if r == p and p != 1:
             raise ValueError("r = p is only allowed when p = 1")
-
-    @property
-    def gamma(self):
-        return ExtRational(self.q + self.s, self.q)
-
-    @property
-    def fiber_slope(self):
-        return ExtRational(self.p, self.q)
+        # built once, past the frozen __setattr__; they are not fields,
+        # so ==, hash and repr still read p, q, r and s alone
+        object.__setattr__(self, "gamma", ExtRational(q + s, q))
+        object.__setattr__(self, "fiber_slope", ExtRational(p, q))
 
 
 def bezout(p, q):

@@ -24,8 +24,6 @@ from .exact import Arc, ExtRational, SlopeSet
 from .jn import extremal_slot_value
 from .seifert import DerivedQuantities, derived_quantities
 
-ONE = ExtRational(1)
-
 
 class InsufficientData(ValueError):
     """Raised when fewer than two constraint slots remain."""

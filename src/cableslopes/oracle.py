@@ -15,17 +15,16 @@ end.  A need not be coprime to N: a non-reduced A/N equals some a/n
 with n < N, and 1/n > 1/N still suits every other slot, so a/n is a
 witness too.  The loop is finite and complete with no gap argument.
 
-The scan does its per-point work on integers too.  For each
-denominator it builds the slot key of every residue coprime to it
-once, and turns the expected set into integer cuts on the
-numerator: each affine piece gives an inclusive start and an exclusive
-end, so num/den lies in the set exactly when an odd number of cuts is
-at most num.
+The scan works on integers too.  The realisable b of one slot key
+form an integer interval, so per denominator each coprime residue is
+decided once, as a ``range`` of b, and the expected set becomes integer
+cuts on the numerator: each affine piece gives an inclusive start and
+an exclusive end, so num/den lies in the set exactly when an odd number
+of cuts is at most num.  The grid is walked row by row, so numerators
+ascend and a pointer moving forward over the cuts counts them.
 """
 
-import itertools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -68,42 +67,52 @@ def _gamma_slot(g):
 def _witness_exists(slots):
     """Whether two or more (num, den, strict) slots admit a b = 1 witness."""
     caps = [(d - st) // n for n, d, st in slots]
-    for i, j in itertools.combinations(range(len(slots)), 2):
-        ni, di, si = slots[i]
-        nj, dj, sj = slots[j]
-        # no N helps a pair whose window [v_i, 1 - v_j] is empty
-        room = (dj - nj) * di - ni * dj
-        if room < 0 or room == 0 and (si or sj):
-            continue
-        rest = [c for m, c in enumerate(caps) if m != i and m != j]
-        if not rest:
-            # nothing bounds N, and a non-empty window holds a fraction
-            return True
-        for N in range(2, min(rest) + 1):
-            # least A above v_i N against largest A below (1 - v_j) N
-            if (ni * N + di - 1 + si) // di <= ((dj - nj) * N - sj) // dj:
+    # a pair's bound is the least cap outside it, one of the three least
+    least = sorted(range(len(slots)), key=caps.__getitem__)[:3]
+    for i, (ni, di, si) in enumerate(slots):
+        for j in range(i + 1, len(slots)):
+            nj, dj, sj = slots[j]
+            # no N helps a pair whose window [v_i, 1 - v_j] is empty
+            room = (dj - nj) * di - ni * dj
+            if room < 0 or room == 0 and (si or sj):
+                continue
+            for m in least:
+                if m != i and m != j:
+                    break
+            else:
+                # nothing bounds N, and a non-empty window holds a fraction
                 return True
+            for N in range(2, caps[m] + 1):
+                # least A above v_i N against largest A below (1 - v_j) N
+                if (ni * N + di - 1 + si) // di <= ((dj - nj) * N - sj) // dj:
+                    return True
     return False
 
 
 @lru_cache(maxsize=1 << 16)
-def _realisable(b, slots, zeros):
-    """Decide a reduced query: integer b, (num, den, strict) slots, zeros."""
+def _realisable_range(slots, zeros):
+    """The b realising k (num, den, strict) slots and ``zeros`` zero slots.
+
+    With zeros: [2 - zeros, k + zeros - 2].  For k < 3: the slot sum if
+    it is an integer.  Else [2, k - 2], widened to 1 by a b = 1 witness
+    of the slots and to k - 1 by one of their complements.
+    """
     k = len(slots)
     if zeros:
-        return 2 - zeros <= b <= k + zeros - 2
+        return range(2 - zeros, k + zeros - 1)
     if k < 3:
         # arity 2: both translation numbers are pinned, so the slot
         # values must add up to b exactly
         num, den = 0, 1
         for n, d, _ in slots:
             num, den = num * d + n * den, den * d
-        return num == b * den
-    if b == k - 1:
-        return _witness_exists(tuple((d - n, d, st) for n, d, st in slots))
-    if b == 1:
-        return _witness_exists(slots)
-    return 2 <= b <= k - 2
+        b, r = divmod(num, den)
+        return range(0) if r else range(b, b + 1)
+    low = 1 if _witness_exists(slots) else 2
+    high = k - 2
+    if _witness_exists([(d - n, d, st) for n, d, st in slots]):
+        high = k - 1
+    return range(low, high + 1)
 
 
 def _reduce(J, b, gammas, taus):
@@ -134,7 +143,8 @@ def _reduce(J, b, gammas, taus):
 
 def _decide_point(J, b, gammas, taus):
     """Realisability of one tuple (J; b; gammas; taus)."""
-    return _realisable(*_reduce(J, b, gammas, taus))
+    b, slots, zeros = _reduce(J, b, gammas, taus)
+    return b in _realisable_range(slots, zeros)
 
 
 def _member_cuts(pieces, den, lo, hi):
@@ -144,7 +154,8 @@ def _member_cuts(pieces, den, lo, hi):
     inside it and the least num above it; an unbounded end gives the
     scan limit lo or hi.  Bounded cuts are non-decreasing and every
     scanned num lies strictly between lo and hi, so the cuts at most
-    num always come first, which is all ``bisect_right`` needs.
+    num always come first: for ascending nums, a pointer that only
+    moves forward over the cuts counts them.
     """
     cuts = []
     for l, lc, h, hc in pieces:
@@ -190,29 +201,39 @@ def grid_scan_interval(params, J, tau, max_denominator=24, expected=None):
     tested = 0
     mismatches = []
     for den in range(1, max_denominator + 1):
-        # the (slots, zeros) key of each residue coprime to den
-        keys = [None] * den
+        # the realisable b of each residue coprime to den, in order
+        residues = []
         for fn in range(den):
             if math.gcd(fn, den) == 1:
-                keys[fn] = ((fixed + ((fn, den, strict),), zeros) if fn
-                            else (fixed, zeros + (not strict)))
+                key = ((fixed + ((fn, den, strict),), zeros) if fn
+                       else (fixed, zeros + (not strict)))
+                residues.append((fn, _realisable_range(*key)))
         start, stop = lo * den, hi * den
         if pieces is not None:
-            cuts = _member_cuts(pieces, den, start, stop)
+            # stop ends the cuts: it lies above every scanned num
+            cuts = _member_cuts(pieces, den, start, stop) + [stop]
+            at = 0
         first = last = None
-        for num in range(start + 1, stop):
-            fl, fn = divmod(num, den)
-            key = keys[fn]
-            if key is None:
-                continue
-            tested += 1
-            got = _realisable(b0 - fl, *key)
-            if got:
-                if first is None:
-                    first = num
-                last = num
-            if pieces is not None and got != bisect_right(cuts, num) & 1:
-                mismatches.append((ExtRational(num, den), got, not got))
+        # num = fl * den + fn ascends over (start, stop); only den = 1
+        # has residue 0, and its row lo would be num = start
+        rows = range(lo + (den == 1), hi)
+        tested += len(rows) * len(residues)
+        for fl in rows:
+            b = b0 - fl
+            base = fl * den
+            for fn, rng in residues:
+                num = base + fn
+                got = b in rng
+                if got:
+                    if first is None:
+                        first = num
+                    last = num
+                if pieces is not None:
+                    while cuts[at] <= num:
+                        at += 1
+                    if got != at & 1:
+                        mismatches.append((ExtRational(num, den), got,
+                                           not got))
         if first is not None:
             if low is None or first * low[1] < low[0] * den:
                 low = (first, den)

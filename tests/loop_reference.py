@@ -4,8 +4,13 @@ These are the original loop searches: for every N up to the bound they
 try every A in [1, N) and every slot pair (i, j).  They are slow but
 plainly follow the definition, so the Stern-Brocot solver in
 ``cableslopes.jn`` is required to return exactly what they return.
+
+``realisable`` is the oracle's original per-b decision of a reduced
+query, with its witness loop ``witness_exists``; the oracle's range of
+realisable b is required to hold exactly the b it accepts.
 """
 
+import itertools
 import math
 
 from cableslopes.exact import ExtRational
@@ -186,3 +191,43 @@ def extremal_slot_value(fixed):
                 if best is None or c > best:
                     best = c
     return best
+
+
+def witness_exists(slots):
+    """Whether two or more (num, den, strict) slots admit a b = 1 witness."""
+    caps = [(d - st) // n for n, d, st in slots]
+    for i, j in itertools.combinations(range(len(slots)), 2):
+        ni, di, si = slots[i]
+        nj, dj, sj = slots[j]
+        # no N helps a pair whose window [v_i, 1 - v_j] is empty
+        room = (dj - nj) * di - ni * dj
+        if room < 0 or room == 0 and (si or sj):
+            continue
+        rest = [c for m, c in enumerate(caps) if m != i and m != j]
+        if not rest:
+            # nothing bounds N, and a non-empty window holds a fraction
+            return True
+        for N in range(2, min(rest) + 1):
+            # least A above v_i N against largest A below (1 - v_j) N
+            if (ni * N + di - 1 + si) // di <= ((dj - nj) * N - sj) // dj:
+                return True
+    return False
+
+
+def realisable(b, slots, zeros):
+    """Decide a reduced query: integer b, (num, den, strict) slots, zeros."""
+    k = len(slots)
+    if zeros:
+        return 2 - zeros <= b <= k + zeros - 2
+    if k < 3:
+        # arity 2: both translation numbers are pinned, so the slot
+        # values must add up to b exactly
+        num, den = 0, 1
+        for n, d, _ in slots:
+            num, den = num * d + n * den, den * d
+        return num == b * den
+    if b == k - 1:
+        return witness_exists(tuple((d - n, d, st) for n, d, st in slots))
+    if b == 1:
+        return witness_exists(slots)
+    return 2 <= b <= k - 2

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -39,6 +40,22 @@ class TestParams:
             CableParams(2, 3, 1, 1)
         with pytest.raises(ValueError):
             CableParams(2, 3, 3, -4)
+
+    def test_derived_slopes_built_once(self):
+        params = bezout(5, 3)
+        assert params.gamma is params.gamma
+        assert params.fiber_slope is params.fiber_slope
+        assert (params.gamma, params.fiber_slope) == (R("2/3"), R("5/3"))
+
+    def test_derived_slopes_leave_fields_alone(self):
+        # ==, hash, repr and fields() see p, q, r and s alone
+        params = bezout(5, 3)
+        assert params == bezout(5, 3) and hash(params) == hash(bezout(5, 3))
+        assert repr(params) == "CableParams(p=5, q=3, r=2, s=-1)"
+        assert [f.name for f in fields(params)] == ["p", "q", "r", "s"]
+        assert params != bezout(7, 3)
+        with pytest.raises(AttributeError):
+            params.gamma = R("1/3")
 
 
 class TestBasisMaps:

@@ -1,15 +1,19 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cableslopes import oracle
 from cableslopes.cable import bezout
 from cableslopes.exact import INF, Arc, ExtRational, SlopeSet
 from cableslopes.intervals import cable_interval
 from cableslopes.jn import UnsupportedArity, decide, witness_search
-from cableslopes.oracle import (ScanReport, _decide_point,
+from cableslopes.oracle import (ScanReport, _decide_point, _realisable_range,
                                 exhaustive_witness_check, grid_scan_interval)
+from loop_reference import realisable
 
 R = ExtRational.parse
 C23 = bezout(2, 3)
@@ -67,6 +71,44 @@ class TestDecidePoint:
             decide(J, b, gammas, taus)
         with pytest.raises(ValueError):
             _decide_point(J, b, gammas, taus)
+
+
+@st.composite
+def slot_keys(draw):
+    """(slots, zeros): 0-4 (num, den, strict) slots, denominators <= 15."""
+    slots = []
+    for _ in range(draw(st.integers(0, 4))):
+        d = draw(st.integers(2, 15))
+        slots.append((draw(st.integers(1, d - 1)), d, draw(st.booleans())))
+    return tuple(slots), draw(st.integers(0, 2))
+
+
+class TestRealisableRange:
+    @settings(max_examples=500, deadline=None)
+    @given(slot_keys())
+    def test_matches_per_b_rule(self, key):
+        # the scan and _decide_point both read this range, so only the
+        # per-b rule of loop_reference checks the decision itself
+        slots, zeros = key
+        bs = range(-3, len(slots) + zeros + 4)
+        assert list(_realisable_range(slots, zeros)) == [
+            b for b in bs if realisable(b, slots, zeros)]
+
+
+class TestIndependence:
+    def test_oracle_imports_only_exact(self):
+        # the oracle checks jn, seifert and intervals, so it may share
+        # nothing with them: of this package it imports exact alone
+        tree = ast.parse(Path(oracle.__file__).read_text())
+        names = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names.append("." * node.level + (node.module or ""))
+        ours = [n for n in names
+                if n.startswith(".") or n.split(".")[0] == "cableslopes"]
+        assert ours == [".exact"]
 
 
 class TestGridScan:
@@ -180,6 +222,23 @@ class TestScanMembership:
     # a wrong arc: the scan must report its mismatches in order
     @example((2, 3), frozenset(), R("1/2"), 8,
              Arc(ExtRational(-2), ExtRational(-1)))
+    # an integer tau: the fixed part has a zero slot, and so has tau'
+    # at every integer grid point
+    @example((3, 2), frozenset(), ExtRational(1), 6,
+             Arc(ExtRational(-3), R("-1/2")))
+    @example((2, 5), frozenset({1}), ExtRational(-2), 5, SlopeSet.full())
+    # J = {2}: tau' is strict, so its zero slot is no constraint
+    @example((2, 3), frozenset({2}), R("1/2"), 8,
+             Arc(R("-3/2"), R("-1/2"), False, False))
+    @example((3, 2), frozenset({1, 2}), ExtRational(0), 7, SlopeSet.empty())
+    # max_denominator = 1: one row of integers, without num = start
+    @example((2, 3), frozenset(), R("1/2"), 1,
+             Arc(ExtRational(-5), ExtRational(5)))
+    # cuts beyond stop: a ray whose low end lies past the scan, and a
+    # wrapped arc with both ends outside it
+    @example((2, 3), frozenset(), R("1/2"), 6, Arc(ExtRational(40), INF))
+    @example((3, 4), frozenset({1}), R("-1/3"), 6,
+             Arc(ExtRational(30), ExtRational(-30), wraps_infinity=True))
     def test_matches_reference_loop(self, pq, J, tau, max_denominator,
                                     expected):
         params = bezout(*pq)
