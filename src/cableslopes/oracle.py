@@ -22,6 +22,19 @@ cuts on the numerator: each affine piece gives an inclusive start and
 an exclusive end, so num/den lies in the set exactly when an odd number
 of cuts is at most num.  The grid is walked row by row, so numerators
 ascend and a pointer moving forward over the cuts counts them.
+
+The residues of one scan need few witness loops.  A witness only gets
+harder to find as one slot's value rises: a witness for the higher
+value satisfies the lower one's inequality too.  So with the other
+slots fixed, the values v of tau' with a b = 1 witness form a prefix of
+(0, 1), and those whose complement has one form a suffix.
+``_witness_thresholds`` brackets each side between its largest known
+yes and least known no over ascending denominators.  Once every
+denominator below d is classified, the two ends are neighbours in the
+Farey sequence F_{d-1}, and between neighbours only their mediant has
+denominator d or less; so each denominator costs at most one loop per
+side, and each cache entry holds O(D) integers for D the largest
+denominator.
 """
 
 import math
@@ -95,7 +108,9 @@ def _realisable_range(slots, zeros):
 
     With zeros: [2 - zeros, k + zeros - 2].  For k < 3: the slot sum if
     it is an integer.  Else [2, k - 2], widened to 1 by a b = 1 witness
-    of the slots and to k - 1 by one of their complements.
+    of the slots and to k - 1 by one of their complements.  The grid
+    scan reads it only for tau' = 0, for k < 3 and for keys with zeros;
+    its other keys go through ``_witness_thresholds``.
     """
     k = len(slots)
     if zeros:
@@ -113,6 +128,75 @@ def _realisable_range(slots, zeros):
     if _witness_exists([(d - n, d, st) for n, d, st in slots]):
         high = k - 1
     return range(low, high + 1)
+
+
+@lru_cache(maxsize=1 << 10)
+def _witness_thresholds(fixed, strict, max_denominator):
+    """Per denominator, where tau' = fn/den starts and stops widening.
+
+    ``fixed`` holds two or more (num, den, strict) slots and tau' adds
+    the slot (fn, den, strict).  Entry den - 1 is (a, c): a is the
+    largest fn < den with a b = 1 witness (0 if none) and c the least
+    fn > 0 whose complement has one (den if none).  Monotonicity: a
+    witness for fn/den meets every inequality of a lower value, so
+    witnesses form a prefix in value, and complement witnesses a
+    suffix.  Each side keeps (largest known yes, least known no) as
+    (num, den) pairs; after the denominators below den, these are
+    Farey neighbours, so at most one fraction of denominator den lies
+    strictly between them and gets a witness loop: at most
+    2 (max_denominator - 1) loops per entry.
+    """
+    comp = tuple((d - n, d, st) for n, d, st in fixed)
+    yes, no = (0, 1), (1, 1)    # b = 1 side: prefix up to yes
+    cno, cyes = (0, 1), (1, 1)  # complement side: suffix from cyes
+    out = []
+    for den in range(1, max_denominator + 1):
+        a = yes[0] * den // yes[1]
+        fn = a + 1
+        if fn * no[1] < no[0] * den:
+            if _witness_exists(fixed + ((fn, den, strict),)):
+                yes, a = (fn, den), fn
+            else:
+                no = (fn, den)
+        c = -(-cyes[0] * den // cyes[1])
+        fn = c - 1
+        if fn * cno[1] > cno[0] * den:
+            if _witness_exists(comp + ((den - fn, den, strict),)):
+                cyes, c = (fn, den), fn
+            else:
+                cno = (fn, den)
+        out.append((a, c))
+    return tuple(out)
+
+
+@lru_cache(maxsize=1 << 8)
+def _coprime_residues(den):
+    """The fn in [0, den) coprime to den, ascending."""
+    return tuple(fn for fn in range(den) if math.gcd(fn, den) == 1)
+
+
+def _residue_ranges(fixed, zeros, strict, max_denominator):
+    """Per denominator 1, 2, ..., the (fn, range of b) of each residue.
+
+    The residues are those coprime to den, ascending, and each range is
+    ``_realisable_range`` of the scan's key for tau' = fn/den: read from
+    ``_witness_thresholds`` when tau' makes k >= 3 slots and there are
+    no zeros, else from ``_realisable_range`` itself.
+    """
+    k = len(fixed) + 1
+    thresholds = (None if zeros or k < 3
+                  else _witness_thresholds(fixed, strict, max_denominator))
+    # ranges[fn <= a][fn >= c]: low 2 or 1, high k - 2 or k - 1
+    ranges = ((range(2, k - 1), range(2, k)), (range(1, k - 1), range(1, k)))
+    for den in range(1, max_denominator + 1):
+        if den == 1 or thresholds is None:
+            yield [(fn, _realisable_range(fixed + ((fn, den, strict),), zeros)
+                    if fn else _realisable_range(fixed, zeros + (not strict)))
+                   for fn in _coprime_residues(den)]
+        else:
+            a, c = thresholds[den - 1]
+            yield [(fn, ranges[fn <= a][fn >= c])
+                   for fn in _coprime_residues(den)]
 
 
 def _reduce(J, b, gammas, taus):
@@ -200,14 +284,8 @@ def grid_scan_interval(params, J, tau, max_denominator=24, expected=None):
     low = high = None
     tested = 0
     mismatches = []
-    for den in range(1, max_denominator + 1):
-        # the realisable b of each residue coprime to den, in order
-        residues = []
-        for fn in range(den):
-            if math.gcd(fn, den) == 1:
-                key = ((fixed + ((fn, den, strict),), zeros) if fn
-                       else (fixed, zeros + (not strict)))
-                residues.append((fn, _realisable_range(*key)))
+    for den, residues in enumerate(
+            _residue_ranges(fixed, zeros, strict, max_denominator), 1):
         start, stop = lo * den, hi * den
         if pieces is not None:
             # stop ends the cuts: it lies above every scanned num
@@ -252,7 +330,10 @@ def exhaustive_witness_check(values, claimed):
     slots.  A claimed witness is checked directly against the slot
     inequalities and the required multiset shape; claimed=None is
     confirmed by the witness loop over every N up to the other slots'
-    caps (with two slots, by the window itself).
+    caps (with two slots, by the window itself).  That loop stops at the
+    least denominator in a pair's window, so its cost grows with that
+    denominator: millions of steps for a narrow window between slots of
+    large denominator.
     """
     values = [(v if isinstance(v, ExtRational) else ExtRational(v), bool(st))
               for v, st in values]

@@ -2,6 +2,7 @@ import ast
 import math
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,11 +13,13 @@ from cableslopes.exact import INF, Arc, ExtRational, SlopeSet
 from cableslopes.intervals import cable_interval
 from cableslopes.jn import UnsupportedArity, decide, witness_search
 from cableslopes.oracle import (ScanReport, _decide_point, _realisable_range,
+                                _residue_ranges, _witness_thresholds,
                                 exhaustive_witness_check, grid_scan_interval)
 from loop_reference import realisable
 
 R = ExtRational.parse
 C23 = bezout(2, 3)
+C43_T = cable_interval(bezout(4, 3), frozenset(), R("5/12"))
 COPRIME = [(p, q) for q in range(2, 6) for p in range(1, 8)
            if math.gcd(p, q) == 1]
 
@@ -93,6 +96,76 @@ class TestRealisableRange:
         bs = range(-3, len(slots) + zeros + 4)
         assert list(_realisable_range(slots, zeros)) == [
             b for b in bs if realisable(b, slots, zeros)]
+
+
+@st.composite
+def scan_keys(draw):
+    """(fixed, zeros, strict, max_denominator) of one scan's residues."""
+    fixed = []
+    for _ in range(draw(st.integers(2, 3))):
+        d = draw(st.integers(2, 15))
+        fixed.append((draw(st.integers(1, d - 1)), d, draw(st.booleans())))
+    return (tuple(fixed), draw(st.integers(0, 1)), draw(st.booleans()),
+            draw(st.integers(1, 30)))
+
+
+# every tau' has a b = 1 witness: it pairs with one 1/15 slot
+ALL_YES = (((1, 15, False),) * 3, 0, False, 15)
+# no tau' has either witness: two strict 1/2 slots leave no room
+ALL_NO = (((1, 2, True), (1, 2, True)), 0, False, 30)
+
+
+class TestResidueRanges:
+    @settings(max_examples=200, deadline=None)
+    @given(scan_keys())
+    @example(ALL_YES)
+    @example(ALL_NO)
+    def test_matches_realisable_range(self, key):
+        # the thresholds stand in for _realisable_range on every
+        # residue, so each range must be the one it returns
+        fixed, zeros, strict, max_denominator = key
+        rows = list(_residue_ranges(fixed, zeros, strict, max_denominator))
+        assert len(rows) == max_denominator
+        for den, residues in enumerate(rows, 1):
+            assert [fn for fn, _ in residues] == [
+                fn for fn in range(den) if math.gcd(fn, den) == 1]
+            for fn, rng in residues:
+                want = (_realisable_range(fixed + ((fn, den, strict),), zeros)
+                        if fn else
+                        _realisable_range(fixed, zeros + (not strict)))
+                assert rng == want
+
+    def test_pinned_entries_are_extreme(self):
+        fixed, _, strict, max_denominator = ALL_YES
+        assert all(a == den - 1 for den, (a, _) in enumerate(
+            _witness_thresholds(fixed, strict, max_denominator), 1))
+        fixed, _, strict, max_denominator = ALL_NO
+        assert _witness_thresholds(fixed, strict, max_denominator) == tuple(
+            (0, den) for den in range(1, max_denominator + 1))
+
+
+class TestWitnessThresholds:
+    @settings(max_examples=100, deadline=None)
+    @given(scan_keys())
+    def test_two_witness_loops_per_denominator(self, key):
+        fixed, _, strict, max_denominator = key
+        calls = []
+        real = oracle._witness_exists
+
+        def counted(slots):
+            calls.append(slots)
+            return real(slots)
+
+        _witness_thresholds.cache_clear()
+        with mock.patch.object(oracle, "_witness_exists", counted):
+            entry = _witness_thresholds(fixed, strict, max_denominator)
+        assert len(entry) == max_denominator
+        assert len(calls) <= 2 * (max_denominator - 1)
+
+    def test_caches_are_bounded(self):
+        for fn in (_witness_thresholds, oracle._coprime_residues,
+                   _realisable_range):
+            assert fn.cache_parameters()["maxsize"] is not None
 
 
 class TestIndependence:
@@ -239,6 +312,10 @@ class TestScanMembership:
     @example((2, 3), frozenset(), R("1/2"), 6, Arc(ExtRational(40), INF))
     @example((3, 4), frozenset({1}), R("-1/3"), 6,
              Arc(ExtRational(30), ExtRational(-30), wraps_infinity=True))
+    # max_denominator 24 and 40 cross many witness brackets
+    @example((4, 3), frozenset(), R("5/12"), 24, C43_T.t)
+    @example((4, 3), frozenset({2}), R("5/12"), 40, C43_T.t_strict)
+    @example((4, 3), frozenset(), R("5/12"), 40, C43_T.t)
     def test_matches_reference_loop(self, pq, J, tau, max_denominator,
                                     expected):
         params = bezout(*pq)
