@@ -6,16 +6,26 @@ intervals over each connected piece, and maps the answer out through
 the outer basis change.  Weak detection computes the union of closed
 intervals t; strong detection uses the strict companions; regular
 detection is sandwiched between the two.
+
+A piece is an interval of tau, so its union is one ray or the meet of
+two.  A ray ends where one interval does: t(at) when it is weak and
+includes at, else cable_interval(params, {1}, at).t, whose tau slot is
+strict.  As t(tau + 1) = t(tau) - 1, further unit cells lie past the
+core end -floor(at) - 1, and t(k) = [-k - 1, -k] joins the cells.  In
+at's cell t's far end is the core end plus or minus the extremal slot
+value w, which shrinks as tau moves away from at (a witness for a
+larger slot value serves every smaller one), so its sup beyond at is
+read with the slot strict.  t_strict is the interior of t or a point,
+so strong rays are open but at an included integral tau or at
+frac(at) = 1 - gamma.
 """
 
 import enum
 import math
 from dataclasses import dataclass
 
-from .exact import ExtRational, IntMobius, SlopeSet, mobius_set_image
+from .exact import ONE, ExtRational, IntMobius, SlopeSet, mobius_set_image
 from .intervals import cable_interval, extremal_slot_value, special_slope_interval
-
-ONE = ExtRational(1)
 
 
 class DetectionMode(enum.Enum):
@@ -75,58 +85,30 @@ def outer_basis_map(params):
     return IntMobius(pq, pq + 1, 1, 1)
 
 
-def _xi_plus(params, tau):
-    """Sup of t.high over tau' > tau in the same unit cell (attained)."""
+def _ray(params, side, at, include, strict):
+    """Union of t (weak) or t_strict (strict) over tau >= at (right) or
+    tau <= at (left), equality dropped unless ``include``; its end takes
+    at most one extremal_slot_value call (see the module docstring).
+    """
     gamma = params.gamma
-    tb = tau.frac()
-    m1 = ExtRational(-tau.floor() - 1)
-    v = extremal_slot_value([(gamma, True), (tb, True)])
-    if v is None:
-        raise AssertionError("open cell but empty witness search")
-    return m1 + v
-
-
-def _eta_plus(params, tau):
-    """Inf of t.low over tau' < tau in the same unit cell (attained)."""
-    gamma = params.gamma
-    tb = tau.frac()
-    m0 = ExtRational(-tau.floor() - 1)
-    w = extremal_slot_value([(ONE - gamma, True), (ONE - tb, True)])
-    if w is None:
-        raise AssertionError("open cell but empty witness search")
-    return m0 - w
-
-
-def _ray_right_weak(params, a, include):
-    """Union of t over tau >= a (include) or tau > a."""
-    gamma = params.gamma
-    omg = ONE - gamma
-    tb = a.frac()
-    fl = a.floor()
+    tb = at.frac()
     if tb.num == 0:
-        if include:
-            return SlopeSet.ray_below(-a, True)
-        return SlopeSet.ray_below(-a - gamma, False)
-    if tb < omg:
-        if include:
-            return SlopeSet.ray_below(cable_interval(params, frozenset(), a).t.high, True)
-        return SlopeSet.ray_below(_xi_plus(params, a), True)
-    return SlopeSet.ray_below(ExtRational(-fl - 1), True)
-
-
-def _ray_left_weak(params, b, include):
-    """Union of t over tau <= b (include) or tau < b."""
-    gamma = params.gamma
-    omg = ONE - gamma
-    tb = b.frac()
-    fl = b.floor()
-    if tb.num == 0 and not include:
-        return SlopeSet.ray_above(-b - gamma, False)
-    if tb <= omg:
-        return SlopeSet.ray_above(ExtRational(-fl - 1), True)
-    if include:
-        return SlopeSet.ray_above(cable_interval(params, frozenset(), b).t.low, True)
-    return SlopeSet.ray_above(_eta_plus(params, b), True)
+        if include and not strict:
+            end, closed = (-at if side == "right" else -at - 1), True
+        else:
+            end, closed = -at - gamma, strict and include
+    else:
+        omg = ONE - gamma
+        s = strict or not include
+        end = ExtRational(-at.floor() - 1)
+        if side == "right" and tb < omg:
+            end = end + extremal_slot_value([(gamma, True), (tb, s)])
+        elif side == "left" and tb > omg:
+            end = end - extremal_slot_value([(omg, True), (ONE - tb, s)])
+        closed = not strict or (include and tb == omg)
+    if side == "right":
+        return SlopeSet.ray_below(end, closed)
+    return SlopeSet.ray_above(end, closed)
 
 
 def ray_union(params, direction, tau0):
@@ -134,57 +116,23 @@ def ray_union(params, direction, tau0):
     if not isinstance(tau0, ExtRational):
         tau0 = ExtRational(tau0)
     if direction == "geq":
-        return _ray_right_weak(params, tau0, True)
+        return _ray(params, "right", tau0, True, False)
     if direction == "leq":
-        return _ray_left_weak(params, tau0, True)
+        return _ray(params, "left", tau0, True, False)
     raise ValueError("direction must be 'geq' or 'leq'")
-
-
-def _ray_right_strict(params, a, include):
-    """Union of t_strict (J = {1}) over tau >= a (include) or tau > a."""
-    gamma = params.gamma
-    omg = ONE - gamma
-    tb = a.frac()
-    fl = a.floor()
-    if tb.num == 0:
-        return SlopeSet.ray_below(-a - gamma, include)
-    if tb < omg:
-        xi = cable_interval(params, frozenset({1}), a).t.high
-        return SlopeSet.ray_below(xi, False)
-    if tb == omg:
-        return SlopeSet.ray_below(ExtRational(-fl - 1), include)
-    return SlopeSet.ray_below(ExtRational(-fl - 1), False)
-
-
-def _ray_left_strict(params, b, include):
-    """Union of t_strict (J = {1}) over tau <= b (include) or tau < b."""
-    gamma = params.gamma
-    omg = ONE - gamma
-    tb = b.frac()
-    fl = b.floor()
-    if tb.num == 0:
-        return SlopeSet.ray_above(-b - gamma, include)
-    if tb < omg:
-        return SlopeSet.ray_above(ExtRational(-fl - 1), False)
-    if tb == omg:
-        return SlopeSet.ray_above(ExtRational(-fl - 1), include)
-    eta = cable_interval(params, frozenset({1}), b).t.low
-    return SlopeSet.ray_above(eta, False)
 
 
 def _piece_union(params, piece, strict):
     """Union of intervals over one affine piece of the inner-image set."""
     low, low_closed, high, high_closed = piece
-    right = _ray_right_strict if strict else _ray_right_weak
-    left = _ray_left_strict if strict else _ray_left_weak
     if low is None and high is None:
         return SlopeSet.reals()
     if low is None:
-        return left(params, high, high_closed)
+        return _ray(params, "left", high, high_closed, strict)
     if high is None:
-        return right(params, low, low_closed)
-    return right(params, low, low_closed).intersect(
-        left(params, high, high_closed))
+        return _ray(params, "right", low, low_closed, strict)
+    return _ray(params, "right", low, low_closed, strict).intersect(
+        _ray(params, "left", high, high_closed, strict))
 
 
 def cable_detected_set(params, input_set, mode, exactness="auto"):

@@ -1,10 +1,12 @@
+import itertools
 import math
 import random
 from dataclasses import fields
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from cableslopes.cable import (CableParams, DetectionMode, bezout,
+from cableslopes.cable import (CableParams, DetectionMode, _ray, bezout,
                                cable_detected_set, cable_genus_bound,
                                inner_basis_map, outer_basis_map,
                                torus_knot_detected)
@@ -146,10 +148,9 @@ class TestGenusBound:
 
 
 class TestStrictRayTables:
-    def _union(self, params, direction, tau0, include):
-        from cableslopes.cable import _ray_left_strict, _ray_right_strict
-        fn = _ray_right_strict if direction == "geq" else _ray_left_strict
-        ray = fn(params, tau0, include)
+    def _union(self, params, direction, tau0, include, strict):
+        side = "right" if direction == "geq" else "left"
+        ray = _ray(params, side, tau0, include, strict)
         acc = SlopeSet.empty()
         for d in range(1, 9):
             for n in range(-4 * d, 4 * d + 1):
@@ -159,8 +160,12 @@ class TestStrictRayTables:
                         continue
                 elif tau > tau0 or (not include and tau == tau0):
                     continue
-                acc = acc.union(cable_interval(params, frozenset({1}),
-                                               tau).t_strict)
+                if strict:
+                    acc = acc.union(cable_interval(params, frozenset({1}),
+                                                   tau).t_strict)
+                else:
+                    t = cable_interval(params, frozenset(), tau).t
+                    acc = acc.union(SlopeSet.interval(t.low, t.high))
         return ray, acc
 
     def test_sampled_strict_union_inside_ray(self):
@@ -168,8 +173,10 @@ class TestStrictRayTables:
         for tau0 in (ExtRational(0), R("1/4"), R("1/3"), R("1/2"),
                      ExtRational(-1), R("-3/4")):
             for direction in ("geq", "leq"):
-                for include in (True, False):
-                    ray, acc = self._union(params, direction, tau0, include)
+                for include, strict in itertools.product((True, False),
+                                                         repeat=2):
+                    ray, acc = self._union(params, direction, tau0, include,
+                                           strict)
                     assert acc.issubset(ray)
 
     def test_closed_integral_endpoint_attained(self):
@@ -178,11 +185,53 @@ class TestStrictRayTables:
         params = bezout(2, 3)
         endpoint = -ExtRational(1) - params.gamma
         for direction in ("geq", "leq"):
-            ray, acc = self._union(params, direction, ExtRational(1), True)
+            ray, acc = self._union(params, direction, ExtRational(1), True,
+                                   True)
             assert acc.contains(endpoint)
             assert ray.contains(endpoint)
-            ray, acc = self._union(params, direction, ExtRational(1), False)
+            ray, acc = self._union(params, direction, ExtRational(1), False,
+                                   True)
             assert not ray.contains(endpoint)
+
+
+CABLES = st.tuples(st.integers(1, 40), st.integers(2, 30)).filter(
+    lambda pq: math.gcd(*pq) == 1).map(lambda pq: bezout(*pq))
+TAUS = st.integers(1, 30).flatmap(
+    lambda d: st.integers(-4 * d, 4 * d).map(lambda n: ExtRational(n, d)))
+
+
+class TestRay:
+    @settings(max_examples=300, deadline=None)
+    @given(params=CABLES, at=TAUS)
+    @example(params=bezout(2, 3), at=R("1/3"))  # tb = 1 - gamma
+    @example(params=bezout(2, 3), at=R("1/4"))
+    @example(params=bezout(5, 2), at=ExtRational(-2))
+    def test_matches_interval_end(self, params, at):
+        # every ray ends where t(at) does (weak, inclusive) or where the
+        # J = {1} interval t does; at an integral tau it is closed when
+        # included, elsewhere when weak or at an included tb = 1 - gamma
+        tb = at.frac()
+        for side, include, strict in itertools.product(
+                ("right", "left"), (True, False), (True, False)):
+            J = frozenset() if include and not strict else frozenset({1})
+            t = cable_interval(params, J, at).t
+            if tb == 0:
+                closed = include
+            else:
+                closed = not strict or (include and tb == 1 - params.gamma)
+            if side == "right":
+                want = SlopeSet.ray_below(t.high, closed)
+            else:
+                want = SlopeSet.ray_above(t.low, closed)
+            assert _ray(params, side, at, include, strict) == want
+
+    def test_weak_exclusive_reads_strict_slot(self):
+        # tau > 1/4 on the (2,3) cable reaches only -6/7, short of the
+        # end -3/4 of t(1/4) itself
+        ray = _ray(bezout(2, 3), "right", R("1/4"), False, False)
+        assert str(ray) == "(-inf,-6/7]"
+        assert str(cable_interval(bezout(2, 3), frozenset(),
+                                  R("1/4")).t) == "[-1,-3/4]"
 
 
 class TestPipeline:
