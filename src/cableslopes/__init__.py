@@ -4,7 +4,7 @@ from .cable import (CableParams, DetectionMode, bezout, cable_detected_set,
                     cable_genus_bound, inner_basis_map, outer_basis_map,
                     ray_union, torus_knot_detected)
 from .exact import (INF, Arc, ExtRational, IntMobius, SlopeSet,
-                    mobius_set_image, parse_arc, parse_slope_set, rat)
+                    mobius_set_image, parse_slope_set)
 from .intervals import (InsufficientData, RelativeIntervalResult,
                         WindowClosed, cable_interval, endpoint_search,
                         relative_interval, special_slope_interval)
@@ -24,8 +24,8 @@ __all__ = [
     "cable_detected_set", "cable_genus_bound", "cable_interval", "decide",
     "derived_quantities", "endpoint_search", "exhaustive_witness_check",
     "grid_scan_interval", "inner_basis_map", "jn_realizable",
-    "mobius_set_image", "normalize", "outer_basis_map", "parse_arc",
-    "parse_slope_set", "rat", "ray_union", "reduce_integral",
+    "mobius_set_image", "normalize", "outer_basis_map",
+    "parse_slope_set", "ray_union", "reduce_integral",
     "relative_interval", "special_slope_interval",
     "torus_knot_detected", "witness_search",
 ]

@@ -1,9 +1,11 @@
 """Exact arithmetic on the rational projective circle.
 
 Values live in Q together with a single point at infinity, i.e. the
-rational points of RP^1.  Subsets are unions of arcs with rational
-endpoints and explicit open/closed flags.  All arithmetic is integer
-based; nothing in this module ever rounds.
+rational points of RP^1.  Every subset is a SlopeSet: a finite union
+of arcs with rational endpoints, each end open or closed.  The one
+other set type, Arc, is the closed finite interval [low, high] that an
+interval result t always is.  All arithmetic is integer based; nothing
+in this module ever rounds.
 
 The hot paths avoid building objects: ExtRational compares another
 ExtRational or an int by cross-multiplying integers, and the SlopeSet
@@ -180,54 +182,28 @@ ZERO = ExtRational(0)
 ONE = ExtRational(1)
 
 
-def rat(num, den=1):
-    """Shorthand constructor."""
-    return ExtRational(num, den)
+def _as_rat(x):
+    return x if isinstance(x, ExtRational) else ExtRational(x)
 
 
 class Arc:
-    """A connected subset of the rational projective circle.
+    """A closed finite interval [low, high] of rationals.
 
-    Arc is the parse type of one arc and the type of an interval result;
-    unions, images and printing of sets belong to SlopeSet.
-
-    The circle is ordered like R with infinity glued between +inf and
-    -inf.  An arc records its low and high endpoint, whether each is
-    included, and whether its interior passes through infinity:
-
-    - plain arc:  low < high, both finite, the usual interval;
-    - point arc:  low == high, both closed;
-    - ray:        one endpoint is infinity (the flag there says whether
-                  the point at infinity itself belongs to the arc);
-    - wrapped arc: ``wraps_infinity`` set, low >= high, covering
-      [low, +inf) + {infinity} + (-inf, high];
-    - whole line: both endpoints infinite, covering all of Q, plus the
-      point at infinity when either flag is closed.
+    This is the type of an interval result t.  Every other subset of the
+    circle is a SlopeSet; ``SlopeSet.interval(arc.low, arc.high)`` is
+    this one as a set.
     """
 
-    __slots__ = ("low", "high", "low_closed", "high_closed", "wraps_infinity")
+    __slots__ = ("low", "high")
 
-    def __init__(self, low, high, low_closed=True, high_closed=True,
-                 wraps_infinity=False):
-        if not isinstance(low, ExtRational):
-            low = ExtRational(low)
-        if not isinstance(high, ExtRational):
-            high = ExtRational(high)
-        if wraps_infinity:
-            if low.is_infinite or high.is_infinite:
-                raise ValueError("wrapped arc needs finite endpoints")
-            if low == high and (low_closed or high_closed):
-                raise ValueError("wrapped arc with equal endpoints must be open")
-        elif not low.is_infinite and not high.is_infinite:
-            if low > high:
-                raise ValueError("low endpoint above high; use wraps_infinity")
-            if low == high and not (low_closed and high_closed):
-                raise ValueError("degenerate open arc")
+    def __init__(self, low, high):
+        low, high = _as_rat(low), _as_rat(high)
+        if low.is_infinite or high.is_infinite:
+            raise ValueError("arc ends must be finite")
+        if low > high:
+            raise ValueError("low endpoint above high")
         object.__setattr__(self, "low", low)
         object.__setattr__(self, "high", high)
-        object.__setattr__(self, "low_closed", bool(low_closed))
-        object.__setattr__(self, "high_closed", bool(high_closed))
-        object.__setattr__(self, "wraps_infinity", bool(wraps_infinity))
 
     def __setattr__(self, name, value):
         raise AttributeError("Arc is immutable")
@@ -235,76 +211,25 @@ class Arc:
     def __eq__(self, other):
         if not isinstance(other, Arc):
             return NotImplemented
-        return (self.low, self.high, self.low_closed, self.high_closed,
-                self.wraps_infinity) == (other.low, other.high,
-                                         other.low_closed, other.high_closed,
-                                         other.wraps_infinity)
+        return self.low == other.low and self.high == other.high
 
     def __hash__(self):
-        return hash((self.low, self.high, self.low_closed, self.high_closed,
-                     self.wraps_infinity))
-
-    def contains(self, x):
-        if not isinstance(x, ExtRational):
-            x = ExtRational(x)
-        if self.wraps_infinity:
-            if x.is_infinite:
-                return True
-            if x > self.low or (self.low_closed and x == self.low):
-                return True
-            return x < self.high or (self.high_closed and x == self.high)
-        lo_inf, hi_inf = self.low.is_infinite, self.high.is_infinite
-        if lo_inf and hi_inf:
-            if x.is_infinite:
-                return self.low_closed or self.high_closed
-            return True
-        if x.is_infinite:
-            return (lo_inf and self.low_closed) or (hi_inf and self.high_closed)
-        above = lo_inf or x > self.low or (self.low_closed and x == self.low)
-        below = hi_inf or x < self.high or (self.high_closed and x == self.high)
-        return above and below
+        return hash((self.low, self.high))
 
     def __repr__(self):
         return "Arc(%s)" % (str(self),)
 
     def __str__(self):
-        lc, hc = self.low_closed, self.high_closed
-        if self.wraps_infinity:
-            return "%s∪%s" % (_arc_text(self.low, lc, None, True),
-                              _arc_text(None, True, self.high, hc))
-        return _arc_text(self.low, lc, self.high, hc)
+        return "[%s,%s]" % (self.low, self.high)
 
 
 def _arc_text(low, low_closed, high, high_closed):
-    """Text like ``[low,high)``; an end that is None or inf is unbounded."""
+    """Text like ``[low,high)``; an end that is None is unbounded."""
     return "%s%s,%s%s" % (
         "[" if low_closed else "(",
-        "-inf" if low is None or low.is_infinite else low,
-        "inf" if high is None or high.is_infinite else high,
+        "-inf" if low is None else low,
+        "inf" if high is None else high,
         "]" if high_closed else ")")
-
-
-_ARC_RE = re.compile(
-    r"^\s*([\[(])\s*(-?inf|-?\d+(?:\s*/\s*-?\d+)?)\s*,"
-    r"\s*(-?inf|-?\d+(?:\s*/\s*-?\d+)?)\s*([\])])\s*$")
-
-
-def parse_arc(text):
-    """Parse one arc written like ``[1/2,3)`` or ``[-inf,7]``.
-
-    A wrapped arc is written as two rays joined by a union sign, so it
-    is parsed at the SlopeSet level, not here.
-    """
-    m = _ARC_RE.match(text)
-    if m is None:
-        raise ValueError("cannot parse arc: %r" % (text,))
-    lo = ExtRational.parse(m.group(2).replace(" ", ""))
-    hi = ExtRational.parse(m.group(3).replace(" ", ""))
-    lc = m.group(1) == "["
-    hc = m.group(4) == "]"
-    if not lo.is_infinite and not hi.is_infinite and lo > hi:
-        return Arc(lo, hi, lc, hc, wraps_infinity=True)
-    return Arc(lo, hi, lc, hc)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +316,7 @@ class SlopeSet:
 
     @classmethod
     def point(cls, x):
-        if not isinstance(x, ExtRational):
-            x = ExtRational(x)
+        x = _as_rat(x)
         if x.is_infinite:
             return cls([], True)
         return cls([(_low_cut(x, True), _high_cut(x, True))], False)
@@ -400,23 +324,16 @@ class SlopeSet:
     @classmethod
     def interval(cls, low, high, low_closed=True, high_closed=True):
         """The affine interval between two finite rationals."""
-        if not isinstance(low, ExtRational):
-            low = ExtRational(low)
-        if not isinstance(high, ExtRational):
-            high = ExtRational(high)
+        low, high = _as_rat(low), _as_rat(high)
         return cls([(_low_cut(low, low_closed), _high_cut(high, high_closed))])
 
     @classmethod
     def ray_below(cls, high, closed=True):
-        if not isinstance(high, ExtRational):
-            high = ExtRational(high)
-        return cls([(_MIN, _high_cut(high, closed))])
+        return cls([(_MIN, _high_cut(_as_rat(high), closed))])
 
     @classmethod
     def ray_above(cls, low, closed=True):
-        if not isinstance(low, ExtRational):
-            low = ExtRational(low)
-        return cls([(_low_cut(low, closed), _MAX)])
+        return cls([(_low_cut(_as_rat(low), closed), _MAX)])
 
     @classmethod
     def union_all(cls, sets):
@@ -426,23 +343,6 @@ class SlopeSet:
             ivs.extend(s._ivs)
             inf = inf or s._inf
         return cls(ivs, inf)
-
-    @classmethod
-    def from_arc(cls, arc):
-        if arc.wraps_infinity:
-            return cls([(_low_cut(arc.low, arc.low_closed), _MAX),
-                        (_MIN, _high_cut(arc.high, arc.high_closed))], True)
-        lo_inf, hi_inf = arc.low.is_infinite, arc.high.is_infinite
-        if lo_inf and hi_inf:
-            return cls([(_MIN, _MAX)], arc.low_closed or arc.high_closed)
-        if lo_inf:
-            return cls([(_MIN, _high_cut(arc.high, arc.high_closed))],
-                       arc.low_closed)
-        if hi_inf:
-            return cls([(_low_cut(arc.low, arc.low_closed), _MAX)],
-                       arc.high_closed)
-        return cls([(_low_cut(arc.low, arc.low_closed),
-                     _high_cut(arc.high, arc.high_closed))])
 
     # -- queries -------------------------------------------------------
 
@@ -459,8 +359,7 @@ class SlopeSet:
         return self._inf
 
     def contains(self, x):
-        if not isinstance(x, ExtRational):
-            x = ExtRational(x)
+        x = _as_rat(x)
         if x.is_infinite:
             return self._inf
         lo = _low_cut(x, True)
@@ -587,21 +486,57 @@ class SlopeSet:
         return " ∪ ".join(self.parts()) or "{}"
 
 
+_ARC_RE = re.compile(
+    r"^\s*([\[(])\s*(-?inf|-?\d+(?:\s*/\s*-?\d+)?)\s*,"
+    r"\s*(-?inf|-?\d+(?:\s*/\s*-?\d+)?)\s*([\])])\s*$")
+
+
+def _arc_cuts(text, ivs):
+    """Add one arc like ``[1/2,3)`` to the cut list ivs.
+
+    Returns whether the arc holds infinity: a ray holds it when its
+    bracket at the infinite end is closed.  Finite ends with low > high
+    wrap through infinity, [low,inf] joined to [-inf,high].
+    """
+    m = _ARC_RE.match(text)
+    if m is None:
+        raise ValueError("cannot parse arc: %r" % (text,))
+    lo = ExtRational.parse(m.group(2).replace(" ", ""))
+    hi = ExtRational.parse(m.group(3).replace(" ", ""))
+    lc = m.group(1) == "["
+    hc = m.group(4) == "]"
+    low = None if lo.is_infinite else lo
+    high = None if hi.is_infinite else hi
+    if low is not None and high is not None:
+        if low > high:
+            ivs.append((_low_cut(low, lc), _MAX))
+            ivs.append((_MIN, _high_cut(high, hc)))
+            return True
+        if low == high and not (lc and hc):
+            raise ValueError("degenerate open arc")
+    ivs.append((_low_cut(low, lc), _high_cut(high, hc)))
+    return (low is None and lc) or (high is None and hc)
+
+
 def parse_slope_set(text):
-    """Parse a union of arcs separated by the union sign (or 'U')."""
+    """Parse a union of arcs separated by the union sign (or 'U').
+
+    Each arc is written like ``[1/2,3)``, ``[-inf,7]``, ``[2,-1]`` (a
+    wrapped arc, see _arc_cuts) or ``{v}`` for one point.
+    """
     text = text.strip()
     if text in ("{}", ""):
         return SlopeSet.empty()
-    pieces = []
+    ivs, inf = [], False
     for chunk in re.split(r"∪|U", text):
         chunk = chunk.strip()
         if not chunk:
             continue
         if chunk.startswith("{") and chunk.endswith("}"):
-            pieces.append(SlopeSet.point(ExtRational.parse(chunk[1:-1])))
+            inf = _point_cuts(ExtRational.parse(chunk[1:-1]), ivs) or inf
         else:
-            pieces.append(SlopeSet.from_arc(parse_arc(chunk)))
-    return SlopeSet.union_all(pieces)
+            inf = _arc_cuts(chunk, ivs) or inf
+    return SlopeSet(ivs, inf)
 
 
 # ---------------------------------------------------------------------------
@@ -633,8 +568,7 @@ class IntMobius:
         return self.a * self.d - self.b * self.c
 
     def apply(self, x):
-        if not isinstance(x, ExtRational):
-            x = ExtRational(x)
+        x = _as_rat(x)
         return ExtRational(self.a * x.num + self.b * x.den,
                            self.c * x.num + self.d * x.den)
 

@@ -20,7 +20,7 @@ built once from the integers of m and w.
 
 from dataclasses import dataclass
 
-from .exact import Arc, ExtRational, SlopeSet
+from .exact import Arc, ExtRational, SlopeSet, _as_rat
 from .jn import extremal_slot_value
 from .seifert import DerivedQuantities, derived_quantities
 
@@ -38,10 +38,6 @@ class RelativeIntervalResult:
     t: Arc
     t_strict: SlopeSet
     quantities: DerivedQuantities
-
-
-def _as_rat(x):
-    return x if isinstance(x, ExtRational) else ExtRational(x)
 
 
 def _fixed_slots(gammas, taus, J):

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import Arc, ExtRational, SlopeSet
+from .exact import Arc, ExtRational, SlopeSet, _as_rat
 
 
 @dataclass
@@ -55,10 +55,6 @@ class ScanReport:
     @property
     def ok(self):
         return not self.mismatches
-
-
-def _as_rat(x):
-    return x if isinstance(x, ExtRational) else ExtRational(x)
 
 
 def _check_J(J, count):
@@ -261,14 +257,15 @@ def grid_scan_interval(params, J, tau, max_denominator=24, expected=None):
 
     Tests every reduced fraction with denominator <= max_denominator in
     (m0 - 2, m1 + 2) and returns the hull of the realisable points.
-    When ``expected`` (an ``Arc`` or a ``SlopeSet``) is given,
-    disagreements are collected as (point, got, expected) mismatches in
-    (denominator, numerator) order; any other type raises TypeError.
+    When ``expected`` is given, as a ``SlopeSet`` or as an interval
+    result ``Arc`` (the closed set [low, high]), disagreements are
+    collected as (point, got, expected) mismatches in (denominator,
+    numerator) order; any other type raises TypeError.
     """
     if max_denominator < 1:
         raise ValueError("max_denominator must be at least 1")
     if isinstance(expected, Arc):
-        expected = SlopeSet.from_arc(expected)
+        expected = SlopeSet.interval(expected.low, expected.high)
     elif not (expected is None or isinstance(expected, SlopeSet)):
         raise TypeError("expected must be an Arc or a SlopeSet")
     pieces = None if expected is None else expected.affine_pieces()

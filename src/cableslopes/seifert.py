@@ -11,11 +11,7 @@ counts used by the interval formulas.
 
 from dataclasses import dataclass
 
-from .exact import ExtRational
-
-
-def _as_rat(x):
-    return x if isinstance(x, ExtRational) else ExtRational(x)
+from .exact import _as_rat
 
 
 def _check_gamma(g):

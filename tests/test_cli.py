@@ -130,6 +130,11 @@ class TestExitCodes:
         code, out, err = run(capsys, "bezout", "--p", "2", "--q", "4")
         assert code == 3
         assert "coprime" in err
+        code, out, err = run(capsys, "cable", "--p", "3", "--q", "2",
+                             "--input", "(1,1)")
+        assert code == 3
+        assert out == ""
+        assert err == "error: degenerate open arc"
 
     def test_j_names_no_tau(self, capsys):
         code, out, err = run(capsys, "interval", "--gamma", "1/2",

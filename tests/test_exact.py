@@ -2,8 +2,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cableslopes.exact import (INF, Arc, ExtRational, IntMobius, SlopeSet,
-                               mobius_set_image, parse_arc, parse_slope_set,
-                               rat)
+                               mobius_set_image, parse_slope_set)
 
 R = ExtRational.parse
 
@@ -75,28 +74,25 @@ class TestExtRational:
         with pytest.raises(ValueError):
             R("1.5")
 
-    def test_rat_shorthand(self):
-        assert rat(1, 2) == R("1/2")
-
 
 class TestArc:
     def test_contains_plain(self):
-        arc = parse_arc("[1/2,3)")
+        arc = parse_slope_set("[1/2,3)")
         assert arc.contains(R("1/2"))
         assert arc.contains(ExtRational(2))
         assert not arc.contains(ExtRational(3))
         assert not arc.contains(INF)
 
     def test_contains_unbounded(self):
-        arc = parse_arc("[-inf,7]")
+        arc = parse_slope_set("[-inf,7]")
         assert arc.contains(INF)
         assert arc.contains(ExtRational(-1000))
         assert arc.contains(ExtRational(7))
         assert not arc.contains(ExtRational(8))
 
     def test_wrapping(self):
-        arc = parse_arc("[2,-1]")
-        assert arc.wraps_infinity
+        arc = parse_slope_set("[2,-1]")
+        assert arc.has_infinity
         assert arc.contains(ExtRational(5))
         assert arc.contains(INF)
         assert arc.contains(ExtRational(-3))
@@ -104,7 +100,30 @@ class TestArc:
 
     def test_str_round_trip(self):
         for text in ("[1/2,3)", "(-inf,7]", "[-3/2,-1]", "(0,1)"):
-            assert str(parse_arc(text)) == text
+            assert str(parse_slope_set(text)) == text
+        assert parse_slope_set("[2,-1]") == (
+            SlopeSet.ray_above(2) | SlopeSet.ray_below(-1)).with_infinity()
+        # the line holds infinity only when a bracket closes there
+        assert not parse_slope_set("(-inf,inf)").has_infinity
+        assert parse_slope_set("[-inf,inf)") == SlopeSet.full()
+        for text in ("(1,1)", "[1,1)"):
+            with pytest.raises(ValueError, match="^degenerate open arc$"):
+                parse_slope_set(text)
+
+    def test_interval_result_type(self):
+        arc = Arc(R("-3/2"), ExtRational(-1))
+        assert (arc.low, arc.high) == (R("-3/2"), ExtRational(-1))
+        assert str(arc) == "[-3/2,-1]"
+        assert arc == Arc(R("-3/2"), -1)
+        assert hash(arc) == hash(Arc(R("-3/2"), -1))
+        assert arc != Arc(R("-3/2"), R("-3/2"))
+        with pytest.raises(ValueError, match="^low endpoint above high$"):
+            Arc(ExtRational(1), ExtRational(0))
+        for low, high in ((INF, ExtRational(0)), (ExtRational(0), INF)):
+            with pytest.raises(ValueError, match="^arc ends must be finite$"):
+                Arc(low, high)
+        with pytest.raises(AttributeError):
+            arc.low = ExtRational(0)
 
 
 def _sample_points(lo=-8, hi=8, den=5):

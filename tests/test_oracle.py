@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cableslopes import oracle
 from cableslopes.cable import bezout
-from cableslopes.exact import INF, Arc, ExtRational, SlopeSet
+from cableslopes.exact import Arc, ExtRational, SlopeSet
 from cableslopes.intervals import cable_interval
 from cableslopes.jn import UnsupportedArity, decide, witness_search
 from cableslopes.oracle import (ScanReport, _decide_point, _realisable_range,
@@ -229,44 +229,55 @@ def _rationals(lo=-5, hi=5, max_den=12):
 
 @st.composite
 def arcs(draw):
-    """Closed, open and half-open arcs, points, rays and wrapped arcs."""
+    """Closed, open and half-open arcs, points, rays and wrapped arcs.
+
+    A ray, wrapped arc or line holds infinity when a bracket closes
+    there: the flag at its infinite end, either flag on the line.
+    """
     a, b = sorted(draw(st.lists(_rationals(), min_size=2, max_size=2,
                                 unique=True)))
     lc, hc = draw(st.booleans()), draw(st.booleans())
     kind = draw(st.sampled_from(("arc", "point", "below", "above", "wrapped",
                                  "line")))
     if kind == "arc":
-        return Arc(a, b, lc, hc)
+        return SlopeSet.interval(a, b, lc, hc)
     if kind == "point":
-        return Arc(a, a)
+        return SlopeSet.point(a)
     if kind == "below":
-        return Arc(INF, b, lc, hc)
-    if kind == "above":
-        return Arc(a, INF, lc, hc)
-    if kind == "wrapped":
-        return Arc(b, a, lc, hc, wraps_infinity=True)
-    return Arc(INF, INF, lc, hc)
+        s, inf = SlopeSet.ray_below(b, hc), lc
+    elif kind == "above":
+        s, inf = SlopeSet.ray_above(a, lc), hc
+    elif kind == "wrapped":
+        s, inf = SlopeSet.ray_above(b, lc) | SlopeSet.ray_below(a, hc), True
+    else:
+        s, inf = SlopeSet.reals(), lc or hc
+    return s.with_infinity() if inf else s
 
 
 @st.composite
 def expectations(draw):
-    """An Arc, or a SlopeSet: a union of arcs, its complement, empty or full."""
-    kind = draw(st.sampled_from(("arc", "set", "complement", "empty",
-                                 "full")))
+    """An interval result Arc, or a SlopeSet: one arc, a union of arcs,
+    its complement, empty or full.
+    """
+    kind = draw(st.sampled_from(("interval", "arc", "set", "complement",
+                                 "empty", "full")))
+    if kind == "interval":
+        return Arc(*sorted(draw(st.lists(_rationals(), min_size=2,
+                                         max_size=2))))
     if kind == "arc":
         return draw(arcs())
     if kind == "empty":
         return SlopeSet.empty()
     if kind == "full":
         return SlopeSet.full()
-    s = SlopeSet.empty()
-    for arc in draw(st.lists(arcs(), min_size=2, max_size=4)):
-        s = s | SlopeSet.from_arc(arc)
+    s = SlopeSet.union_all(draw(st.lists(arcs(), min_size=2, max_size=4)))
     return s.complement() if kind == "complement" else s
 
 
 def _reference_scan(params, J, tau, max_denominator, expected):
     """A point-by-point scan: gcd filter, _decide_point and contains."""
+    if isinstance(expected, Arc):
+        expected = SlopeSet.interval(expected.low, expected.high)
     gamma = ExtRational(params.q + params.s, params.q)
     dq = cable_interval(params, J - {2}, tau).quantities
     low = high = None
@@ -302,16 +313,18 @@ class TestScanMembership:
     @example((2, 5), frozenset({1}), ExtRational(-2), 5, SlopeSet.full())
     # J = {2}: tau' is strict, so its zero slot is no constraint
     @example((2, 3), frozenset({2}), R("1/2"), 8,
-             Arc(R("-3/2"), R("-1/2"), False, False))
+             SlopeSet.interval(R("-3/2"), R("-1/2"), False, False))
     @example((3, 2), frozenset({1, 2}), ExtRational(0), 7, SlopeSet.empty())
     # max_denominator = 1: one row of integers, without num = start
     @example((2, 3), frozenset(), R("1/2"), 1,
              Arc(ExtRational(-5), ExtRational(5)))
     # cuts beyond stop: a ray whose low end lies past the scan, and a
     # wrapped arc with both ends outside it
-    @example((2, 3), frozenset(), R("1/2"), 6, Arc(ExtRational(40), INF))
+    @example((2, 3), frozenset(), R("1/2"), 6,
+             SlopeSet.ray_above(40).with_infinity())
     @example((3, 4), frozenset({1}), R("-1/3"), 6,
-             Arc(ExtRational(30), ExtRational(-30), wraps_infinity=True))
+             (SlopeSet.ray_above(30) | SlopeSet.ray_below(-30))
+             .with_infinity())
     # max_denominator 24 and 40 cross many witness brackets
     @example((4, 3), frozenset(), R("5/12"), 24, C43_T.t)
     @example((4, 3), frozenset({2}), R("5/12"), 40, C43_T.t_strict)
