@@ -140,9 +140,12 @@ def cable_detected_set(params, input_set, mode, exactness="auto"):
 
     Returns (slope_set, tag) where tag is "equals" or "contains".  Weak
     mode is always exact.  Strong mode always reports a guaranteed
-    subset.  Regular mode reports "equals" when the caller asserts the
-    exactness hypothesis (exactness="equals"), when the input is not
-    the full circle, or when the result is trivially the full circle.
+    subset.  Regular and weak mode compute the same set and differ only
+    in the tag: regular mode reports "equals" unless the caller passes
+    exactness="contains".  No input calls for "contains" by itself: a
+    full input's inner image is the reals, one unbounded piece whose
+    union is the reals, and with the fiber slope the output is the full
+    circle.
     """
     if not isinstance(mode, DetectionMode):
         raise ValueError("mode must be a DetectionMode")
@@ -164,14 +167,7 @@ def cable_detected_set(params, input_set, mode, exactness="auto"):
             raise ValueError("strong mode only guarantees a subset")
         tag = "contains"
     else:
-        if exactness == "equals":
-            tag = "equals"
-        elif exactness == "contains":
-            tag = "contains"
-        elif not input_set.is_full or result.is_full:
-            tag = "equals"
-        else:
-            tag = "contains"
+        tag = "contains" if exactness == "contains" else "equals"
     return result, tag
 
 

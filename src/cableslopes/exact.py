@@ -486,25 +486,20 @@ class SlopeSet:
         return " ∪ ".join(self.parts()) or "{}"
 
 
-_ARC_RE = re.compile(
-    r"^\s*([\[(])\s*(-?inf|-?\d+(?:\s*/\s*-?\d+)?)\s*,"
-    r"\s*(-?inf|-?\d+(?:\s*/\s*-?\d+)?)\s*([\])])\s*$")
-
-
 def _arc_cuts(text, ivs):
     """Add one arc like ``[1/2,3)`` to the cut list ivs.
 
-    Returns whether the arc holds infinity: a ray holds it when its
-    bracket at the infinite end is closed.  Finite ends with low > high
-    wrap through infinity, [low,inf] joined to [-inf,high].
+    Each end is read by ``ExtRational.parse``, as a point is.  Returns
+    whether the arc holds infinity: a ray holds it when its bracket at
+    the infinite end is closed.  Finite ends with low > high wrap
+    through infinity, [low,inf] joined to [-inf,high].
     """
-    m = _ARC_RE.match(text)
-    if m is None:
+    ends = text[1:-1].split(",")
+    if text[0] not in "[(" or text[-1] not in "])" or len(ends) != 2:
         raise ValueError("cannot parse arc: %r" % (text,))
-    lo = ExtRational.parse(m.group(2).replace(" ", ""))
-    hi = ExtRational.parse(m.group(3).replace(" ", ""))
-    lc = m.group(1) == "["
-    hc = m.group(4) == "]"
+    lo, hi = map(ExtRational.parse, ends)
+    lc = text[0] == "["
+    hc = text[-1] == "]"
     low = None if lo.is_infinite else lo
     high = None if hi.is_infinite else hi
     if low is not None and high is not None:

@@ -15,13 +15,36 @@ end.  A need not be coprime to N: a non-reduced A/N equals some a/n
 with n < N, and 1/n > 1/N still suits every other slot, so a/n is a
 witness too.  The loop is finite and complete with no gap argument.
 
-The scan works on integers too.  The realisable b of one slot key
-form an integer interval, so per denominator each coprime residue is
-decided once, as a ``range`` of b, and the expected set becomes integer
-cuts on the numerator: each affine piece gives an inclusive start and
-an exclusive end, so num/den lies in the set exactly when an odd number
-of cuts is at most num.  The grid is walked row by row, so numerators
-ascend and a pointer moving forward over the cuts counts them.
+The scan works on integers too.  A grid point tau' = num/den, with
+num = fl den + fn and 0 <= fn < den, adds the slot fn/den to the
+fixed slots of gamma and tau and puts b at b0 - fl, b0 being the shift
+left by tau's floor.  The realisable b of one slot key form an integer
+interval, ``_realisable_range``, so per denominator the realised
+numerators form one span [s, e): its members coprime to den are
+exactly the realised grid points (``_spans``).
+
+- k >= 3 slots with tau' and no zero slot: 2 <= b <= k - 2 always,
+  b = 1 when fn has a b = 1 witness, fn <= a, and b = k - 1 when its
+  complement has one, fn >= c, for (a, c) from ``_witness_thresholds``.
+  b = b0 - fl falls as the row fl rises, so the row of b = k - 1 keeps
+  the suffix fn >= c, the rows between keep every residue and the row
+  of b = 1 the prefix fn <= a: s = (b0 - k + 1) den + c and
+  e = (b0 - 1) den + a + 1.  c = den or a = 0 puts an end on a
+  multiple of den, which is no grid point, so needs no case of its own.
+- With zero slots the range ignores the slot values, so every fn != 0
+  shares one range and the span covers its rows whole.
+- With one fixed slot v and no zero slot, the two values in (0, 1)
+  must add up to b, so the one realised point has fn/den = 1 - v, b = 1.
+- For den = 1 the one residue is 0, a zero slot unless tau' is strict.
+
+The expected set becomes integer cuts on the numerator, two per affine
+piece, and num/den lies in it exactly when an odd number of cuts is at
+most num; it is realised exactly when one of s and e is.  So a grid
+point disagrees exactly when an odd number of all these cuts is at
+most num, and sorted they bound the disagreements as [x0, x1),
+[x2, x3), ....  A scan costs O(D) spans and cuts, a few gcds at each
+end of the hull and one per number in a disagreement, while
+``tested_points`` still counts every grid point, rows times phi(den).
 
 The residues of one scan need few witness loops.  A witness only gets
 harder to find as one slot's value rises: a witness for the higher
@@ -105,8 +128,8 @@ def _realisable_range(slots, zeros):
     With zeros: [2 - zeros, k + zeros - 2].  For k < 3: the slot sum if
     it is an integer.  Else [2, k - 2], widened to 1 by a b = 1 witness
     of the slots and to k - 1 by one of their complements.  The grid
-    scan reads it only for tau' = 0, for k < 3 and for keys with zeros;
-    its other keys go through ``_witness_thresholds``.
+    scan reads it only for tau' = 0 and for keys with zeros; its other
+    keys go through ``_witness_thresholds`` or the slot sum.
     """
     k = len(slots)
     if zeros:
@@ -166,33 +189,43 @@ def _witness_thresholds(fixed, strict, max_denominator):
 
 
 @lru_cache(maxsize=1 << 8)
-def _coprime_residues(den):
-    """The fn in [0, den) coprime to den, ascending."""
-    return tuple(fn for fn in range(den) if math.gcd(fn, den) == 1)
+def _coprime_count(max_denominator):
+    """The sum of phi(den) over den <= max_denominator, by a sieve."""
+    phi = list(range(max_denominator + 1))
+    for p in range(2, max_denominator + 1):
+        if phi[p] == p:  # p is prime
+            for m in range(p, max_denominator + 1, p):
+                phi[m] -= phi[m] // p
+    return sum(phi[1:])
 
 
-def _residue_ranges(fixed, zeros, strict, max_denominator):
-    """Per denominator 1, 2, ..., the (fn, range of b) of each residue.
+def _spans(b0, fixed, zeros, strict, max_denominator):
+    """Per denominator 1, 2, ..., the numerator span [s, e) of tau'.
 
-    The residues are those coprime to den, ascending, and each range is
-    ``_realisable_range`` of the scan's key for tau' = fn/den: read from
-    ``_witness_thresholds`` when tau' makes k >= 3 slots and there are
-    no zeros, else from ``_realisable_range`` itself.
+    tau' = num/den with num coprime to den is realisable, with the
+    (num, den, strict) slots ``fixed``, ``zeros`` zero slots and shift
+    b0, exactly when s <= num < e; the module docstring derives each
+    case.  An empty span is (0, 0).
     """
     k = len(fixed) + 1
-    thresholds = (None if zeros or k < 3
-                  else _witness_thresholds(fixed, strict, max_denominator))
-    # ranges[fn <= a][fn >= c]: low 2 or 1, high k - 2 or k - 1
-    ranges = ((range(2, k - 1), range(2, k)), (range(1, k - 1), range(1, k)))
-    for den in range(1, max_denominator + 1):
-        if den == 1 or thresholds is None:
-            yield [(fn, _realisable_range(fixed + ((fn, den, strict),), zeros)
-                    if fn else _realisable_range(fixed, zeros + (not strict)))
-                   for fn in _coprime_residues(den)]
-        else:
-            a, c = thresholds[den - 1]
-            yield [(fn, ranges[fn <= a][fn >= c])
-                   for fn in _coprime_residues(den)]
+    dens = range(2, max_denominator + 1)
+    rng = _realisable_range(fixed, zeros + (not strict))  # tau' = 0
+    out = [(b0 - rng[-1], b0 - rng[0] + 1) if rng else (0, 0)]
+    if zeros:
+        # with zero slots any slot value gives the same range
+        rng = _realisable_range(fixed + ((1, 2, strict),), zeros)
+        return out + [((b0 - rng[-1]) * den, (b0 - rng[0] + 1) * den)
+                      for den in dens]
+    if k < 3:
+        # arity 2: tau' = 1 - v for the one fixed slot v = n/d, reduced
+        (n, d, _), = fixed
+        g = math.gcd(n, d)
+        s = (b0 - 1) * (d // g) + (d - n) // g
+        return out + [(s, s + 1) if den == d // g else (0, 0)
+                      for den in dens]
+    thresholds = _witness_thresholds(fixed, strict, max_denominator)
+    return out + [((b0 - k + 1) * den + c, (b0 - 1) * den + a + 1)
+                  for den, (a, c) in zip(dens, thresholds[1:])]
 
 
 def _reduce(J, b, gammas, taus):
@@ -227,28 +260,20 @@ def _decide_point(J, b, gammas, taus):
     return b in _realisable_range(slots, zeros)
 
 
-def _member_cuts(pieces, den, lo, hi):
+def _member_cuts(pieces, lo, hi):
     """Integer cuts on num for membership of num/den in affine pieces.
 
     Each piece (low, low_closed, high, high_closed) gives the least num
-    inside it and the least num above it; an unbounded end gives the
-    scan limit lo or hi.  Bounded cuts are non-decreasing and every
-    scanned num lies strictly between lo and hi, so the cuts at most
-    num always come first: for ascending nums, a pointer that only
-    moves forward over the cuts counts them.
+    inside it and the least num above it.  For an end n/d that is a
+    ceil or a floor + 1 of n den / d, so each cut is a triple (n, off, d)
+    that sits at (n den + off) // d; an unbounded end gives the scan
+    limit lo or hi, as (lo, 0, 1) or (hi, 0, 1).
     """
     cuts = []
     for l, lc, h, hc in pieces:
-        if l is None:
-            cuts.append(lo)
-        else:
-            q, r = divmod(l.num * den, l.den)
-            cuts.append(q + 1 if r or not lc else q)
-        if h is None:
-            cuts.append(hi)
-        else:
-            q, r = divmod(h.num * den, h.den)
-            cuts.append(q + 1 if r or hc else q)
+        cuts.append((lo, 0, 1) if l is None else (l.num, l.den - lc, l.den))
+        cuts.append((hi, 0, 1) if h is None
+                    else (h.num, h.den - (not hc), h.den))
     return cuts
 
 
@@ -268,52 +293,47 @@ def grid_scan_interval(params, J, tau, max_denominator=24, expected=None):
         expected = SlopeSet.interval(expected.low, expected.high)
     elif not (expected is None or isinstance(expected, SlopeSet)):
         raise TypeError("expected must be an Arc or a SlopeSet")
-    pieces = None if expected is None else expected.affine_pieces()
     # the tuple is (J; 0; gamma; tau, tau'): tau has index 1, tau' 2
     J = _check_J(J, 2)
     gamma = ExtRational(params.q + params.s, params.q)
     b0, fixed, zeros = _reduce(J - {2}, 0, (gamma,), (tau,))
-    strict = 2 in J
     # core window [m0, m1]: m0 = b0 - (tau slots + zeros) and
     # m1 = b0 + zeros - 1; the scan runs over (m0 - 2, m1 + 2)
     lo = b0 - (len(fixed) - 1 + zeros) - 2
     hi = b0 + zeros + 1
+    ends = (None if expected is None
+            else _member_cuts(expected.affine_pieces(), lo, hi))
     low = high = None
-    tested = 0
     mismatches = []
-    for den, residues in enumerate(
-            _residue_ranges(fixed, zeros, strict, max_denominator), 1):
+    for den, (s, e) in enumerate(
+            _spans(b0, fixed, zeros, 2 in J, max_denominator), 1):
+        # shrink the span to its first and last grid point: the ends of
+        # the hull at den
+        while s < e and math.gcd(s, den) != 1:
+            s += 1
+        while s < e and math.gcd(e - 1, den) != 1:
+            e -= 1
+        if s < e:
+            if low is None or s * low[1] < low[0] * den:
+                low = (s, den)
+            if high is None or (e - 1) * high[1] > high[0] * den:
+                high = (e - 1, den)
+        if ends is None:
+            continue
+        # the grid is the num coprime to den in (start, stop)
         start, stop = lo * den, hi * den
-        if pieces is not None:
-            # stop ends the cuts: it lies above every scanned num
-            cuts = _member_cuts(pieces, den, start, stop) + [stop]
-            at = 0
-        first = last = None
-        # num = fl * den + fn ascends over (start, stop); only den = 1
-        # has residue 0, and its row lo would be num = start
-        rows = range(lo + (den == 1), hi)
-        tested += len(rows) * len(residues)
-        for fl in rows:
-            b = b0 - fl
-            base = fl * den
-            for fn, rng in residues:
-                num = base + fn
-                got = b in rng
-                if got:
-                    if first is None:
-                        first = num
-                    last = num
-                if pieces is not None:
-                    while cuts[at] <= num:
-                        at += 1
-                    if got != at & 1:
-                        mismatches.append((ExtRational(num, den), got,
-                                           not got))
-        if first is not None:
-            if low is None or first * low[1] < low[0] * den:
-                low = (first, den)
-            if high is None or last * high[1] > high[0] * den:
-                high = (last, den)
+        cuts = [(n * den + off) // d for n, off, d in ends]
+        cuts += s, e
+        cuts.sort()
+        for x0, x1 in zip(cuts[::2], cuts[1::2]):
+            if x0 == x1:
+                continue
+            for num in range(max(x0, start + 1), min(x1, stop)):
+                if math.gcd(num, den) == 1:
+                    got = s <= num < e
+                    mismatches.append((ExtRational(num, den), got, not got))
+    # every den has (hi - lo) phi(den) grid points, but den = 1 lacks lo
+    tested = (hi - lo) * _coprime_count(max_denominator) - 1
     if low is None:
         return ScanReport(None, None, tested, mismatches)
     return ScanReport(ExtRational(*low), ExtRational(*high), tested,

@@ -243,10 +243,17 @@ class TestPipeline:
         assert tag == "equals"
 
     def test_full_input_gives_full_output(self):
-        out, tag = cable_detected_set(bezout(5, 2), SlopeSet.full(),
-                                      DetectionMode.REGULAR)
-        assert out.is_full
-        assert tag == "equals"
+        # so regular mode never meets a full input whose output is a
+        # proper subset: every coprime (p, q) up to 29, 510 pairs
+        for p, q in itertools.product(range(1, 30), range(2, 30)):
+            if math.gcd(p, q) == 1:
+                out, tag = cable_detected_set(bezout(p, q), SlopeSet.full(),
+                                              DetectionMode.REGULAR)
+                assert out.is_full
+                assert tag == "equals"
+        _, tag = cable_detected_set(bezout(5, 2), SlopeSet.full(),
+                                    DetectionMode.REGULAR, exactness="contains")
+        assert tag == "contains"
 
     def test_weak_is_exact_tag(self):
         out, tag = cable_detected_set(bezout(2, 3),

@@ -136,6 +136,17 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: degenerate open arc"
 
+    def test_signed_infinite_arc_end(self, capsys):
+        # arc ends are read as points are, so +inf is an end too
+        def cable(text):
+            return run(capsys, "cable", "--p", "3", "--q", "2", "--input",
+                       text)
+
+        assert cable("{+inf}")[0] == 0
+        assert cable("[0,+inf]") == cable("[0,inf]")
+        assert cable("(-inf,0]") == cable("(+inf,0]")
+        assert cable("[0,+inf]")[0] == 0
+
     def test_j_names_no_tau(self, capsys):
         code, out, err = run(capsys, "interval", "--gamma", "1/2",
                              "--tau", "1/3", "--J", "3")

@@ -110,6 +110,25 @@ class TestArc:
             with pytest.raises(ValueError, match="^degenerate open arc$"):
                 parse_slope_set(text)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.sampled_from(("inf", "+inf", "-inf", " 2 / -4 ", "+3", "0/0")),
+        st.text("0123456789/+-inf _", min_size=1, max_size=8)))
+    def test_point_and_degenerate_arc_agree(self, x):
+        # both read x with ExtRational.parse; only an infinite x differs,
+        # since an arc's infinite ends are -inf and +inf by position, so
+        # [inf,inf] is the closed line [-inf,inf]
+        def parse(text):
+            try:
+                return parse_slope_set(text)
+            except (ValueError, ZeroDivisionError):
+                return None
+
+        point, arc = parse("{%s}" % x), parse("[%s,%s]" % (x, x))
+        assert (point is None) == (arc is None)
+        if point is not None:
+            assert arc == (SlopeSet.full() if R(x).is_infinite else point)
+
     def test_interval_result_type(self):
         arc = Arc(R("-3/2"), ExtRational(-1))
         assert (arc.low, arc.high) == (R("-3/2"), ExtRational(-1))

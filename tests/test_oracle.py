@@ -13,7 +13,7 @@ from cableslopes.exact import Arc, ExtRational, SlopeSet
 from cableslopes.intervals import cable_interval
 from cableslopes.jn import UnsupportedArity, decide, witness_search
 from cableslopes.oracle import (ScanReport, _decide_point, _realisable_range,
-                                _residue_ranges, _witness_thresholds,
+                                _spans, _witness_thresholds,
                                 exhaustive_witness_check, grid_scan_interval)
 from loop_reference import realisable
 
@@ -100,9 +100,13 @@ class TestRealisableRange:
 
 @st.composite
 def scan_keys(draw):
-    """(fixed, zeros, strict, max_denominator) of one scan's residues."""
+    """(fixed, zeros, strict, max_denominator) of one scan's spans.
+
+    One fixed slot and no zero slot is the arity-2 key of an integral
+    tau in J.
+    """
     fixed = []
-    for _ in range(draw(st.integers(2, 3))):
+    for _ in range(draw(st.integers(1, 3))):
         d = draw(st.integers(2, 15))
         fixed.append((draw(st.integers(1, d - 1)), d, draw(st.booleans())))
     return (tuple(fixed), draw(st.integers(0, 1)), draw(st.booleans()),
@@ -115,38 +119,37 @@ ALL_YES = (((1, 15, False),) * 3, 0, False, 15)
 ALL_NO = (((1, 2, True), (1, 2, True)), 0, False, 30)
 
 
-class TestResidueRanges:
+class TestSpans:
     @settings(max_examples=200, deadline=None)
-    @given(scan_keys())
-    @example(ALL_YES)
-    @example(ALL_NO)
-    def test_matches_realisable_range(self, key):
-        # the thresholds stand in for _realisable_range on every
-        # residue, so each range must be the one it returns
+    @given(scan_keys(), st.integers(-3, 3))
+    @example(ALL_YES, 0)
+    @example(ALL_NO, 1)
+    def test_coprime_members_are_realisable(self, key, b0):
+        # the scan reads every grid point off its denominator's span, so
+        # the span's coprime members must be exactly the nums whose own
+        # key's range holds b = b0 - fl
         fixed, zeros, strict, max_denominator = key
-        rows = list(_residue_ranges(fixed, zeros, strict, max_denominator))
-        assert len(rows) == max_denominator
-        for den, residues in enumerate(rows, 1):
-            assert [fn for fn, _ in residues] == [
-                fn for fn in range(den) if math.gcd(fn, den) == 1]
-            for fn, rng in residues:
-                want = (_realisable_range(fixed + ((fn, den, strict),), zeros)
-                        if fn else
-                        _realisable_range(fixed, zeros + (not strict)))
-                assert rng == want
-
-    def test_pinned_entries_are_extreme(self):
-        fixed, _, strict, max_denominator = ALL_YES
-        assert all(a == den - 1 for den, (a, _) in enumerate(
-            _witness_thresholds(fixed, strict, max_denominator), 1))
-        fixed, _, strict, max_denominator = ALL_NO
-        assert _witness_thresholds(fixed, strict, max_denominator) == tuple(
-            (0, den) for den in range(1, max_denominator + 1))
+        spans = _spans(b0, fixed, zeros, strict, max_denominator)
+        assert len(spans) == max_denominator
+        # every key's b lie in [1 - zeros, len(fixed) + zeros], so
+        # these rows hold every realisable num, with room to spare
+        rows = range(b0 - len(fixed) - zeros - 3, b0 + zeros + 4)
+        for den, (s, e) in enumerate(spans, 1):
+            want = set()
+            for fn in range(den):
+                if math.gcd(fn, den) != 1:
+                    continue
+                rng = (_realisable_range(fixed + ((fn, den, strict),), zeros)
+                       if fn else
+                       _realisable_range(fixed, zeros + (not strict)))
+                want |= {fl * den + fn for fl in rows if b0 - fl in rng}
+            assert {num for num in range(s, e)
+                    if math.gcd(num, den) == 1} == want
 
 
 class TestWitnessThresholds:
     @settings(max_examples=100, deadline=None)
-    @given(scan_keys())
+    @given(scan_keys().filter(lambda key: len(key[0]) >= 2))
     def test_two_witness_loops_per_denominator(self, key):
         fixed, _, strict, max_denominator = key
         calls = []
@@ -162,8 +165,16 @@ class TestWitnessThresholds:
         assert len(entry) == max_denominator
         assert len(calls) <= 2 * (max_denominator - 1)
 
+    def test_pinned_entries_are_extreme(self):
+        fixed, _, strict, max_denominator = ALL_YES
+        assert all(a == den - 1 for den, (a, _) in enumerate(
+            _witness_thresholds(fixed, strict, max_denominator), 1))
+        fixed, _, strict, max_denominator = ALL_NO
+        assert _witness_thresholds(fixed, strict, max_denominator) == tuple(
+            (0, den) for den in range(1, max_denominator + 1))
+
     def test_caches_are_bounded(self):
-        for fn in (_witness_thresholds, oracle._coprime_residues,
+        for fn in (_witness_thresholds, oracle._coprime_count,
                    _realisable_range):
             assert fn.cache_parameters()["maxsize"] is not None
 
@@ -205,6 +216,23 @@ class TestGridScan:
                 report = grid_scan_interval(C23, J, tau, 24, expected=res.t)
                 assert report.mismatches == []
                 assert report.tested_points > 0
+
+    def test_large_denominator_matches_interval(self):
+        # D = 400: a fractional tau, a zero slot and a negative tau
+        params = bezout(4, 3)
+        phi = [sum(math.gcd(fn, den) == 1 for fn in range(den))
+               for den in range(1, 401)]
+        for tau in (R("5/12"), ExtRational(1), R("-7/6")):
+            res = cable_interval(params, frozenset(), tau)
+            report = grid_scan_interval(params, frozenset(), tau, 400,
+                                        expected=res.t)
+            assert report.mismatches == []
+            assert (report.hull_low, report.hull_high) == (res.t.low,
+                                                           res.t.high)
+            # the open window (m0 - 2, m1 + 2) holds rows * phi(den)
+            # grid points, and one fewer integer
+            rows = res.quantities.m1 - res.quantities.m0 + 4
+            assert report.tested_points == rows * sum(phi) - 1
 
     def test_mismatch_detection(self):
         from cableslopes.exact import Arc
@@ -325,6 +353,16 @@ class TestScanMembership:
     @example((3, 4), frozenset({1}), R("-1/3"), 6,
              (SlopeSet.ray_above(30) | SlopeSet.ray_below(-30))
              .with_infinity())
+    # J = {1}: every den > 1 has a = 0 and c = den, a span holding one
+    # multiple of den and no grid point
+    @example((3, 2), frozenset({1}), R("1/2"), 8, SlopeSet.point(-1))
+    # zeros: the ends -2 and -1 of t sit on multiples of den, next to
+    # each span's ends
+    @example((3, 2), frozenset(), ExtRational(1), 12,
+             Arc(ExtRational(-2), ExtRational(-1)))
+    # an integral tau in J: arity 2, the one point -7/4 at den = 4
+    @example((3, 4), frozenset({1}), ExtRational(1), 12,
+             SlopeSet.point(R("-7/4")))
     # max_denominator 24 and 40 cross many witness brackets
     @example((4, 3), frozenset(), R("5/12"), 24, C43_T.t)
     @example((4, 3), frozenset({2}), R("5/12"), 40, C43_T.t_strict)
