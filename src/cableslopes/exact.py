@@ -324,8 +324,9 @@ class SlopeSet:
     @classmethod
     def interval(cls, low, high, low_closed=True, high_closed=True):
         """The affine interval between two finite rationals."""
-        low, high = _as_rat(low), _as_rat(high)
-        return cls([(_low_cut(low, low_closed), _high_cut(high, high_closed))])
+        lo = _low_cut(_as_rat(low), low_closed)
+        hi = _high_cut(_as_rat(high), high_closed)
+        return cls._canonical([(lo, hi)] if lo < hi else [], False)
 
     @classmethod
     def ray_below(cls, high, closed=True):

@@ -11,18 +11,18 @@ receive in a witness pair (A, N).  That optimization is
 ``jn`` (see there for the Stern-Brocot walk that finds it without a
 scan over N) and is imported here.
 
-Up to that call the assembly is integer work on (num, den, strict)
-slots: a tau's fractional part is num mod den, the gate compares an
-integer sum with m0 times its denominator, the left window complements
-each slot to (den - num, den), and each endpoint m0 - w or m1 + w is
-built once from the integers of m and w.
+Everything else is integer work on the (num, den, strict) slots of
+``seifert._reduce_weights``, which validates the input once: the gate
+compares the sum of two slots with 1, the left window complements each
+slot to (den - num, den), and each end m0 - w or m1 + w is built once.
+``endpoint_search`` reads its end off the same interval.
 """
 
 from dataclasses import dataclass
 
 from .exact import Arc, ExtRational, SlopeSet, _as_rat
 from .jn import extremal_slot_value
-from .seifert import DerivedQuantities, derived_quantities
+from .seifert import DerivedQuantities, _reduce_weights
 
 
 class InsufficientData(ValueError):
@@ -40,128 +40,93 @@ class RelativeIntervalResult:
     quantities: DerivedQuantities
 
 
-def _fixed_slots(gammas, taus, J):
-    """Surviving (num, den, strict) constraints with integral taus dropped.
-
-    Valid in the s0=0 regime, where every integral tau has its index
-    in J and is forced to the identity.  A tau's fractional part is
-    (num mod den)/den, already reduced.
-    """
-    fixed = [(g.num, g.den, True) for g in gammas]
-    for idx, t in enumerate(taus, start=1):
-        if t.den != 1:
-            fixed.append((t.num % t.den, t.den, idx in J))
-    return fixed
-
-
-def _gates(gammas, taus, J, dq):
+def _gates(fixed):
     """The arithmetic gates: (left opens, right opens, degenerate).
 
-    When n + r1 = 2, total = -(sum of all weights) against m0 decides
-    each window: the left one opens when total < m0, the right one when
-    total > m0.  At total = m0 the tuple is degenerate (t_strict is the
-    point m0) when a gamma or a strict non-integral tau is present, and
-    otherwise, the bullet case, both windows open.  For other n + r1
-    the extremal search gates itself: (None, None, False).
+    When n + r1 = 2 and s0 = 0, m0 = b0 - 1 and the weights sum to
+    v1 + v2 - b0, v1 and v2 the two slot values, so minus the weight
+    sum against m0 is 1 against v1 + v2: the left window opens when
+    v1 + v2 > 1 and the right one when v1 + v2 < 1.  At v1 + v2 = 1
+    the tuple is degenerate (t_strict is the point m0) when a slot is
+    strict, and otherwise, the bullet case, both windows open.  For
+    other n + r1 the extremal search gates itself.
     """
-    if dq.n + dq.r1 != 2:
+    if len(fixed) != 2:
         return None, None, False
-    # total = -num/den, compared with m0 over the same denominator
-    num, den = 0, 1
-    for w in gammas + taus:
-        num, den = num * w.den + w.num * den, den * w.den
-    total, m0 = -num, dq.m0 * den
-    if total != m0:
-        return total < m0, total > m0, False
-    degenerate = dq.n != 0 or any(idx in J and t.den != 1
-                                  for idx, t in enumerate(taus, start=1))
+    (n1, d1, s1), (n2, d2, s2) = fixed
+    excess = n1 * d2 + n2 * d1 - d1 * d2
+    if excess:
+        return excess > 0, excess < 0, False
+    degenerate = s1 or s2
     return not degenerate, not degenerate, degenerate
 
 
-def _window(side, fixed, opens, m):
-    """Far end of a window: m - w with m = m0 on the left, m + w with
-    m = m1 on the right, or None when the window is shut.
+def _window(fixed, opens, m, sign):
+    """Far end of a window: m0 - w on the left (sign -1), m1 + w on the
+    right (sign 1), or m itself when the window is shut.
 
-    ``fixed`` holds the (num, den, strict) slots of ``_fixed_slots``;
-    the left window takes their complements 1 - v.  The width w is the
-    extremal slot value.  ``opens`` is the side's gate from ``_gates``:
-    False keeps the window shut, True requires the extremal search to
-    find a value, and None lets the search decide.
+    The width w is the extremal slot value, over the complements 1 - v
+    on the left.  ``opens`` is the side's gate: False keeps the window
+    shut, True requires the search to find a value, None lets it decide.
     """
-    if opens is False:
-        return None
-    sign = 1
-    if side == "left":
-        fixed = [(d - n, d, st) for n, d, st in fixed]
-        sign = -1
-    width = extremal_slot_value([(ExtRational(n, d), st)
-                                 for n, d, st in fixed])
-    if width is None:
+    if opens is not False:
+        if sign < 0:
+            fixed = [(d - n, d, st) for n, d, st in fixed]
+        width = extremal_slot_value(fixed)
+        if width is not None:
+            return ExtRational(m * width.den + sign * width.num, width.den)
         if opens:
-            raise AssertionError(
-                "open %s gate but empty witness search" % side)
-        return None
-    return ExtRational(m * width.den + sign * width.num, width.den)
+            raise AssertionError("open %s gate but empty witness search"
+                                 % ("left" if sign < 0 else "right"))
+    return ExtRational(m)
 
 
-def endpoint_search(side, gammas, taus, J):
-    """Extremal rational endpoint in the open window on the given side.
-
-    side="left" returns the minimal realisable tau' below m0;
-    side="right" the maximal realisable tau' above m1.
-    """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    gammas = tuple(_as_rat(g) for g in gammas)
-    taus = tuple(_as_rat(t) for t in taus)
-    J = frozenset(J)
-    dq = derived_quantities(gammas, taus, J)
-    if dq.s0 != 0:
-        raise WindowClosed("window closed: integral slots pin t to [m0,m1]")
-    left_opens, right_opens, _ = _gates(gammas, taus, J, dq)
-    fixed = _fixed_slots(gammas, taus, J)
-    if side == "left":
-        end = _window(side, fixed, left_opens, dq.m0)
-        if end is None:
-            raise WindowClosed("window closed below m0")
-        return end
-    end = _window(side, fixed, right_opens, dq.m1)
-    if end is None:
-        raise WindowClosed("window closed above m1")
-    return end
-
-
-def relative_interval(gammas, taus, J):
-    """The closed interval t and strict set t_strict for (gamma; tau_*; J)."""
-    gammas = tuple(_as_rat(g) for g in gammas)
-    taus = tuple(_as_rat(t) for t in taus)
-    J = frozenset(J)
-    dq = derived_quantities(gammas, taus, J)
-    if dq.n + dq.r1 + dq.s0 < 2:
-        raise InsufficientData(
-            "insufficient data: n + r1 + s0 = %d < 2"
-            % (dq.n + dq.r1 + dq.s0))
-    m0 = ExtRational(dq.m0)
-    m1 = ExtRational(dq.m1)
+def _interval(dq, fixed):
+    """relative_interval's result for a reduced tuple (dq, fixed)."""
+    size = dq.n + dq.r1 + dq.s0
+    if size < 2:
+        raise InsufficientData("insufficient data: n + r1 + s0 = %d < 2"
+                               % size)
     if dq.s0 > 0:
+        m0, m1 = ExtRational(dq.m0), ExtRational(dq.m1)
         return RelativeIntervalResult(
             Arc(m0, m1), SlopeSet.interval(m0, m1, False, False), dq)
 
-    left_opens, right_opens, degenerate = _gates(gammas, taus, J, dq)
-    fixed = _fixed_slots(gammas, taus, J)
-    lo = _window("left", fixed, left_opens, dq.m0)
-    hi = _window("right", fixed, right_opens, dq.m1)
-    lo = m0 if lo is None else lo
-    hi = m1 if hi is None else hi
-    t = Arc(lo, hi)
-
+    left_opens, right_opens, degenerate = _gates(fixed)
+    lo = _window(fixed, left_opens, dq.m0, -1)
+    hi = _window(fixed, right_opens, dq.m1, 1)
     if degenerate:
-        t_strict = SlopeSet.point(m0)
+        t_strict = SlopeSet.point(lo)  # both windows shut: lo = m0
     elif lo == hi:
         t_strict = SlopeSet.empty()
     else:
         t_strict = SlopeSet.interval(lo, hi, False, False)
-    return RelativeIntervalResult(t, t_strict, dq)
+    return RelativeIntervalResult(Arc(lo, hi), t_strict, dq)
+
+
+def endpoint_search(side, gammas, taus, J):
+    """Extremal rational endpoint in the open window on the given side:
+    the least realisable tau', t's low end, when side="left" and it lies
+    below m0, the largest, t's high end, when side="right" and it lies
+    above m1."""
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    dq, fixed = _reduce_weights(gammas, taus, J)
+    if dq.s0 != 0:
+        raise WindowClosed("window closed: integral slots pin t to [m0,m1]")
+    t = _interval(dq, fixed).t
+    if side == "left":
+        if t.low < dq.m0:
+            return t.low
+        raise WindowClosed("window closed below m0")
+    if t.high > dq.m1:
+        return t.high
+    raise WindowClosed("window closed above m1")
+
+
+def relative_interval(gammas, taus, J):
+    """The closed interval t and strict set t_strict for (gamma; tau_*; J)."""
+    return _interval(*_reduce_weights(gammas, taus, J))
 
 
 def cable_interval(params, J, tau):
@@ -174,13 +139,14 @@ def cable_interval(params, J, tau):
     J = frozenset(J)
     if not J <= {1}:
         raise ValueError("J must be a subset of {1}")
-    gamma = params.gamma
+    dq, fixed = _reduce_weights((params.gamma,), (tau,), J)
     if 1 in J and tau.den == 1:
-        value = -tau - gamma
-        dq = derived_quantities((gamma,), (tau,), J)
+        # gamma is the one slot left: the point -tau - gamma
+        (gn, gd, _), = fixed
+        value = ExtRational(-tau.num * gd - gn, gd)
         return RelativeIntervalResult(
             Arc(value, value), SlopeSet.point(value), dq)
-    return relative_interval((gamma,), (tau,), J)
+    return _interval(dq, fixed)
 
 
 def special_slope_interval(params, b, strict=False):

@@ -22,6 +22,11 @@ Mathematics, 4.5 and 6.7) in O(log D) integer steps.  The largest
 value a free slot can take is a one-sided best approximation found by
 the same walk.  No bound on N is needed.
 
+Each unordered pair is walked once: x -> 1 - x maps the window of
+(i, j) onto that of (j, i), open ends to open ends, so both have the
+same least denominator N, at A and N - A, and the same slots outside.
+Slots come as (value, strict) or as integers (num, den, strict).
+
 The witness search is deterministic: least N, then least A, then the
 lexicographically first slot pair, so reported witnesses are minimal
 and stable.
@@ -31,7 +36,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact import ExtRational
+from .exact import ExtRational, _as_rat
 from .seifert import SeifertTuple, reduce_integral
 
 
@@ -64,28 +69,33 @@ class JNResult:
 
 def _slot_ints(values, least):
     out = []
-    for value, strict in values:
-        if not isinstance(value, ExtRational):
-            value = ExtRational(value)
-        if not 0 < value.num < value.den:
-            raise ValueError("slot value must lie in (0,1): %s" % value)
-        out.append((value.num, value.den, bool(strict)))
+    for slot in values:
+        if len(slot) == 2:
+            value = _as_rat(slot[0])
+            slot = value.num, value.den, slot[1]
+        num, den, strict = slot
+        if not 0 < num < den:
+            raise ValueError("slot value must lie in (0,1): %s"
+                             % ExtRational(num, den))
+        out.append((num, den, bool(strict)))
     if len(out) < least:
         raise ValueError("need at least %d slots" % least)
     return out
 
 
-def _cap(num, den, strict):
-    # largest N with num/den < 1/N (strict) or <= 1/N (non-strict)
-    if strict:
-        return (den - 1) // num
-    return den // num
+def _least_caps(slots):
+    """Each slot's cap, the largest N with num/den < 1/N (<= when not
+    strict), and the indices of the three least caps."""
+    caps = [(den - strict) // num for num, den, strict in slots]
+    return caps, sorted(range(len(caps)), key=caps.__getitem__)[:3]
 
 
-def _rest_cap(caps, i, j):
+def _cap_outside(caps, least, i, j):
     # the least cap among the slots other than i and j, or None
-    rest = [c for m, c in enumerate(caps) if m != i and m != j]
-    return min(rest) if rest else None
+    for m in least:
+        if m != i and m != j:
+            return caps[m]
+    return None
 
 
 def _walk(low, high, cap):
@@ -120,22 +130,22 @@ def _walk(low, high, cap):
     return False, a, b
 
 
-def _pair_witness(slots, caps, i, j):
+def _pair_witness(slot_i, slot_j, cap):
     """The least (N, A) of a witness with special pair (i, j), or None.
 
     Slot i takes A/N, slot j takes (N-A)/N and every other slot 1/N.
     The A/N that suit the pair are the fractions in the window
     [v_i, 1 - v_j], open at a strict end, and the other slots accept
-    1/N exactly for N up to their least cap.  The least-denominator
-    fraction of a window is unique and reduced, so it is the witness.
+    1/N exactly for N up to ``cap``, their least cap (None: no other
+    slot).  The least-denominator fraction of a window is unique and
+    reduced, so it is the witness.
     """
-    ni, di, si = slots[i]
-    nj, dj, sj = slots[j]
+    ni, di, si = slot_i
+    nj, dj, sj = slot_j
     gap = (dj - nj) * di - ni * dj
     if gap < 0 or gap == 0 and (si or sj):
         return None
-    hit, A, N = _walk((ni, di, si), (dj - nj, dj, sj),
-                      _rest_cap(caps, i, j))
+    hit, A, N = _walk((ni, di, si), (dj - nj, dj, sj), cap)
     return (N, A) if hit else None
 
 
@@ -143,15 +153,18 @@ def witness_search(values):
     """Find the minimal witness for a b=1 query, or None.
 
     Takes the least N over every ordered slot pair, then the least A,
-    then the first pair.
+    then the first pair.  Pair (j, i) is the mirror of pair (i, j):
+    (N, N - A) where (i, j) has (N, A).
     """
     slots = _slot_ints(values, 3)
-    caps = [_cap(*slot) for slot in slots]
+    caps, least = _least_caps(slots)
     found = []
-    for i, j in itertools.permutations(range(len(slots)), 2):
-        fit = _pair_witness(slots, caps, i, j)
+    for i, j in itertools.combinations(range(len(slots)), 2):
+        fit = _pair_witness(slots[i], slots[j],
+                            _cap_outside(caps, least, i, j))
         if fit is not None:
-            found.append(fit + (i, j))
+            N, A = fit
+            found += (N, A, i, j), (N, N - A, j, i)
     if not found:
         return None
     N, A, i, j = min(found)
@@ -169,20 +182,22 @@ def extremal_slot_value(fixed):
     with one fixed slot j, and takes the largest x/n <= 1 - v_j (< when
     j is strict) whose n fits under the caps of the other fixed slots,
     or two fixed slots are special and it takes 1/N at the least N of
-    any pair.  Returns None when no witness exists at all.
+    any pair, which a pair and its mirror share.  Returns None when no
+    witness exists at all.
     """
     slots = _slot_ints(fixed, 2)
-    caps = [_cap(*slot) for slot in slots]
+    caps, least = _least_caps(slots)
     best_num, best_den = 0, 1
     for j, (nj, dj, sj) in enumerate(slots):
         # the one-point window {1 - v_j}, empty when j is strict: the
         # walk returns that point or the largest fraction below it
         _, x, n = _walk((dj - nj, dj, False), (dj - nj, dj, sj),
-                        _rest_cap(caps, j, j))
+                        _cap_outside(caps, least, j, j))
         if x * best_den > best_num * n:
             best_num, best_den = x, n
-    for i, j in itertools.permutations(range(len(slots)), 2):
-        fit = _pair_witness(slots, caps, i, j)
+    for i, j in itertools.combinations(range(len(slots)), 2):
+        fit = _pair_witness(slots[i], slots[j],
+                            _cap_outside(caps, least, i, j))
         if fit is not None and fit[0] * best_num < best_den:
             best_num, best_den = 1, fit[0]
     return ExtRational(best_num, best_den) if best_num else None
@@ -203,11 +218,9 @@ def _decide(b, slot_key, zeros):
     if 2 <= b <= k - 2:
         return JNResult(True, None, "interior-window")
     if b == k - 1:
-        flipped = tuple((ExtRational(d - n, d), st) for n, d, st in slot_key)
-        w = witness_search(flipped)
+        w = witness_search([(d - n, d, st) for n, d, st in slot_key])
         return JNResult(w is not None, w, "complement-then-witness")
-    values = tuple((ExtRational(n, d), st) for n, d, st in slot_key)
-    w = witness_search(values)
+    w = witness_search(slot_key)
     return JNResult(w is not None, w, "witness-search")
 
 

@@ -6,7 +6,9 @@ and a set J of tau indices (1-based) marked as strict.  Realisability
 of such a tuple is decided in the jn module; this module provides the
 bookkeeping that every caller needs first: shifting the tau weights
 into [0, 1), discarding forced integral slots, and the derived slot
-counts used by the interval formulas.
+counts used by the interval formulas.  The interval path gets these
+from one validation, ``_reduce_weights``, with the surviving slots as
+integers (num, den, strict).
 """
 
 from dataclasses import dataclass
@@ -16,7 +18,7 @@ from .exact import _as_rat
 
 def _check_gamma(g):
     g = _as_rat(g)
-    if g.is_infinite or not (0 < g < 1):
+    if not 0 < g.num < g.den:
         raise ValueError("gamma weight must lie strictly between 0 and 1: %s" % g)
     return g
 
@@ -123,15 +125,33 @@ class DerivedQuantities:
     m1: int
 
 
-def derived_quantities(gammas, taus, J):
-    gammas = tuple(_check_gamma(g) for g in gammas)
-    taus = tuple(_as_rat(t) for t in taus)
+def _reduce_weights(gammas, taus, J):
+    """Validate (gamma; tau; J) once and reduce it to integers.
+
+    Returns the DerivedQuantities and the fixed slots: each gamma as
+    (num, den, True) and each non-integral tau's fractional part as
+    (num mod den, den, index in J), all reduced.  Raises ValueError for
+    a gamma outside (0, 1), a J index that names no tau and an infinite
+    tau, checked in that order.
+    """
+    fixed = [(g.num, g.den, True) for g in map(_check_gamma, gammas)]
+    n = len(fixed)
+    taus = [_as_rat(t) for t in taus]
     J = _check_indices(J, taus)
-    n = len(gammas)
-    r1 = sum(1 for t in taus if t.frac().num != 0)
-    s0 = sum(1 for idx, t in enumerate(taus, start=1)
-             if t.frac().num == 0 and idx not in J)
-    b0 = -sum(t.floor() for t in taus)
-    m0 = b0 - (n + r1 + s0 - 1)
-    m1 = b0 + s0 - 1
-    return DerivedQuantities(n, r1, s0, b0, m0, m1)
+    b0 = s0 = 0
+    for idx, t in enumerate(taus, start=1):
+        if not t.den:
+            raise ValueError("fractional part of infinity")
+        fl, fn = divmod(t.num, t.den)
+        b0 -= fl
+        if fn:
+            fixed.append((fn, t.den, idx in J))
+        elif idx not in J:
+            s0 += 1
+    r1 = len(fixed) - n
+    dq = DerivedQuantities(n, r1, s0, b0, b0 - (n + r1 + s0 - 1), b0 + s0 - 1)
+    return dq, fixed
+
+
+def derived_quantities(gammas, taus, J):
+    return _reduce_weights(gammas, taus, J)[0]

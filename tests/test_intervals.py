@@ -1,4 +1,7 @@
+import types
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cableslopes import intervals
 from cableslopes.cable import bezout, ray_union
@@ -8,6 +11,7 @@ from cableslopes.intervals import (InsufficientData, WindowClosed,
                                    extremal_slot_value, relative_interval,
                                    special_slope_interval)
 from cableslopes.oracle import _decide_point
+from cableslopes.seifert import derived_quantities
 
 R = ExtRational.parse
 C23 = bezout(2, 3)  # gamma = 2/3
@@ -27,6 +31,37 @@ class TestExtremalSlotValue:
     def test_needs_two_slots(self):
         with pytest.raises(ValueError):
             extremal_slot_value([(R("1/2"), True)])
+
+
+_unit_weights = st.integers(2, 9).flatmap(
+    lambda d: st.builds(ExtRational, st.integers(1, d - 1), st.just(d)))
+_tau_weights = st.one_of(
+    st.builds(ExtRational, st.integers(-2, 2)),
+    st.integers(1, 9).flatmap(
+        lambda d: st.builds(ExtRational, st.integers(-2 * d, 2 * d),
+                            st.just(d))))
+
+
+def _assert_matches_decide_scan(gammas, taus, J):
+    """t and t_strict of (gammas; taus; J) agree with the oracle's
+    point decisions for tau' on the grid of denominators <= 8 around
+    [m0 - 2, m1 + 2], and at the two ends of t."""
+    dq = derived_quantities(gammas, taus, J)
+    if dq.n + dq.r1 + dq.s0 < 2:
+        with pytest.raises(InsufficientData):
+            relative_interval(gammas, taus, J)
+        return
+    res = relative_interval(gammas, taus, J)
+    points = {res.t.low, res.t.high}
+    for den in range(1, 9):
+        for num in range((dq.m0 - 2) * den, (dq.m1 + 2) * den + 1):
+            points.add(ExtRational(num, den))
+    strict = J | {len(taus) + 1}
+    for x in points:
+        assert (_decide_point(J, 0, gammas, taus + (x,))
+                == (res.t.low <= x <= res.t.high))
+        assert (_decide_point(strict, 0, gammas, taus + (x,))
+                == res.t_strict.contains(x))
 
 
 class TestRelativeInterval:
@@ -66,18 +101,38 @@ class TestRelativeInterval:
         ((R("1/3"), R("1/2")), frozenset()),
     ])
     def test_no_gamma_matches_decide_scan(self, taus, J):
-        # n = 0: two tau slots and the free slot, checked point by point
-        res = relative_interval((), taus, J)
-        m0, m1 = res.quantities.m0, res.quantities.m1
-        points = {res.t.low, res.t.high}
-        for den in range(1, 9):
-            for num in range((m0 - 2) * den, (m1 + 2) * den + 1):
-                points.add(ExtRational(num, den))
-        for x in points:
-            assert (_decide_point(J, 0, (), taus + (x,))
-                    == (res.t.low <= x <= res.t.high))
-            assert (_decide_point(J | {3}, 0, (), taus + (x,))
-                    == res.t_strict.contains(x))
+        _assert_matches_decide_scan((), taus, J)
+
+    @pytest.mark.parametrize("gammas, taus, J", [
+        # n + r1 = 2 with slot sum 1, so minus the weight sum is m0;
+        # bullet: two non-strict tau slots, with or without an integral
+        # tau in J
+        ((), (R("1/3"), R("2/3")), ()),
+        ((), (R("7/4"), R("-3/4")), ()),
+        ((), (R("2/9"), R("-2/9"), ExtRational(2)), (3,)),
+        # degenerate: a gamma, or a tau slot in J
+        ((R("1/2"),), (R("1/2"),), ()),
+        ((R("2/5"),), (R("-7/5"),), (1,)),
+        ((R("4/7"),), (R("3/7"), ExtRational(-1)), (2,)),
+        ((), (R("5/8"), R("11/8")), (1,)),
+        ((), (R("1/6"), R("-1/6"), ExtRational(1)), (2, 3)),
+        ((R("1/3"), R("2/3")), (ExtRational(0),), (1,)),
+    ])
+    def test_gate_cases_match_decide_scan(self, gammas, taus, J):
+        res = relative_interval(gammas, taus, frozenset(J))
+        q = res.quantities
+        assert (q.n + q.r1, q.s0) == (2, 0)
+        _assert_matches_decide_scan(gammas, taus, frozenset(J))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_every_shape_matches_decide_scan(self, data):
+        # n = 0-2 gammas and 1-3 taus with denominators <= 9, which
+        # keeps the oracle's witness loops (N up to a slot cap) short
+        gammas = data.draw(st.lists(_unit_weights, max_size=2))
+        taus = data.draw(st.lists(_tau_weights, min_size=1, max_size=3))
+        J = data.draw(st.sets(st.integers(1, len(taus))))
+        _assert_matches_decide_scan(tuple(gammas), tuple(taus), frozenset(J))
 
     def test_one_search_per_side(self, monkeypatch):
         # n + r1 = 3: no arithmetic gate, the search itself gates
@@ -112,6 +167,63 @@ class TestEndpointSearch:
         with pytest.raises(WindowClosed):
             endpoint_search("left", (R("2/3"),), (ExtRational(1),),
                             frozenset())
+
+
+def _gamma_error(g):
+    return ValueError, "gamma weight must lie strictly between 0 and 1: " + g
+
+
+_INF_TAU = (ValueError, "fractional part of infinity")
+_J = (ValueError, "J must contain 1-based tau indices")
+_J_CABLE = (ValueError, "J must be a subset of {1}")
+_SHORT = (InsufficientData, "insufficient data: n + r1 + s0 = 1 < 2")
+_PINNED = (WindowClosed, "window closed: integral slots pin t to [m0,m1]")
+
+# gammas, taus, J, then the (type, text) raised by relative_interval,
+# by endpoint_search on either side, by derived_quantities (None: it
+# returns) and by cable_interval with that gamma and tau (None: not a
+# cable tuple)
+VALIDATION_TABLE = {
+    **{"gamma " + g: ((g,), ("1/2",), ()) + (_gamma_error(g),) * 4
+       for g in ("0", "1", "3/2", "inf")},
+    "tau inf": (("1/2",), ("inf",), ()) + (_INF_TAU,) * 4,
+    "J 0": (("1/2",), ("1/3",), (0,), _J, _J, _J, _J_CABLE),
+    "J 3": (("1/2",), ("1/3",), (3,), _J, _J, _J, _J_CABLE),
+    "J '1'": (("1/2",), ("1/3",), ("1",), _J, _J, _J, _J_CABLE),
+    "one gamma": (("1/2",), (), (), _SHORT, _SHORT, None, None),
+    "one strict tau": ((), ("1/3",), (1,), _SHORT, _SHORT, None, None),
+    "one zero slot": ((), ("0",), (), _SHORT, _PINNED, None, None),
+}
+
+
+def _raises(want, call, *args):
+    kind, text = want
+    with pytest.raises(kind) as info:
+        call(*args)
+    assert type(info.value) is kind
+    assert str(info.value) == text
+
+
+class TestValidationTable:
+    """Exact exception type and text of each entry point on bad input."""
+
+    @pytest.mark.parametrize("name", sorted(VALIDATION_TABLE))
+    def test_entry_points(self, name):
+        gammas, taus, J, rel, end, dq, cab = VALIDATION_TABLE[name]
+        gammas = tuple(map(R, gammas))
+        taus = tuple(map(R, taus))
+        J = frozenset(J)
+        _raises(rel, relative_interval, gammas, taus, J)
+        for side in ("left", "right"):
+            _raises(end, endpoint_search, side, gammas, taus, J)
+        if dq is None:
+            derived_quantities(gammas, taus, J)
+        else:
+            _raises(dq, derived_quantities, gammas, taus, J)
+        if cab is not None:
+            # cable_interval reads only the gamma of its params
+            params = types.SimpleNamespace(gamma=gammas[0])
+            _raises(cab, cable_interval, params, J, taus[0])
 
 
 class TestCableInterval:

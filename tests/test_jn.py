@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import loop_reference
+from cableslopes import jn
 from cableslopes.exact import ExtRational
 from cableslopes.jn import (UnsupportedArity, decide, extremal_slot_value,
                             witness_search)
@@ -167,6 +169,33 @@ def sized_slot_lists(draw, k_min, k_max, max_den):
         n = draw(st.integers(1, d - 1))
         out.append((ExtRational(n, d), draw(st.booleans())))
     return out
+
+
+class TestMirrorPairs:
+    """Pair (j, i) is pair (i, j) seen through x -> 1 - x.
+
+    Its window [v_j, 1 - v_i] is the mirror image of [v_i, 1 - v_j],
+    open ends included, and the slots outside the pair are the same, so
+    both pairs have a witness or neither, at (N, A) and (N, N - A).
+    The solvers walk each unordered pair once on this ground.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(sized_slot_lists(2, 5, 13))
+    def test_pair_and_mirror(self, values):
+        slots = [(v.num, v.den, strict) for v, strict in values]
+        caps = [(d - 1) // n if strict else d // n for n, d, strict in slots]
+        for i, j in itertools.combinations(range(len(slots)), 2):
+            rest = [c for m, c in enumerate(caps) if m not in (i, j)]
+            cap = min(rest) if rest else None
+            assert jn._cap_outside(*jn._least_caps(slots), i, j) == cap
+            fit = jn._pair_witness(slots[i], slots[j], cap)
+            mirror = jn._pair_witness(slots[j], slots[i], cap)
+            if fit is None:
+                assert mirror is None
+            else:
+                N, A = fit
+                assert mirror == (N, N - A)
 
 
 class TestMatchesLoopReference:
