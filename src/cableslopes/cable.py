@@ -12,20 +12,23 @@ two.  A ray ends where one interval does: t(at) when it is weak and
 includes at, else cable_interval(params, {1}, at).t, whose tau slot is
 strict.  As t(tau + 1) = t(tau) - 1, further unit cells lie past the
 core end -floor(at) - 1, and t(k) = [-k - 1, -k] joins the cells.  In
-at's cell t's far end is the core end plus or minus the extremal slot
-value w, which shrinks as tau moves away from at (a witness for a
-larger slot value serves every smaller one), so its sup beyond at is
-read with the slot strict.  t_strict is the interior of t or a point,
-so strong rays are open but at an included integral tau or at
-frac(at) = 1 - gamma.
+at's cell t's far end is the core end plus or minus the window width
+w, which shrinks as tau moves away from at (a witness for a larger
+slot value serves every smaller one), so its sup beyond at is read
+with the tau slot strict.  That end is the interval path's own gate
+and window, ``intervals._gates`` and ``_window``, on the slots gamma
+(strict) and frac(at), for the ray's side alone: one extremal search
+at most.  t_strict is the interior of t or a point, so strong rays are
+open but at an included integral tau or frac(at) = 1 - gamma, where
+the gate is degenerate.
 """
 
 import enum
 import math
 from dataclasses import dataclass
 
-from .exact import ONE, ExtRational, IntMobius, SlopeSet, mobius_set_image
-from .intervals import cable_interval, extremal_slot_value, special_slope_interval
+from .exact import ExtRational, IntMobius, SlopeSet, _as_rat, mobius_set_image
+from .intervals import _gates, _window, cable_interval, special_slope_interval
 
 
 class DetectionMode(enum.Enum):
@@ -87,8 +90,8 @@ def outer_basis_map(params):
 
 def _ray(params, side, at, include, strict):
     """Union of t (weak) or t_strict (strict) over tau >= at (right) or
-    tau <= at (left), equality dropped unless ``include``; its end takes
-    at most one extremal_slot_value call (see the module docstring).
+    tau <= at (left), equality dropped unless ``include``; its end is the
+    window of t(at) on that side (see the module docstring).
     """
     gamma = params.gamma
     tb = at.frac()
@@ -98,14 +101,12 @@ def _ray(params, side, at, include, strict):
         else:
             end, closed = -at - gamma, strict and include
     else:
-        omg = ONE - gamma
-        s = strict or not include
-        end = ExtRational(-at.floor() - 1)
-        if side == "right" and tb < omg:
-            end = end + extremal_slot_value([(gamma, True), (tb, s)])
-        elif side == "left" and tb > omg:
-            end = end - extremal_slot_value([(omg, True), (ONE - tb, s)])
-        closed = not strict or (include and tb == omg)
+        fixed = [(gamma.num, gamma.den, True),
+                 (tb.num, tb.den, strict or not include)]
+        left, right, degenerate = _gates(fixed)
+        opens, sign = (right, 1) if side == "right" else (left, -1)
+        end = _window(fixed, opens, -at.floor() - 1, sign)
+        closed = not strict or (include and degenerate)
     if side == "right":
         return SlopeSet.ray_below(end, closed)
     return SlopeSet.ray_above(end, closed)
@@ -113,8 +114,7 @@ def _ray(params, side, at, include, strict):
 
 def ray_union(params, direction, tau0):
     """Union of t over all tau >= tau0 (geq) or tau <= tau0 (leq)."""
-    if not isinstance(tau0, ExtRational):
-        tau0 = ExtRational(tau0)
+    tau0 = _as_rat(tau0)
     if direction == "geq":
         return _ray(params, "right", tau0, True, False)
     if direction == "leq":

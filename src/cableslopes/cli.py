@@ -35,10 +35,6 @@ class CommandResult:
         }, indent=2)
 
 
-def _rat(text):
-    return ExtRational.parse(text)
-
-
 def _rat_list(text):
     text = text.strip()
     if not text:

@@ -178,8 +178,6 @@ class ExtRational:
 
 
 INF = ExtRational(1, 0)
-ZERO = ExtRational(0)
-ONE = ExtRational(1)
 
 
 def _as_rat(x):
@@ -491,9 +489,12 @@ def _arc_cuts(text, ivs):
     """Add one arc like ``[1/2,3)`` to the cut list ivs.
 
     Each end is read by ``ExtRational.parse``, as a point is.  Returns
-    whether the arc holds infinity: a ray holds it when its bracket at
-    the infinite end is closed.  Finite ends with low > high wrap
-    through infinity, [low,inf] joined to [-inf,high].
+    whether the arc holds infinity.  Different ends give the arc from
+    low to high, as ``_directed_cuts`` builds it: a ray holds infinity
+    when its bracket at the infinite end is closed, and finite ends
+    with low > high wrap through infinity, [low,inf] joined to
+    [-inf,high].  Equal finite ends give a point; infinite ones give
+    the line, which holds infinity when either bracket is closed.
     """
     ends = text[1:-1].split(",")
     if text[0] not in "[(" or text[-1] not in "])" or len(ends) != 2:
@@ -501,17 +502,14 @@ def _arc_cuts(text, ivs):
     lo, hi = map(ExtRational.parse, ends)
     lc = text[0] == "["
     hc = text[-1] == "]"
-    low = None if lo.is_infinite else lo
-    high = None if hi.is_infinite else hi
-    if low is not None and high is not None:
-        if low > high:
-            ivs.append((_low_cut(low, lc), _MAX))
-            ivs.append((_MIN, _high_cut(high, hc)))
-            return True
-        if low == high and not (lc and hc):
-            raise ValueError("degenerate open arc")
-    ivs.append((_low_cut(low, lc), _high_cut(high, hc)))
-    return (low is None and lc) or (high is None and hc)
+    if lo != hi:
+        return _directed_cuts(lo, lc, hi, hc, ivs)
+    if lo.is_infinite:
+        ivs.append((_MIN, _MAX))
+        return lc or hc
+    if not (lc and hc):
+        raise ValueError("degenerate open arc")
+    return _point_cuts(lo, ivs)
 
 
 def parse_slope_set(text):

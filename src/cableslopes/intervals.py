@@ -15,7 +15,8 @@ Everything else is integer work on the (num, den, strict) slots of
 ``seifert._reduce_weights``, which validates the input once: the gate
 compares the sum of two slots with 1, the left window complements each
 slot to (den - num, den), and each end m0 - w or m1 + w is built once.
-``endpoint_search`` reads its end off the same interval.
+``endpoint_search`` reads its end off the same interval, and
+``cable._ray`` its ray end off the same gate and window.
 """
 
 from dataclasses import dataclass

@@ -6,6 +6,7 @@ from dataclasses import fields
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cableslopes import intervals
 from cableslopes.cable import (CableParams, DetectionMode, _ray, bezout,
                                cable_detected_set, cable_genus_bound,
                                inner_basis_map, outer_basis_map,
@@ -232,6 +233,39 @@ class TestRay:
         assert str(ray) == "(-inf,-6/7]"
         assert str(cable_interval(bezout(2, 3), frozenset(),
                                   R("1/4")).t) == "[-1,-3/4]"
+
+
+class TestRaySearches:
+    def test_one_search_per_open_window(self, monkeypatch):
+        # a ray reads only its own side's window of t(at): one extremal
+        # search when that window opens (at non-integral, tb + gamma < 1
+        # on the right, > 1 on the left), none otherwise
+        calls = []
+        search = intervals.extremal_slot_value
+
+        def counted(fixed):
+            calls.append(fixed)
+            return search(fixed)
+
+        monkeypatch.setattr(intervals, "extremal_slot_value", counted)
+        seen = set()
+        for p, q in ((2, 3), (5, 2), (3, 4), (7, 5)):
+            params = bezout(p, q)
+            gamma = params.gamma
+            for at in {ExtRational(n, d) for d in range(1, 7)
+                       for n in range(-2 * d, 2 * d + 1)}:
+                # the sign of tb + gamma - 1, None at an integral tau
+                v = at.frac() + gamma
+                gate = None if at.den == 1 else (v > 1) - (v < 1)
+                seen.add(gate)
+                for side, include, strict in itertools.product(
+                        ("right", "left"), (True, False), (True, False)):
+                    calls.clear()
+                    _ray(params, side, at, include, strict)
+                    opens = gate == (-1 if side == "right" else 1)
+                    assert len(calls) == opens, (p, q, at, side)
+        # integral taus and both gate directions, and tb = 1 - gamma
+        assert seen == {None, -1, 0, 1}
 
 
 class TestPipeline:

@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cableslopes import oracle
+from cableslopes import cable, oracle
 from cableslopes.cable import bezout
 from cableslopes.exact import Arc, ExtRational, SlopeSet
 from cableslopes.intervals import cable_interval
@@ -193,6 +193,28 @@ class TestIndependence:
         ours = [n for n in names
                 if n.startswith(".") or n.split(".")[0] == "cableslopes"]
         assert ours == [".exact"]
+
+    def test_cable_takes_window_rule_from_intervals(self):
+        # the gate and window that end a ray live in intervals alone:
+        # cable imports exact and intervals and binds no extremal search
+        tree = ast.parse(Path(cable.__file__).read_text())
+        ours, bound = [], set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                ours += [a.name for a in node.names
+                         if a.name.split(".")[0] == "cableslopes"]
+                bound.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                if node.level or (node.module or "").startswith("cableslopes"):
+                    ours.append("." * node.level + (node.module or ""))
+                bound.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, ast.Name):
+                if isinstance(node.ctx, ast.Store):
+                    bound.add(node.id)
+        assert sorted(set(ours)) == [".exact", ".intervals"]
+        assert "extremal_slot_value" not in bound
 
 
 class TestGridScan:
