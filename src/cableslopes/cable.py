@@ -5,7 +5,9 @@ into the cable-space coordinates, takes the union of relative
 intervals over each connected piece, and maps the answer out through
 the outer basis change.  Weak detection computes the union of closed
 intervals t; strong detection uses the strict companions; regular
-detection is sandwiched between the two.
+detection is sandwiched between the two.  The inner map sends p/q,
+and nothing else, to infinity, so the pipeline reads whether the input
+holds the fiber slope off the inner image.
 
 A piece is an interval of tau, so its union is one ray or the meet of
 two.  A ray ends where one interval does: t(at) when it is weak and
@@ -20,7 +22,7 @@ and window, ``intervals._gates`` and ``_window``, on the slots gamma
 (strict) and frac(at), for the ray's side alone: one extremal search
 at most.  t_strict is the interior of t or a point, so strong rays are
 open but at an included integral tau or frac(at) = 1 - gamma, where
-the gate is degenerate.
+the gate is degenerate.  Ends are built from divmod(at.num, at.den).
 """
 
 import enum
@@ -43,7 +45,8 @@ class CableParams:
 
     Invariants: gcd(p, q) = 1, p*s + q*r = 1, -q < s < 0 < r <= p,
     and r = p only when p = 1.  Construction also sets the slopes
-    gamma = (q + s)/q and fiber_slope = p/q.
+    gamma = (q + s)/q and fiber_slope = p/q, and builds the two basis
+    maps that inner_basis_map and outer_basis_map return.
     """
     p: int
     q: int
@@ -66,6 +69,8 @@ class CableParams:
         # so ==, hash and repr still read p, q, r and s alone
         object.__setattr__(self, "gamma", ExtRational(q + s, q))
         object.__setattr__(self, "fiber_slope", ExtRational(p, q))
+        object.__setattr__(self, "_inner", IntMobius(s, r, -q, p))
+        object.__setattr__(self, "_outer", IntMobius(p * q, p * q + 1, 1, 1))
 
 
 def bezout(p, q):
@@ -79,13 +84,12 @@ def bezout(p, q):
 
 def inner_basis_map(params):
     """Basis change into cable-space coordinates: p/q -> inf, inf -> -s/q."""
-    return IntMobius(params.s, params.r, -params.q, params.p)
+    return params._inner
 
 
 def outer_basis_map(params):
     """Basis change out to the cabled knot: -1 -> inf, inf -> pq."""
-    pq = params.p * params.q
-    return IntMobius(pq, pq + 1, 1, 1)
+    return params._outer
 
 
 def _ray(params, side, at, include, strict):
@@ -94,18 +98,20 @@ def _ray(params, side, at, include, strict):
     window of t(at) on that side (see the module docstring).
     """
     gamma = params.gamma
-    tb = at.frac()
-    if tb.num == 0:
+    fl, tn = divmod(at.num, at.den)  # at = fl + tn/den, 0 <= tn < den
+    if not tn:
         if include and not strict:
-            end, closed = (-at if side == "right" else -at - 1), True
+            end = ExtRational(-fl if side == "right" else -fl - 1)
+            closed = True
         else:
-            end, closed = -at - gamma, strict and include
+            end = ExtRational(-fl * gamma.den - gamma.num, gamma.den)
+            closed = strict and include
     else:
         fixed = [(gamma.num, gamma.den, True),
-                 (tb.num, tb.den, strict or not include)]
+                 (tn, at.den, strict or not include)]
         left, right, degenerate = _gates(fixed)
         opens, sign = (right, 1) if side == "right" else (left, -1)
-        end = _window(fixed, opens, -at.floor() - 1, sign)
+        end = _window(fixed, opens, -fl - 1, sign)
         closed = not strict or (include and degenerate)
     if side == "right":
         return SlopeSet.ray_below(end, closed)
@@ -115,11 +121,12 @@ def _ray(params, side, at, include, strict):
 def ray_union(params, direction, tau0):
     """Union of t over all tau >= tau0 (geq) or tau <= tau0 (leq)."""
     tau0 = _as_rat(tau0)
-    if direction == "geq":
-        return _ray(params, "right", tau0, True, False)
-    if direction == "leq":
-        return _ray(params, "left", tau0, True, False)
-    raise ValueError("direction must be 'geq' or 'leq'")
+    if direction not in ("geq", "leq"):
+        raise ValueError("direction must be 'geq' or 'leq'")
+    if tau0.is_infinite:  # the text ExtRational.frac gives
+        raise ValueError("fractional part of infinity")
+    side = "right" if direction == "geq" else "left"
+    return _ray(params, side, tau0, True, False)
 
 
 def _piece_union(params, piece, strict):
@@ -151,13 +158,11 @@ def cable_detected_set(params, input_set, mode, exactness="auto"):
         raise ValueError("mode must be a DetectionMode")
     if exactness not in ("auto", "equals", "contains"):
         raise ValueError("exactness must be 'auto', 'equals' or 'contains'")
-    has_fiber = input_set.contains(params.fiber_slope)
     inner = mobius_set_image(inner_basis_map(params), input_set)
-    inner = inner.without_infinity()
     use_strict = mode is DetectionMode.STRONG
     out = SlopeSet.union_all(_piece_union(params, piece, use_strict)
                              for piece in inner.affine_pieces())
-    if has_fiber:  # the fiber slope passes through in every mode
+    if inner.has_infinity:  # the fiber slope passes through in every mode
         out = out.with_infinity()
     result = mobius_set_image(outer_basis_map(params), out)
     if mode is DetectionMode.WEAK:

@@ -10,8 +10,9 @@ in this module ever rounds.
 The hot paths avoid building objects: ExtRational compares another
 ExtRational or an int by cross-multiplying integers, and the SlopeSet
 algebra works in one pass over sorted cut lists (complement and
-intersect build their results already canonical; Moebius images and
-unions of many sets collect cut intervals and canonicalise once).
+intersect build their results already canonical, as do the one-interval
+point, interval and rays; Moebius images apply the map's integers to
+each end and, like unions of many sets, canonicalise once).
 """
 
 import math
@@ -291,7 +292,7 @@ class SlopeSet:
         raise AttributeError("SlopeSet is immutable")
 
     @classmethod
-    def _canonical(cls, ivs, inf):
+    def _canonical(cls, ivs, inf=False):
         """A set whose cut intervals are already canonical: no merge."""
         out = object.__new__(cls)
         object.__setattr__(out, "_ivs", tuple(ivs))
@@ -316,23 +317,23 @@ class SlopeSet:
     def point(cls, x):
         x = _as_rat(x)
         if x.is_infinite:
-            return cls([], True)
-        return cls([(_low_cut(x, True), _high_cut(x, True))], False)
+            return cls._canonical((), True)
+        return cls._canonical([(_low_cut(x, True), _high_cut(x, True))])
 
     @classmethod
     def interval(cls, low, high, low_closed=True, high_closed=True):
         """The affine interval between two finite rationals."""
         lo = _low_cut(_as_rat(low), low_closed)
         hi = _high_cut(_as_rat(high), high_closed)
-        return cls._canonical([(lo, hi)] if lo < hi else [], False)
+        return cls._canonical([(lo, hi)] if lo < hi else [])
 
     @classmethod
     def ray_below(cls, high, closed=True):
-        return cls([(_MIN, _high_cut(_as_rat(high), closed))])
+        return cls._canonical([(_MIN, _high_cut(_as_rat(high), closed))])
 
     @classmethod
     def ray_above(cls, low, closed=True):
-        return cls([(_low_cut(_as_rat(low), closed), _MAX)])
+        return cls._canonical([(_low_cut(_as_rat(low), closed), _MAX)])
 
     @classmethod
     def union_all(cls, sets):
@@ -634,17 +635,20 @@ def mobius_set_image(m, s):
     connected arc between the images of its ends, traversed positively
     when det > 0 and negatively when det < 0.
     """
+    a, b, c, d = m.a, m.b, m.c, m.d
     ivs = []
     inf = False
     if s.has_infinity:
-        inf = _point_cuts(m.apply(INF), ivs)
+        inf = _point_cuts(ExtRational(a, c), ivs)
     flip = m.det < 0
     for l, lc, h, hc in s.affine_pieces():
+        u = (ExtRational(a, c) if l is None else
+             ExtRational(a * l.num + b * l.den, c * l.num + d * l.den))
         if l is not None and l == h:
-            inf = _point_cuts(m.apply(l), ivs) or inf
+            inf = _point_cuts(u, ivs) or inf
             continue
-        u = m.apply(INF if l is None else l)
-        v = m.apply(INF if h is None else h)
+        v = (ExtRational(a, c) if h is None else
+             ExtRational(a * h.num + b * h.den, c * h.num + d * h.den))
         if flip:
             u, lc, v, hc = v, hc, u, lc
         inf = _directed_cuts(u, lc, v, hc, ivs) or inf

@@ -8,12 +8,23 @@ plainly follow the definition, so the Stern-Brocot solver in
 ``realisable`` is the oracle's original per-b decision of a reduced
 query, with its witness loop ``witness_exists``; the oracle's range of
 realisable b is required to hold exactly the b it accepts.
+
+``cable_detected_set`` is the cabling pipeline as it was before its
+lean rewrite, with its own ``_ray``, ``_piece_union``, basis maps and
+``mobius_set_image``: it checks the fiber slope with ``contains``,
+builds both basis maps per call, applies them through
+``IntMobius.apply`` and ends rays with ``ExtRational`` arithmetic.
+``cableslopes.cable.cable_detected_set`` is required to print the same
+set with the same tag.
 """
 
 import itertools
 import math
 
-from cableslopes.exact import ExtRational
+from cableslopes.cable import DetectionMode
+from cableslopes.exact import (INF, ExtRational, IntMobius, SlopeSet,
+                               _directed_cuts, _point_cuts)
+from cableslopes.intervals import _gates, _window
 from cableslopes.jn import JNWitness
 
 
@@ -231,3 +242,113 @@ def realisable(b, slots, zeros):
     if b == 1:
         return witness_exists(slots)
     return 2 <= b <= k - 2
+
+
+def inner_basis_map(params):
+    """Basis change into cable-space coordinates: p/q -> inf, inf -> -s/q."""
+    return IntMobius(params.s, params.r, -params.q, params.p)
+
+
+def outer_basis_map(params):
+    """Basis change out to the cabled knot: -1 -> inf, inf -> pq."""
+    pq = params.p * params.q
+    return IntMobius(pq, pq + 1, 1, 1)
+
+
+def _ray(params, side, at, include, strict):
+    """Union of t (weak) or t_strict (strict) over tau >= at (right) or
+    tau <= at (left), equality dropped unless ``include``; its end is the
+    window of t(at) on that side (see the module docstring).
+    """
+    gamma = params.gamma
+    tb = at.frac()
+    if tb.num == 0:
+        if include and not strict:
+            end, closed = (-at if side == "right" else -at - 1), True
+        else:
+            end, closed = -at - gamma, strict and include
+    else:
+        fixed = [(gamma.num, gamma.den, True),
+                 (tb.num, tb.den, strict or not include)]
+        left, right, degenerate = _gates(fixed)
+        opens, sign = (right, 1) if side == "right" else (left, -1)
+        end = _window(fixed, opens, -at.floor() - 1, sign)
+        closed = not strict or (include and degenerate)
+    if side == "right":
+        return SlopeSet.ray_below(end, closed)
+    return SlopeSet.ray_above(end, closed)
+
+
+def _piece_union(params, piece, strict):
+    """Union of intervals over one affine piece of the inner-image set."""
+    low, low_closed, high, high_closed = piece
+    if low is None and high is None:
+        return SlopeSet.reals()
+    if low is None:
+        return _ray(params, "left", high, high_closed, strict)
+    if high is None:
+        return _ray(params, "right", low, low_closed, strict)
+    return _ray(params, "right", low, low_closed, strict).intersect(
+        _ray(params, "left", high, high_closed, strict))
+
+
+def cable_detected_set(params, input_set, mode, exactness="auto"):
+    """Detected slopes of the cable, given the detected slopes downstairs.
+
+    Returns (slope_set, tag) where tag is "equals" or "contains".  Weak
+    mode is always exact.  Strong mode always reports a guaranteed
+    subset.  Regular and weak mode compute the same set and differ only
+    in the tag: regular mode reports "equals" unless the caller passes
+    exactness="contains".  No input calls for "contains" by itself: a
+    full input's inner image is the reals, one unbounded piece whose
+    union is the reals, and with the fiber slope the output is the full
+    circle.
+    """
+    if not isinstance(mode, DetectionMode):
+        raise ValueError("mode must be a DetectionMode")
+    if exactness not in ("auto", "equals", "contains"):
+        raise ValueError("exactness must be 'auto', 'equals' or 'contains'")
+    has_fiber = input_set.contains(params.fiber_slope)
+    inner = mobius_set_image(inner_basis_map(params), input_set)
+    inner = inner.without_infinity()
+    use_strict = mode is DetectionMode.STRONG
+    out = SlopeSet.union_all(_piece_union(params, piece, use_strict)
+                             for piece in inner.affine_pieces())
+    if has_fiber:  # the fiber slope passes through in every mode
+        out = out.with_infinity()
+    result = mobius_set_image(outer_basis_map(params), out)
+    if mode is DetectionMode.WEAK:
+        tag = "equals"
+    elif mode is DetectionMode.STRONG:
+        if exactness == "equals":
+            raise ValueError("strong mode only guarantees a subset")
+        tag = "contains"
+    else:
+        tag = "contains" if exactness == "contains" else "equals"
+    return result, tag
+
+
+def mobius_set_image(m, s):
+    """Exact image of a SlopeSet under a Moebius map.
+
+    Works piece by piece and canonicalises once.  A point maps to a
+    point, and so does the point at infinity when it belongs to s.  Any
+    other affine piece is an arc avoiding infinity; its image is the
+    connected arc between the images of its ends, traversed positively
+    when det > 0 and negatively when det < 0.
+    """
+    ivs = []
+    inf = False
+    if s.has_infinity:
+        inf = _point_cuts(m.apply(INF), ivs)
+    flip = m.det < 0
+    for l, lc, h, hc in s.affine_pieces():
+        if l is not None and l == h:
+            inf = _point_cuts(m.apply(l), ivs) or inf
+            continue
+        u = m.apply(INF if l is None else l)
+        v = m.apply(INF if h is None else h)
+        if flip:
+            u, lc, v, hc = v, hc, u, lc
+        inf = _directed_cuts(u, lc, v, hc, ivs) or inf
+    return SlopeSet(ivs, inf)

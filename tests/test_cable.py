@@ -6,15 +6,47 @@ from dataclasses import fields
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import loop_reference
 from cableslopes import intervals
 from cableslopes.cable import (CableParams, DetectionMode, _ray, bezout,
                                cable_detected_set, cable_genus_bound,
-                               inner_basis_map, outer_basis_map,
+                               inner_basis_map, outer_basis_map, ray_union,
                                torus_knot_detected)
-from cableslopes.exact import INF, ExtRational, SlopeSet, parse_slope_set
+from cableslopes.exact import (INF, ExtRational, IntMobius, SlopeSet,
+                               mobius_set_image, parse_slope_set)
 from cableslopes.intervals import cable_interval
 
 R = ExtRational.parse
+CABLES = st.tuples(st.integers(1, 40), st.integers(2, 30)).filter(
+    lambda pq: math.gcd(*pq) == 1).map(lambda pq: bezout(*pq))
+TAUS = st.integers(1, 30).flatmap(
+    lambda d: st.integers(-4 * d, 4 * d).map(lambda n: ExtRational(n, d)))
+
+
+def _parsed(text):
+    try:
+        return parse_slope_set(text)
+    except ValueError:  # a degenerate open arc
+        return None
+
+
+def slope_sets(params):
+    """Unions of one to four points and arcs, whose ends are often the
+    fiber slope p/q or infinity."""
+    end = st.one_of(st.just(str(params.fiber_slope)), st.just("inf"),
+                    st.just("-inf"), st.builds("{}/{}".format,
+                                               st.integers(-90, 90),
+                                               st.integers(1, 30)))
+    arc = st.one_of(
+        st.builds("{%s}".__mod__, end),
+        st.builds("{}{},{}{}".format, st.sampled_from("[("), end, end,
+                  st.sampled_from("])")))
+    return st.lists(arc, min_size=1, max_size=4).map(" U ".join).map(
+        _parsed).filter(lambda s: s is not None)
+
+
+CABLE_SETS = CABLES.flatmap(
+    lambda params: st.tuples(st.just(params), slope_sets(params)))
 
 
 class TestParams:
@@ -49,6 +81,10 @@ class TestParams:
         assert params.gamma is params.gamma
         assert params.fiber_slope is params.fiber_slope
         assert (params.gamma, params.fiber_slope) == (R("2/3"), R("5/3"))
+        assert inner_basis_map(params) is inner_basis_map(params)
+        assert outer_basis_map(params) is outer_basis_map(params)
+        assert inner_basis_map(params) == IntMobius(-1, 2, -3, 5)
+        assert outer_basis_map(params) == IntMobius(15, 16, 1, 1)
 
     def test_derived_slopes_leave_fields_alone(self):
         # ==, hash, repr and fields() see p, q, r and s alone
@@ -75,6 +111,17 @@ class TestBasisMaps:
             g = outer_basis_map(params)
             assert g.apply(ExtRational(-1)) == INF
             assert g.apply(INF) == ExtRational(params.p * params.q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=CABLE_SETS)
+    def test_only_the_fiber_slope_maps_to_infinity(self, case):
+        # cable_detected_set reads the fiber slope off the inner image:
+        # p/q is the one slope the inner map sends to infinity, whether
+        # it is a point of the set, a closed or open arc end, or inside
+        # an arc or a wrapped arc
+        params, s = case
+        image = mobius_set_image(inner_basis_map(params), s)
+        assert image.has_infinity == s.contains(params.fiber_slope)
 
 
 class TestTorusKnots:
@@ -180,6 +227,35 @@ class TestStrictRayTables:
                                            strict)
                     assert acc.issubset(ray)
 
+    def test_closed_end_attained_at_tau0(self):
+        # a ray that includes tau0 and is closed at its end reaches that
+        # end at tau0 itself: the end lies in t(tau0) (weak) or in
+        # t_strict(tau0) (strict); 19,012 closed rays
+        closed_rays = 0
+        for p, q in itertools.product(range(1, 12), range(2, 9)):
+            if math.gcd(p, q) != 1:
+                continue
+            params = bezout(p, q)
+            for tau0 in {ExtRational(n, d) for d in range(1, 9)
+                         for n in range(-4 * d, 4 * d + 1)}:
+                t = cable_interval(params, frozenset(), tau0).t
+                at_tau0 = {
+                    False: SlopeSet.interval(t.low, t.high),
+                    True: cable_interval(params, frozenset({1}),
+                                         tau0).t_strict,
+                }
+                for side, strict in itertools.product(("right", "left"),
+                                                      (False, True)):
+                    (low, low_closed, high, high_closed), = _ray(
+                        params, side, tau0, True, strict).affine_pieces()
+                    end, closed = ((high, high_closed) if side == "right"
+                                   else (low, low_closed))
+                    if closed:
+                        closed_rays += 1
+                        assert at_tau0[strict].contains(end), (
+                            p, q, tau0, side, strict)
+        assert closed_rays == 19012
+
     def test_closed_integral_endpoint_attained(self):
         # tau0 integral and included: the single point -tau0-gamma is
         # the extreme of the union and must lie in the ray
@@ -193,12 +269,6 @@ class TestStrictRayTables:
             ray, acc = self._union(params, direction, ExtRational(1), False,
                                    True)
             assert not ray.contains(endpoint)
-
-
-CABLES = st.tuples(st.integers(1, 40), st.integers(2, 30)).filter(
-    lambda pq: math.gcd(*pq) == 1).map(lambda pq: bezout(*pq))
-TAUS = st.integers(1, 30).flatmap(
-    lambda d: st.integers(-4 * d, 4 * d).map(lambda n: ExtRational(n, d)))
 
 
 class TestRay:
@@ -234,6 +304,18 @@ class TestRay:
         assert str(cable_interval(bezout(2, 3), frozenset(),
                                   R("1/4")).t) == "[-1,-3/4]"
 
+    def test_ray_union_rejects_infinite_tau(self):
+        # the text of ExtRational.frac and the interval path; a bad
+        # direction is reported first
+        params = bezout(2, 3)
+        for direction in ("geq", "leq"):
+            with pytest.raises(ValueError) as info:
+                ray_union(params, direction, INF)
+            assert str(info.value) == "fractional part of infinity"
+        with pytest.raises(ValueError) as info:
+            ray_union(params, "up", INF)
+        assert str(info.value) == "direction must be 'geq' or 'leq'"
+
 
 class TestRaySearches:
     def test_one_search_per_open_window(self, monkeypatch):
@@ -266,6 +348,27 @@ class TestRaySearches:
                     assert len(calls) == opens, (p, q, at, side)
         # integral taus and both gate directions, and tb = 1 - gamma
         assert seen == {None, -1, 0, 1}
+
+
+class TestLoopReference:
+    @settings(max_examples=200, deadline=None)
+    @given(case=CABLE_SETS)
+    @example(case=(bezout(2, 3),
+                   parse_slope_set("{2/3} U [1/3,2/3) U (3/2,inf]")))
+    def test_matches_reference_pipeline(self, case):
+        # the same set, printed the same, and the same tag as the
+        # pipeline before its lean rewrite, in every mode
+        params, s = case
+        for mode, exactness in itertools.product(DetectionMode,
+                                                 ("auto", "contains")):
+            want, want_tag = loop_reference.cable_detected_set(
+                params, s, mode, exactness)
+            got, tag = cable_detected_set(params, s, mode, exactness)
+            assert (str(got), tag) == (str(want), want_tag)
+            assert got == want
+        assert (mobius_set_image(inner_basis_map(params), s)
+                == loop_reference.mobius_set_image(
+                    loop_reference.inner_basis_map(params), s))
 
 
 class TestPipeline:
@@ -314,7 +417,6 @@ class TestPipeline:
         # a single non-fiber slope maps to one tau; the weak output must
         # be the outer image of that slope's interval
         params = bezout(2, 3)
-        from cableslopes.exact import mobius_set_image
         for slope in (ExtRational(0), ExtRational(1), R("1/2"), INF):
             input_set = SlopeSet.point(slope)
             out, _ = cable_detected_set(params, input_set,
@@ -349,7 +451,6 @@ class TestPipeline:
         # the pipeline on an interval equals the union over a dense
         # sample of member slopes (soundness of the ray-union algebra)
         params = bezout(2, 3)
-        from cableslopes.exact import mobius_set_image
         input_set = parse_slope_set("[1/4,2]")
         out, _ = cable_detected_set(params, input_set, DetectionMode.WEAK)
         acc = SlopeSet.empty()

@@ -154,6 +154,14 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: J must contain 1-based tau indices"
 
+    def test_infinite_ray_tau(self, capsys):
+        for direction in ("geq", "leq"):
+            code, out, err = run(capsys, "ray-union", "--p", "2", "--q", "3",
+                                 "--tau", "inf", "--direction", direction)
+            assert code == 3
+            assert out == ""
+            assert err == "error: fractional part of infinity"
+
     def test_malformed_rational(self, capsys):
         code, _, err = run(capsys, "interval", "--p", "2", "--q", "3",
                            "--tau", "0.5")

@@ -287,11 +287,24 @@ def _assert_canonical(x):
 
 class TestCanonicalForm:
     @settings(max_examples=150, deadline=None)
-    @example(IntMobius(1, 0, 0, 1), SlopeSet.full(), SlopeSet.full())
-    @example(IntMobius(0, 1, 1, 0), SlopeSet.reals(), SlopeSet.point(INF))
-    @given(mobius_maps, slope_sets(), slope_sets())
-    def test_every_result_is_canonical(self, m, a, b):
+    @example(IntMobius(1, 0, 0, 1), SlopeSet.full(), SlopeSet.full(),
+             ExtRational(0))
+    @example(IntMobius(0, 1, 1, 0), SlopeSet.reals(), SlopeSet.point(INF),
+             R("-7/3"))
+    @given(mobius_maps, slope_sets(), slope_sets(), rationals)
+    def test_every_result_is_canonical(self, m, a, b, v):
         results = {
+            # the builders of one interval, which skip the merge
+            "point": (SlopeSet.point(v), lambda x: x == v),
+            "point inf": (SlopeSet.point(INF), lambda x: x.is_infinite),
+            "ray_below": (SlopeSet.ray_below(v),
+                          lambda x: not x.is_infinite and x <= v),
+            "ray_below open": (SlopeSet.ray_below(v, False),
+                               lambda x: not x.is_infinite and x < v),
+            "ray_above": (SlopeSet.ray_above(v),
+                          lambda x: not x.is_infinite and x >= v),
+            "ray_above open": (SlopeSet.ray_above(v, False),
+                               lambda x: not x.is_infinite and x > v),
             "union": (a.union(b), lambda x: a.contains(x) or b.contains(x)),
             "union_all": (SlopeSet.union_all([b, a, b]),
                           lambda x: a.contains(x) or b.contains(x)),
@@ -306,7 +319,7 @@ class TestCanonicalForm:
                                  lambda x: not x.is_infinite
                                  and a.contains(x)),
         }
-        points = SAMPLE_POINTS[::7] + _endpoints(a) + _endpoints(b)
+        points = SAMPLE_POINTS[::7] + _endpoints(a) + _endpoints(b) + [v]
         for name, (result, member) in results.items():
             _assert_canonical(result)
             for x in points:

@@ -10,6 +10,7 @@ from cableslopes.intervals import (InsufficientData, WindowClosed,
                                    cable_interval, endpoint_search,
                                    extremal_slot_value, relative_interval,
                                    special_slope_interval)
+from cableslopes.jn import decide
 from cableslopes.oracle import _decide_point
 from cableslopes.seifert import derived_quantities
 
@@ -174,6 +175,8 @@ def _gamma_error(g):
 
 
 _INF_TAU = (ValueError, "fractional part of infinity")
+# the whole-tuple checks of jn.decide and the oracle word it apart
+_INF_TAU_TUPLE = (ValueError, "tau weight must be finite")
 _J = (ValueError, "J must contain 1-based tau indices")
 _J_CABLE = (ValueError, "J must be a subset of {1}")
 _SHORT = (InsufficientData, "insufficient data: n + r1 + s0 = 1 < 2")
@@ -224,6 +227,11 @@ class TestValidationTable:
             # cable_interval reads only the gamma of its params
             params = types.SimpleNamespace(gamma=gammas[0])
             _raises(cab, cable_interval, params, J, taus[0])
+
+    @pytest.mark.parametrize("decide_tuple", [decide, _decide_point])
+    def test_tuple_deciders_infinite_tau(self, decide_tuple):
+        _raises(_INF_TAU_TUPLE, decide_tuple, frozenset(), 1, (R("1/2"),),
+                (R("1/3"), R("inf")))
 
 
 class TestCableInterval:
