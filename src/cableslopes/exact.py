@@ -248,6 +248,7 @@ def _arc_text(low, low_closed, high, high_closed):
 
 _MIN = (-1,)  # below every rational
 _MAX = (1,)   # above every rational
+_INFINITE_END = "interval and ray ends must be finite"
 
 
 def _low_cut(value, closed):
@@ -323,17 +324,26 @@ class SlopeSet:
     @classmethod
     def interval(cls, low, high, low_closed=True, high_closed=True):
         """The affine interval between two finite rationals."""
-        lo = _low_cut(_as_rat(low), low_closed)
-        hi = _high_cut(_as_rat(high), high_closed)
+        low, high = _as_rat(low), _as_rat(high)
+        if not (low.den and high.den):
+            raise ValueError(_INFINITE_END)
+        lo = _low_cut(low, low_closed)
+        hi = _high_cut(high, high_closed)
         return cls._canonical([(lo, hi)] if lo < hi else [])
 
     @classmethod
     def ray_below(cls, high, closed=True):
-        return cls._canonical([(_MIN, _high_cut(_as_rat(high), closed))])
+        high = _as_rat(high)
+        if not high.den:
+            raise ValueError(_INFINITE_END)
+        return cls._canonical([(_MIN, _high_cut(high, closed))])
 
     @classmethod
     def ray_above(cls, low, closed=True):
-        return cls._canonical([(_low_cut(_as_rat(low), closed), _MAX)])
+        low = _as_rat(low)
+        if not low.den:
+            raise ValueError(_INFINITE_END)
+        return cls._canonical([(_low_cut(low, closed), _MAX)])
 
     @classmethod
     def union_all(cls, sets):

@@ -12,7 +12,7 @@ receive in a witness pair (A, N).  That optimization is
 scan over N) and is imported here.
 
 Everything else is integer work on the (num, den, strict) slots of
-``seifert._reduce_weights``, which validates the input once: the gate
+``seifert.reduce_integral``, which validates the input once: the gate
 compares the sum of two slots with 1, the left window complements each
 slot to (den - num, den), and each end m0 - w or m1 + w is built once.
 ``endpoint_search`` reads its end off the same interval, and
@@ -21,9 +21,9 @@ slot to (den - num, den), and each end m0 - w or m1 + w is built once.
 
 from dataclasses import dataclass
 
-from .exact import Arc, ExtRational, SlopeSet, _as_rat
+from .exact import Arc, ExtRational, SlopeSet
 from .jn import extremal_slot_value
-from .seifert import DerivedQuantities, _reduce_weights
+from .seifert import DerivedQuantities, reduce_integral
 
 
 class InsufficientData(ValueError):
@@ -112,7 +112,7 @@ def endpoint_search(side, gammas, taus, J):
     above m1."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    dq, fixed = _reduce_weights(gammas, taus, J)
+    dq, fixed = reduce_integral(gammas, taus, J)
     if dq.s0 != 0:
         raise WindowClosed("window closed: integral slots pin t to [m0,m1]")
     t = _interval(dq, fixed).t
@@ -127,7 +127,7 @@ def endpoint_search(side, gammas, taus, J):
 
 def relative_interval(gammas, taus, J):
     """The closed interval t and strict set t_strict for (gamma; tau_*; J)."""
-    return _interval(*_reduce_weights(gammas, taus, J))
+    return _interval(*reduce_integral(gammas, taus, J))
 
 
 def cable_interval(params, J, tau):
@@ -136,15 +136,14 @@ def cable_interval(params, J, tau):
     J is a subset of {1}.  For J={1} with integral tau the constraint
     slot disappears entirely and the answer collapses to one point.
     """
-    tau = _as_rat(tau)
     J = frozenset(J)
     if not J <= {1}:
         raise ValueError("J must be a subset of {1}")
-    dq, fixed = _reduce_weights((params.gamma,), (tau,), J)
-    if 1 in J and tau.den == 1:
-        # gamma is the one slot left: the point -tau - gamma
+    dq, fixed = reduce_integral((params.gamma,), (tau,), J)
+    if dq.r1 == dq.s0 == 0:
+        # J = {1}, tau integral: gamma alone is left; -tau - gamma
         (gn, gd, _), = fixed
-        value = ExtRational(-tau.num * gd - gn, gd)
+        value = ExtRational(dq.b0 * gd - gn, gd)
         return RelativeIntervalResult(
             Arc(value, value), SlopeSet.point(value), dq)
     return _interval(dq, fixed)

@@ -1,7 +1,9 @@
-"""Deciding JN-realisability of reduced slope tuples, and the witness solver.
+"""Deciding JN-realisability of slope tuples, and the witness solver.
 
-A reduced query consists of an integer b, a list of slot constraints
-(value in (0,1), strict flag), and a count of zero slots.  Dispatch:
+``decide`` reduces a tuple with ``seifert.reduce_integral``, the
+interval path's own reduction, to a query: the integer b + b0, the
+surviving slots as integers (num, den, strict) and the count s0 of
+zero slots.  Dispatch:
 
 - with zero slots present, realisability is an integer window on b;
 - otherwise b outside [1, k-1] is never realisable, 2 <= b <= k-2 is
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .exact import ExtRational, _as_rat
-from .seifert import SeifertTuple, reduce_integral
+from .seifert import reduce_integral
 
 
 class UnsupportedArity(ValueError):
@@ -224,13 +226,7 @@ def _decide(b, slot_key, zeros):
     return JNResult(w is not None, w, "witness-search")
 
 
-def jn_realizable(query):
-    """Decide a reduced query (fields b, slots, zeros)."""
-    slot_key = tuple((v.num, v.den, st) for v, st in query.slots)
-    return _decide(query.b, slot_key, query.zeros)
-
-
 def decide(J, b, gammas, taus):
-    """Decide an arbitrary tuple: validate, reduce, then dispatch."""
-    tup = SeifertTuple(frozenset(J), b, tuple(gammas), tuple(taus))
-    return jn_realizable(reduce_integral(tup))
+    """Decide any tuple: validate and reduce it once, then dispatch."""
+    dq, fixed = reduce_integral(gammas, taus, J)
+    return _decide(b + dq.b0, tuple(fixed), dq.s0)

@@ -9,6 +9,13 @@ plainly follow the definition, so the Stern-Brocot solver in
 query, with its witness loop ``witness_exists``; the oracle's range of
 realisable b is required to hold exactly the b it accepts.
 
+``decide`` is the tuple decider as it was before ``jn.decide`` took
+the interval path's integer reduction: it validates a ``SeifertTuple``,
+reduces it with its own ``reduce_integral`` to ``ExtRational`` slots
+and turns those into integer keys in ``jn_realizable``.  ``jn.decide``
+is required to return the same result or raise the same exception,
+except that an infinite tau is worded as the interval path words it.
+
 ``cable_detected_set`` is the cabling pipeline as it was before its
 lean rewrite, with its own ``_ray``, ``_piece_union``, basis maps and
 ``mobius_set_image``: it checks the fiber slope with ``contains``,
@@ -20,12 +27,13 @@ set with the same tag.
 
 import itertools
 import math
+from dataclasses import dataclass
 
 from cableslopes.cable import DetectionMode
 from cableslopes.exact import (INF, ExtRational, IntMobius, SlopeSet,
-                               _directed_cuts, _point_cuts)
+                               _as_rat, _directed_cuts, _point_cuts)
 from cableslopes.intervals import _gates, _window
-from cableslopes.jn import JNWitness
+from cableslopes.jn import JNWitness, _decide
 
 
 def _slot_ints(values):
@@ -242,6 +250,106 @@ def realisable(b, slots, zeros):
     if b == 1:
         return witness_exists(slots)
     return 2 <= b <= k - 2
+
+
+def _check_gamma(g):
+    g = _as_rat(g)
+    if not 0 < g.num < g.den:
+        raise ValueError("gamma weight must lie strictly between 0 and 1: %s" % g)
+    return g
+
+
+def _check_indices(J, taus):
+    J = frozenset(J)
+    for j in J:
+        if not (isinstance(j, int) and 1 <= j <= len(taus)):
+            raise ValueError("J must contain 1-based tau indices")
+    return J
+
+
+@dataclass(frozen=True)
+class SeifertTuple:
+    """An input tuple (J; b; gamma; tau)."""
+
+    J: frozenset
+    b: int
+    gammas: tuple
+    taus: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "gammas",
+                           tuple(_check_gamma(g) for g in self.gammas))
+        taus = tuple(_as_rat(t) for t in self.taus)
+        for t in taus:
+            if t.is_infinite:
+                raise ValueError("tau weight must be finite")
+        object.__setattr__(self, "taus", taus)
+        object.__setattr__(self, "J", _check_indices(self.J, taus))
+
+
+def normalize(tup):
+    """Shift each tau into [0, 1), absorbing integer parts into b.
+
+    Replacing tau_j by its fractional part and b by b - sum(floor(tau_j))
+    leaves realisability unchanged, so every decision can assume
+    normalized weights.
+    """
+    shift = sum(t.floor() for t in tup.taus)
+    return SeifertTuple(tup.J, tup.b - shift,
+                        tup.gammas, tuple(t.frac() for t in tup.taus))
+
+
+@dataclass(frozen=True)
+class ReducedTuple:
+    """A normalized tuple with forced slots stripped.
+
+    ``slots`` lists the surviving constraints as (value, strict) pairs:
+    every gamma (always strict) and every tau in (0, 1) (strict exactly
+    when its index lies in J).  ``zeros`` counts the tau weights equal
+    to 0 whose index is outside J; weights equal to 0 with index in J
+    impose no constraint at all and are dropped.  ``kept_indices`` maps
+    the surviving tau slots back to 1-based input positions.
+    """
+
+    b: int
+    slots: tuple
+    zeros: int
+    kept_indices: tuple
+
+
+def reduce_integral(tup):
+    """Normalize a tuple as ``normalize`` does and strip forced integral slots.
+
+    The tau weights are shifted into [0, 1) on the fly, so a validated
+    SeifertTuple is reduced without being rebuilt.
+    """
+    b = tup.b
+    slots = [(g, True) for g in tup.gammas]
+    zeros = 0
+    kept = []
+    for idx, t in enumerate(tup.taus, start=1):
+        b -= t.floor()
+        t = t.frac()
+        if t.num == 0:
+            if idx in tup.J:
+                continue
+            zeros += 1
+        else:
+            slots.append((t, idx in tup.J))
+            kept.append(idx)
+    return ReducedTuple(b, tuple(slots), zeros, tuple(kept))
+
+
+def jn_realizable(query):
+    """Decide a reduced query (fields b, slots, zeros)."""
+    slot_key = tuple((v.num, v.den, st) for v, st in query.slots)
+    return _decide(query.b, slot_key, query.zeros)
+
+
+def decide(J, b, gammas, taus):
+    """Decide an arbitrary tuple: validate, reduce, then dispatch."""
+    tup = SeifertTuple(frozenset(J), b, tuple(gammas), tuple(taus))
+    return jn_realizable(reduce_integral(tup))
 
 
 def inner_basis_map(params):

@@ -162,6 +162,13 @@ class TestExitCodes:
             assert out == ""
             assert err == "error: fractional part of infinity"
 
+    def test_jn_infinite_tau(self, capsys):
+        code, out, err = run(capsys, "jn", "--gamma", "1/2", "--tau",
+                             "1/3,inf")
+        assert code == 3
+        assert out == ""
+        assert err == "error: fractional part of infinity"
+
     def test_malformed_rational(self, capsys):
         code, _, err = run(capsys, "interval", "--p", "2", "--q", "3",
                            "--tau", "0.5")

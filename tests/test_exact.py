@@ -197,6 +197,19 @@ class TestSlopeSetAlgebra:
         assert not s.contains(R("1"))
         assert not s.contains(INF)
 
+    @pytest.mark.parametrize("build", [
+        lambda: SlopeSet.ray_below(INF),
+        lambda: SlopeSet.ray_above(INF, False),
+        lambda: SlopeSet.interval(INF, R("1")),
+        lambda: SlopeSet.interval(R("-1"), INF, False, False),
+    ], ids=["ray_below", "ray_above", "interval low", "interval high"])
+    def test_infinite_end_rejected(self, build):
+        # an interval or ray ends at a rational; infinity is a point of
+        # its own, SlopeSet.point(INF)
+        with pytest.raises(ValueError,
+                           match="^interval and ray ends must be finite$"):
+            build()
+
     def test_full_and_empty(self):
         assert SlopeSet.full().is_full
         assert SlopeSet.empty().is_empty

@@ -10,7 +10,7 @@ from cableslopes.intervals import (InsufficientData, WindowClosed,
                                    cable_interval, endpoint_search,
                                    extremal_slot_value, relative_interval,
                                    special_slope_interval)
-from cableslopes.jn import decide
+from cableslopes.jn import JNResult, UnsupportedArity, decide
 from cableslopes.oracle import _decide_point
 from cableslopes.seifert import derived_quantities
 
@@ -175,27 +175,32 @@ def _gamma_error(g):
 
 
 _INF_TAU = (ValueError, "fractional part of infinity")
-# the whole-tuple checks of jn.decide and the oracle word it apart
+# the oracle's own reduction, kept apart for independence, words it apart
 _INF_TAU_TUPLE = (ValueError, "tau weight must be finite")
 _J = (ValueError, "J must contain 1-based tau indices")
 _J_CABLE = (ValueError, "J must be a subset of {1}")
 _SHORT = (InsufficientData, "insufficient data: n + r1 + s0 = 1 < 2")
 _PINNED = (WindowClosed, "window closed: integral slots pin t to [m0,m1]")
+_ARITY = (UnsupportedArity, "unsupported arity: 1 slots with no integral slot")
 
 # gammas, taus, J, then the (type, text) raised by relative_interval,
 # by endpoint_search on either side, by derived_quantities (None: it
-# returns) and by cable_interval with that gamma and tau (None: not a
-# cable tuple)
+# returns), by cable_interval with that gamma and tau (None: not a
+# cable tuple) and by jn.decide at b = 1 (or the JNResult it returns)
 VALIDATION_TABLE = {
-    **{"gamma " + g: ((g,), ("1/2",), ()) + (_gamma_error(g),) * 4
+    **{"gamma " + g: ((g,), ("1/2",), ()) + (_gamma_error(g),) * 5
        for g in ("0", "1", "3/2", "inf")},
-    "tau inf": (("1/2",), ("inf",), ()) + (_INF_TAU,) * 4,
-    "J 0": (("1/2",), ("1/3",), (0,), _J, _J, _J, _J_CABLE),
-    "J 3": (("1/2",), ("1/3",), (3,), _J, _J, _J, _J_CABLE),
-    "J '1'": (("1/2",), ("1/3",), ("1",), _J, _J, _J, _J_CABLE),
-    "one gamma": (("1/2",), (), (), _SHORT, _SHORT, None, None),
-    "one strict tau": ((), ("1/3",), (1,), _SHORT, _SHORT, None, None),
-    "one zero slot": ((), ("0",), (), _SHORT, _PINNED, None, None),
+    "tau inf": (("1/2",), ("inf",), ()) + (_INF_TAU,) * 5,
+    "J 0": (("1/2",), ("1/3",), (0,), _J, _J, _J, _J_CABLE, _J),
+    "J 3": (("1/2",), ("1/3",), (3,), _J, _J, _J, _J_CABLE, _J),
+    "J '1'": (("1/2",), ("1/3",), ("1",), _J, _J, _J, _J_CABLE, _J),
+    # J is checked before an infinite tau, by every entry point
+    "J 3 tau inf": (("1/2",), ("inf",), (3,), _J, _J, _J, _J_CABLE, _J),
+    "one gamma": (("1/2",), (), (), _SHORT, _SHORT, None, None, _ARITY),
+    "one strict tau": ((), ("1/3",), (1,), _SHORT, _SHORT, None, None,
+                       _ARITY),
+    "one zero slot": ((), ("0",), (), _SHORT, _PINNED, None, None,
+                      JNResult(False, None, "integral-slot-window")),
 }
 
 
@@ -212,7 +217,7 @@ class TestValidationTable:
 
     @pytest.mark.parametrize("name", sorted(VALIDATION_TABLE))
     def test_entry_points(self, name):
-        gammas, taus, J, rel, end, dq, cab = VALIDATION_TABLE[name]
+        gammas, taus, J, rel, end, dq, cab, dec = VALIDATION_TABLE[name]
         gammas = tuple(map(R, gammas))
         taus = tuple(map(R, taus))
         J = frozenset(J)
@@ -227,10 +232,17 @@ class TestValidationTable:
             # cable_interval reads only the gamma of its params
             params = types.SimpleNamespace(gamma=gammas[0])
             _raises(cab, cable_interval, params, J, taus[0])
+        if isinstance(dec, JNResult):
+            assert decide(J, 1, gammas, taus) == dec
+        else:
+            _raises(dec, decide, J, 1, gammas, taus)
 
-    @pytest.mark.parametrize("decide_tuple", [decide, _decide_point])
-    def test_tuple_deciders_infinite_tau(self, decide_tuple):
-        _raises(_INF_TAU_TUPLE, decide_tuple, frozenset(), 1, (R("1/2"),),
+    @pytest.mark.parametrize("decide_tuple, want",
+                             [(decide, _INF_TAU),
+                              (_decide_point, _INF_TAU_TUPLE)],
+                             ids=["decide", "_decide_point"])
+    def test_tuple_deciders_infinite_tau(self, decide_tuple, want):
+        _raises(want, decide_tuple, frozenset(), 1, (R("1/2"),),
                 (R("1/3"), R("inf")))
 
 

@@ -213,6 +213,66 @@ class TestMatchesLoopReference:
                 == loop_reference.extremal_slot_value(fixed))
 
 
+def _weights(lo, hi):
+    # num/den in [lo, hi] with den <= 6, or an integer in [lo, hi]
+    fractions = st.integers(1, 6).flatmap(
+        lambda d: st.builds(ExtRational, st.integers(lo * d, hi * d),
+                            st.just(d)))
+    return st.one_of(fractions, st.builds(ExtRational, st.integers(lo, hi)))
+
+
+def _mix(*strategies):
+    # a weighted choice: each repeat of a strategy adds to its share
+    return st.sampled_from(strategies).flatmap(lambda s: s)
+
+
+_UNIT = sized_slot_lists(1, 1, 9).map(lambda v: v[0][0])
+_GAMMAS = _mix(_UNIT, _UNIT, _UNIT, _UNIT, _weights(-1, 2))
+_TAUS = _mix(_UNIT, _weights(-3, 3), _weights(-3, 3), _weights(-3, 3),
+             st.just(ExtRational(0)), st.just(ExtRational(1, 0)))
+
+
+@st.composite
+def tuples(draw):
+    """(J, b, gammas, taus): 0-3 gammas, mostly valid, and 0-3 taus,
+    integral, negative, zero or infinite, with J mostly a set of their
+    indices and sometimes naming no tau."""
+    gammas = draw(st.lists(_GAMMAS, max_size=3))
+    taus = draw(st.lists(_TAUS, max_size=3))
+    named = (st.frozensets(st.integers(1, len(taus)), max_size=3) if taus
+             else st.just(frozenset()))
+    J = draw(st.one_of(named, st.frozensets(st.integers(0, 4), max_size=2)))
+    return J, draw(st.integers(-3, 5)), gammas, taus
+
+
+_INF_TUPLE = (ValueError, "tau weight must be finite")
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except ValueError as exc:  # compared by type and text
+        return type(exc), str(exc)
+
+
+class TestDecideMatchesReference:
+    """``decide`` reads the interval path's integer reduction; on every
+    tuple it answers as the tuple decider it replaced did."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(tuples())
+    def test_same_result_or_error(self, tup):
+        want = _outcome(loop_reference.decide, *tup)
+        if want == _INF_TUPLE:
+            # the one reduction checks J first and words an infinite
+            # tau as the interval path does
+            J, _, _, taus = tup
+            bad_j = any(not 1 <= j <= len(taus) for j in J)
+            want = (ValueError, "J must contain 1-based tau indices" if bad_j
+                    else "fractional part of infinity")
+        assert _outcome(decide, *tup) == want
+
+
 def _brute_witnesses(values, n_range, free):
     """Every witness (N, A, assignment) with N in n_range, by direct check.
 
