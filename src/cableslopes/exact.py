@@ -504,8 +504,10 @@ def _arc_cuts(text, ivs):
     low to high, as ``_directed_cuts`` builds it: a ray holds infinity
     when its bracket at the infinite end is closed, and finite ends
     with low > high wrap through infinity, [low,inf] joined to
-    [-inf,high].  Equal finite ends give a point; infinite ones give
-    the line, which holds infinity when either bracket is closed.
+    [-inf,high].  Equal ends give a point, and so do two infinite ends
+    with the same sign text, as in ``[inf,inf]`` or ``[-inf,-inf]``;
+    infinite ends with different signs give the line, which holds
+    infinity when either bracket is closed.
     """
     ends = text[1:-1].split(",")
     if text[0] not in "[(" or text[-1] not in "])" or len(ends) != 2:
@@ -515,7 +517,9 @@ def _arc_cuts(text, ivs):
     hc = text[-1] == "]"
     if lo != hi:
         return _directed_cuts(lo, lc, hi, hc, ivs)
-    if lo.is_infinite:
+    # parse drops the sign of an infinite end, so read it off the text
+    if lo.is_infinite and (ends[0].strip().startswith("-")
+                           != ends[1].strip().startswith("-")):
         ivs.append((_MIN, _MAX))
         return lc or hc
     if not (lc and hc):

@@ -160,19 +160,17 @@ def special_slope_interval(params, b, strict=False):
     p, q, r, s = params.p, params.q, params.r, params.s
     if b < 0:
         raise ValueError("b must be a nonnegative integer")
-    if p - q * b > 0:
+    d = p - q * b
+    if d > 0:
         if not strict:
-            return Arc(ExtRational(-1) - ExtRational(1, p - q * b),
-                       ExtRational(-1))
-        slope = ExtRational(b * s + r, p - q * b)
-        if slope == 1:
+            return Arc(ExtRational(-d - 1, d), ExtRational(-1))
+        if b * s + r == d:  # slope 1
             v = ExtRational(-(2 * q + s), q)
             return Arc(v, v)
-        return Arc(ExtRational(-1) - ExtRational(1, p - q * (b - 1)),
-                   ExtRational(-1))
-    if q * b - p > 0:
+        d += q  # p - q(b - 1)
+        return Arc(ExtRational(-d - 1, d), ExtRational(-1))
+    if d < 0:
         if strict:
             raise ValueError("no strict closed form on the b >= p/q branch")
-        return Arc(ExtRational(-1),
-                   ExtRational(-1) + ExtRational(1, q * b - p))
+        return Arc(ExtRational(-1), ExtRational(d + 1, -d))
     raise ValueError("b = p/q is impossible for coprime p, q with q > 1")

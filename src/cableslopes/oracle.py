@@ -58,6 +58,19 @@ Farey sequence F_{d-1}, and between neighbours only their mediant has
 denominator d or less; so each denominator costs at most one loop per
 side, and each cache entry holds O(D) integers for D the largest
 denominator.
+
+Each translation class of tau is scanned once.  Moving tau by an
+integer moves b0 the other way, and every span above is b0 den plus an
+offset free of b0, as are the scan's rows.  Adding b0 den to a
+numerator keeps its gcd with den and the order of fractions, so the
+scan at b0 is the scan at b0 = 0 with b0 den added to each numerator.
+``_relative_scan`` runs that scan on the expected set's cuts less
+b0 den, cached on (slots, zeros, strict, max_denominator, cuts), and
+``grid_scan_interval`` adds b0 den back into fresh objects.  A translate
+whose expected set moves with it is a cache hit; any other expected set
+is scanned in full.  The cache holds at most 256 entries, each the
+integers of one report: the hull ends and one (num, den, got) triple
+per disagreement.
 """
 
 import math
@@ -260,53 +273,50 @@ def _decide_point(J, b, gammas, taus):
     return b in _realisable_range(slots, zeros)
 
 
-def _member_cuts(pieces, lo, hi):
+def _member_cuts(pieces, b0, lo, hi):
     """Integer cuts on num for membership of num/den in affine pieces.
 
     Each piece (low, low_closed, high, high_closed) gives the least num
     inside it and the least num above it.  For an end n/d that is a
     ceil or a floor + 1 of n den / d, so each cut is a triple (n, off, d)
     that sits at (n den + off) // d; an unbounded end gives the scan
-    limit lo or hi, as (lo, 0, 1) or (hi, 0, 1).
+    limit lo or hi, as (lo, 0, 1) or (hi, 0, 1).  All of it is less
+    b0 den: a triple holds n - b0 d for n, and lo and hi are rows less b0.
     """
     cuts = []
     for l, lc, h, hc in pieces:
-        cuts.append((lo, 0, 1) if l is None else (l.num, l.den - lc, l.den))
+        cuts.append((lo, 0, 1) if l is None
+                    else (l.num - b0 * l.den, l.den - lc, l.den))
         cuts.append((hi, 0, 1) if h is None
-                    else (h.num, h.den - (not hc), h.den))
-    return cuts
+                    else (h.num - b0 * h.den, h.den - (not hc), h.den))
+    return tuple(cuts)
 
 
-def grid_scan_interval(params, J, tau, max_denominator=24, expected=None):
-    """Scan tau' over a denominator-bounded grid around the core window.
+def _scan_rows(fixed, zeros):
+    """The open row window (m0 - 2, m1 + 2) of a scan, less b0.
 
-    Tests every reduced fraction with denominator <= max_denominator in
-    (m0 - 2, m1 + 2) and returns the hull of the realisable points.
-    When ``expected`` is given, as a ``SlopeSet`` or as an interval
-    result ``Arc`` (the closed set [low, high]), disagreements are
-    collected as (point, got, expected) mismatches in (denominator,
-    numerator) order; any other type raises TypeError.
+    The core window [m0, m1] is m0 = b0 - (tau slots + zeros) and
+    m1 = b0 + zeros - 1, where ``fixed`` holds gamma and the tau slots.
     """
-    if max_denominator < 1:
-        raise ValueError("max_denominator must be at least 1")
-    if isinstance(expected, Arc):
-        expected = SlopeSet.interval(expected.low, expected.high)
-    elif not (expected is None or isinstance(expected, SlopeSet)):
-        raise TypeError("expected must be an Arc or a SlopeSet")
-    # the tuple is (J; 0; gamma; tau, tau'): tau has index 1, tau' 2
-    J = _check_J(J, 2)
-    gamma = ExtRational(params.q + params.s, params.q)
-    b0, fixed, zeros = _reduce(J - {2}, 0, (gamma,), (tau,))
-    # core window [m0, m1]: m0 = b0 - (tau slots + zeros) and
-    # m1 = b0 + zeros - 1; the scan runs over (m0 - 2, m1 + 2)
-    lo = b0 - (len(fixed) - 1 + zeros) - 2
-    hi = b0 + zeros + 1
-    ends = (None if expected is None
-            else _member_cuts(expected.affine_pieces(), lo, hi))
+    return -(len(fixed) - 1 + zeros) - 2, zeros + 1
+
+
+# typed: a key equal to a cached one but of another type, such as a
+# float max_denominator, still runs the scan and fails as it would
+@lru_cache(maxsize=1 << 8, typed=True)
+def _relative_scan(fixed, zeros, strict, max_denominator, ends):
+    """The scan of one translation class, in numerators less b0 den.
+
+    ``ends`` are the expected set's cuts from ``_member_cuts``, or None.
+    Returns (low, high, tested, found): the hull ends as (num, den) or
+    None, the grid point count, and the disagreements as (num, den,
+    got) triples in (den, num) order.
+    """
+    lo, hi = _scan_rows(fixed, zeros)
     low = high = None
-    mismatches = []
+    found = []
     for den, (s, e) in enumerate(
-            _spans(b0, fixed, zeros, 2 in J, max_denominator), 1):
+            _spans(0, fixed, zeros, strict, max_denominator), 1):
         # shrink the span to its first and last grid point: the ends of
         # the hull at den
         while s < e and math.gcd(s, den) != 1:
@@ -330,14 +340,45 @@ def grid_scan_interval(params, J, tau, max_denominator=24, expected=None):
                 continue
             for num in range(max(x0, start + 1), min(x1, stop)):
                 if math.gcd(num, den) == 1:
-                    got = s <= num < e
-                    mismatches.append((ExtRational(num, den), got, not got))
+                    found.append((num, den, s <= num < e))
     # every den has (hi - lo) phi(den) grid points, but den = 1 lacks lo
     tested = (hi - lo) * _coprime_count(max_denominator) - 1
+    return low, high, tested, tuple(found)
+
+
+def grid_scan_interval(params, J, tau, max_denominator=24, expected=None):
+    """Scan tau' over a denominator-bounded grid around the core window.
+
+    Tests every reduced fraction with denominator <= max_denominator in
+    (m0 - 2, m1 + 2) and returns the hull of the realisable points.
+    When ``expected`` is given, as a ``SlopeSet`` or as an interval
+    result ``Arc`` (the closed set [low, high]), disagreements are
+    collected as (point, got, expected) mismatches in (denominator,
+    numerator) order; any other type raises TypeError.  The scan of
+    tau's translation class is cached, and shifted here by b0.
+    """
+    if max_denominator < 1:
+        raise ValueError("max_denominator must be at least 1")
+    if isinstance(expected, Arc):
+        expected = SlopeSet.interval(expected.low, expected.high)
+    elif not (expected is None or isinstance(expected, SlopeSet)):
+        raise TypeError("expected must be an Arc or a SlopeSet")
+    # the tuple is (J; 0; gamma; tau, tau'): tau has index 1, tau' 2
+    J = _check_J(J, 2)
+    gamma = ExtRational(params.q + params.s, params.q)
+    b0, fixed, zeros = _reduce(J - {2}, 0, (gamma,), (tau,))
+    ends = (None if expected is None
+            else _member_cuts(expected.affine_pieces(), b0,
+                              *_scan_rows(fixed, zeros)))
+    low, high, tested, found = _relative_scan(fixed, zeros, 2 in J,
+                                              max_denominator, ends)
+    mismatches = [(ExtRational(num + b0 * den, den), got, not got)
+                  for num, den, got in found]
     if low is None:
         return ScanReport(None, None, tested, mismatches)
-    return ScanReport(ExtRational(*low), ExtRational(*high), tested,
-                      mismatches)
+    return ScanReport(ExtRational(low[0] + b0 * low[1], low[1]),
+                      ExtRational(high[0] + b0 * high[1], high[1]),
+                      tested, mismatches)
 
 
 def exhaustive_witness_check(values, claimed):

@@ -115,9 +115,8 @@ class TestArc:
         st.sampled_from(("inf", "+inf", "-inf", " 2 / -4 ", "+3", "0/0")),
         st.text("0123456789/+-inf _", min_size=1, max_size=8)))
     def test_point_and_degenerate_arc_agree(self, x):
-        # both read x with ExtRational.parse; only an infinite x differs,
-        # since an arc's infinite ends are -inf and +inf by position, so
-        # [inf,inf] is the closed line [-inf,inf]
+        # both read x with ExtRational.parse, and the arc keeps the sign
+        # text of an infinite end: [inf,inf] and [-inf,-inf] are {inf}
         def parse(text):
             try:
                 return parse_slope_set(text)
@@ -127,7 +126,21 @@ class TestArc:
         point, arc = parse("{%s}" % x), parse("[%s,%s]" % (x, x))
         assert (point is None) == (arc is None)
         if point is not None:
-            assert arc == (SlopeSet.full() if R(x).is_infinite else point)
+            assert arc == point
+
+    def test_infinite_ends_read_by_sign(self):
+        # same sign: the degenerate arc at infinity, closed or an error
+        for text in ("[inf,inf]", "[+inf,inf]", "[-inf,-inf]",
+                     "[ +inf, +inf ]"):
+            assert parse_slope_set(text) == SlopeSet.empty().with_infinity()
+        for text in ("(inf,inf)", "[inf,inf)", "(-inf,-inf]", "(+inf,inf)"):
+            with pytest.raises(ValueError, match="^degenerate open arc$"):
+                parse_slope_set(text)
+        # different signs: the line, holding infinity at a closed bracket
+        for text in ("[-inf,inf]", "[inf,-inf]", "[-inf,+inf]", "(inf,-inf]"):
+            assert parse_slope_set(text) == SlopeSet.full()
+        for text in ("(-inf,inf)", "(inf,-inf)"):
+            assert parse_slope_set(text) == SlopeSet.reals()
 
     def test_interval_result_type(self):
         arc = Arc(R("-3/2"), ExtRational(-1))

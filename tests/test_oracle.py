@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from cableslopes import cable, oracle
 from cableslopes.cable import bezout
-from cableslopes.exact import Arc, ExtRational, SlopeSet
+from cableslopes.exact import (Arc, ExtRational, IntMobius, SlopeSet,
+                               mobius_set_image)
 from cableslopes.intervals import cable_interval
 from cableslopes.jn import UnsupportedArity, decide, witness_search
 from cableslopes.oracle import (ScanReport, _decide_point, _realisable_range,
@@ -175,7 +176,7 @@ class TestWitnessThresholds:
 
     def test_caches_are_bounded(self):
         for fn in (_witness_thresholds, oracle._coprime_count,
-                   _realisable_range):
+                   _realisable_range, oracle._relative_scan):
             assert fn.cache_parameters()["maxsize"] is not None
 
 
@@ -349,6 +350,24 @@ def _reference_scan(params, J, tau, max_denominator, expected):
     return low, high, tested, mismatches
 
 
+def _scanned(params, J, tau, max_denominator, expected):
+    """One scan's report as the tuple that _reference_scan returns."""
+    report = grid_scan_interval(params, J, tau, max_denominator,
+                                expected=expected)
+    return (report.hull_low, report.hull_high, report.tested_points,
+            report.mismatches)
+
+
+def _translate(expected, m):
+    """The expected set moved by the integer m."""
+    if isinstance(expected, Arc):
+        return Arc(ExtRational(expected.low.num + m * expected.low.den,
+                               expected.low.den),
+                   ExtRational(expected.high.num + m * expected.high.den,
+                               expected.high.den))
+    return mobius_set_image(IntMobius(1, m, 0, 1), expected)
+
+
 class TestScanMembership:
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(COPRIME), st.frozensets(st.integers(1, 2)),
@@ -392,14 +411,82 @@ class TestScanMembership:
     def test_matches_reference_loop(self, pq, J, tau, max_denominator,
                                     expected):
         params = bezout(*pq)
-        report = grid_scan_interval(params, J, tau, max_denominator,
-                                    expected=expected)
-        got = (report.hull_low, report.hull_high, report.tested_points,
-               report.mismatches)
+        got = _scanned(params, J, tau, max_denominator, expected)
         assert got == _reference_scan(params, J, tau, max_denominator,
                                       expected)
         assert all(type(g) is bool and type(w) is bool
-                   for _, g, w in report.mismatches)
+                   for _, g, w in got[3])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(COPRIME), st.frozensets(st.integers(1, 2)),
+           _rationals(-3, 3, 8), st.integers(1, 8), expectations(),
+           st.sampled_from((-3, -2, -1, 1, 2, 3)))
+    # an integral tau: J = {} and J = {1} share the slots and differ in
+    # the zero count
+    @example((3, 2), frozenset(), ExtRational(1), 6,
+             Arc(ExtRational(-3), R("-1/2")), -2)
+    # J = {} and J = {2} share the slots and differ in tau' strictness
+    @example((4, 3), frozenset({2}), R("5/12"), 8, C43_T.t_strict, 3)
+    @example((2, 3), frozenset(), R("1/2"), 8,
+             Arc(ExtRational(-2), ExtRational(-1)), 1)
+    def test_translates_match_reference_loop(self, pq, J, tau,
+                                             max_denominator, expected, m):
+        # tau + m moves b0 by -m, so with the expected set moved by -m
+        # its scan is the cached scan of tau; with any other expected set
+        # or J it is a scan of its own
+        params = bezout(*pq)
+        moved = ExtRational(tau.num + m * tau.den, tau.den)
+        follows = _translate(expected, -m)
+        for fn in (oracle._relative_scan, _witness_thresholds,
+                   _realisable_range):
+            fn.cache_clear()
+        assert _scanned(params, J, tau, max_denominator, expected) == (
+            _reference_scan(params, J, tau, max_denominator, expected))
+        calls = []
+        real_exists, real_spans = oracle._witness_exists, oracle._spans
+
+        def counted_exists(slots):
+            calls.append("_witness_exists")
+            return real_exists(slots)
+
+        def counted_spans(*key):
+            calls.append("_spans")
+            return real_spans(*key)
+
+        hits = oracle._relative_scan.cache_info().hits
+        with mock.patch.object(oracle, "_witness_exists", counted_exists), \
+                mock.patch.object(oracle, "_spans", counted_spans):
+            got = _scanned(params, J, moved, max_denominator, follows)
+        assert calls == []
+        assert oracle._relative_scan.cache_info().hits == hits + 1
+        assert got == _reference_scan(params, J, moved, max_denominator,
+                                      follows)
+        for J2, want in ((J, expected), (J ^ {1}, follows),
+                         (J ^ {2}, follows)):
+            assert _scanned(params, J2, moved, max_denominator, want) == (
+                _reference_scan(params, J2, moved, max_denominator, want))
+
+    def test_reports_share_no_state_with_cache(self):
+        # a cached scan hands out a fresh mismatch list every time
+        wrong = Arc(ExtRational(-2), ExtRational(-1))
+        first = grid_scan_interval(C23, frozenset(), R("1/2"), 8,
+                                   expected=wrong)
+        want = list(first.mismatches)
+        assert want
+        first.mismatches.append((ExtRational(0), True, False))
+        second = grid_scan_interval(C23, frozenset(), R("1/2"), 8,
+                                    expected=wrong)
+        assert second.mismatches == want
+        second.mismatches.clear()
+        third = grid_scan_interval(C23, frozenset(), R("1/2"), 8,
+                                   expected=wrong)
+        assert third.mismatches == want
+        assert third.mismatches is not second.mismatches
+
+    def test_float_bound_fails_after_cached_int(self):
+        grid_scan_interval(C23, frozenset(), R("1/2"), 6)
+        with pytest.raises(TypeError):
+            grid_scan_interval(C23, frozenset(), R("1/2"), 6.0)
 
     def test_rejects_other_expectations(self):
         for expected in ("[-2,-1]", [ExtRational(-1)], ExtRational(-1)):
