@@ -6,11 +6,11 @@ from .cable import (CableParams, DetectionMode, bezout, cable_detected_set,
 from .exact import (INF, Arc, ExtRational, IntMobius, SlopeSet,
                     mobius_set_image, parse_slope_set)
 from .intervals import (InsufficientData, RelativeIntervalResult,
-                        WindowClosed, cable_interval, endpoint_search,
-                        relative_interval, special_slope_interval)
+                        cable_interval, relative_interval,
+                        special_slope_interval)
 from .jn import JNResult, JNWitness, UnsupportedArity, decide, witness_search
 from .oracle import ScanReport, exhaustive_witness_check, grid_scan_interval
-from .seifert import derived_quantities, normalize, reduce_integral
+from .seifert import normalize, reduce_integral
 
 __version__ = "0.1.0"
 
@@ -18,10 +18,9 @@ __all__ = [
     "Arc", "CableParams", "DetectionMode", "ExtRational", "INF",
     "InsufficientData", "IntMobius", "JNResult", "JNWitness",
     "RelativeIntervalResult", "ScanReport", "SlopeSet", "UnsupportedArity",
-    "WindowClosed", "bezout", "cable_detected_set", "cable_genus_bound",
-    "cable_interval", "decide", "derived_quantities", "endpoint_search",
-    "exhaustive_witness_check", "grid_scan_interval", "inner_basis_map",
-    "mobius_set_image", "normalize", "outer_basis_map", "parse_slope_set",
-    "ray_union", "reduce_integral", "relative_interval",
+    "bezout", "cable_detected_set", "cable_genus_bound", "cable_interval",
+    "decide", "exhaustive_witness_check", "grid_scan_interval",
+    "inner_basis_map", "mobius_set_image", "normalize", "outer_basis_map",
+    "parse_slope_set", "ray_union", "reduce_integral", "relative_interval",
     "special_slope_interval", "torus_knot_detected", "witness_search",
 ]

@@ -123,7 +123,7 @@ def ray_union(params, direction, tau0):
     tau0 = _as_rat(tau0)
     if direction not in ("geq", "leq"):
         raise ValueError("direction must be 'geq' or 'leq'")
-    if tau0.is_infinite:  # the text ExtRational.frac gives
+    if tau0.is_infinite:  # the text seifert.normalize gives
         raise ValueError("fractional part of infinity")
     side = "right" if direction == "geq" else "left"
     return _ray(params, side, tau0, True, False)
@@ -142,22 +142,17 @@ def _piece_union(params, piece, strict):
         _ray(params, "left", high, high_closed, strict))
 
 
-def cable_detected_set(params, input_set, mode, exactness="auto"):
+def cable_detected_set(params, input_set, mode):
     """Detected slopes of the cable, given the detected slopes downstairs.
 
-    Returns (slope_set, tag) where tag is "equals" or "contains".  Weak
-    mode is always exact.  Strong mode always reports a guaranteed
-    subset.  Regular and weak mode compute the same set and differ only
-    in the tag: regular mode reports "equals" unless the caller passes
-    exactness="contains".  No input calls for "contains" by itself: a
-    full input's inner image is the reals, one unbounded piece whose
-    union is the reals, and with the fiber slope the output is the full
-    circle.
+    Returns (slope_set, tag).  Strong mode reports a guaranteed subset,
+    tagged "contains".  Weak and regular mode compute the same exact
+    set, tagged "equals": a full input's inner image is the reals, one
+    unbounded piece whose union is the reals, and with the fiber slope
+    the output is the full circle, so no input falls back to "contains".
     """
     if not isinstance(mode, DetectionMode):
         raise ValueError("mode must be a DetectionMode")
-    if exactness not in ("auto", "equals", "contains"):
-        raise ValueError("exactness must be 'auto', 'equals' or 'contains'")
     inner = mobius_set_image(inner_basis_map(params), input_set)
     use_strict = mode is DetectionMode.STRONG
     out = SlopeSet.union_all(_piece_union(params, piece, use_strict)
@@ -165,15 +160,7 @@ def cable_detected_set(params, input_set, mode, exactness="auto"):
     if inner.has_infinity:  # the fiber slope passes through in every mode
         out = out.with_infinity()
     result = mobius_set_image(outer_basis_map(params), out)
-    if mode is DetectionMode.WEAK:
-        tag = "equals"
-    elif mode is DetectionMode.STRONG:
-        if exactness == "equals":
-            raise ValueError("strong mode only guarantees a subset")
-        tag = "contains"
-    else:
-        tag = "contains" if exactness == "contains" else "equals"
-    return result, tag
+    return result, "contains" if use_strict else "equals"
 
 
 def torus_knot_detected(p, q):

@@ -1,7 +1,7 @@
 """Command line interface.
 
-Exit codes: 0 success, 2 usage error, 3 domain error (invalid inputs
-or a closed window), 4 oracle mismatch.
+Exit codes: 0 success, 2 usage error, 3 domain error (invalid inputs),
+4 oracle mismatch.
 """
 
 import argparse

@@ -1,11 +1,13 @@
-"""Exact arithmetic on the rational projective circle.
+"""Exact values and sets on the rational projective circle.
 
 Values live in Q together with a single point at infinity, i.e. the
-rational points of RP^1.  Every subset is a SlopeSet: a finite union
+rational points of RP^1.  An ExtRational is such a value, not a number:
+it is built, compared, hashed, printed and parsed, and callers do their
+arithmetic on its integers.  Every subset is a SlopeSet: a finite union
 of arcs with rational endpoints, each end open or closed.  The one
 other set type, Arc, is the closed finite interval [low, high] that an
-interval result t always is.  All arithmetic is integer based; nothing
-in this module ever rounds.
+interval result t always is.  All work is integer based; nothing in
+this module ever rounds.
 
 The hot paths avoid building objects: ExtRational compares another
 ExtRational or an int by cross-multiplying integers, and the SlopeSet
@@ -19,12 +21,15 @@ import math
 import operator
 import re
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")  # one part of a rational's text
+
 
 class ExtRational:
-    """A reduced rational number, or the single point at infinity.
+    """A reduced rational value, or the single point at infinity.
 
     Infinity is stored uniquely as numerator 1, denominator 0.  Finite
     values are stored with a positive denominator and gcd(num, den) = 1.
+    There is no arithmetic: + - * / and unary - raise TypeError.
     """
 
     __slots__ = ("num", "den")
@@ -49,75 +54,6 @@ class ExtRational:
     @property
     def is_infinite(self):
         return self.den == 0
-
-    def floor(self):
-        if self.is_infinite:
-            raise ValueError("floor of infinity")
-        return self.num // self.den
-
-    def frac(self):
-        """Fractional part, in [0, 1)."""
-        if self.is_infinite:
-            raise ValueError("fractional part of infinity")
-        return ExtRational(self.num - self.floor() * self.den, self.den)
-
-    def _coerce(self, other):
-        if isinstance(other, ExtRational):
-            return other
-        if isinstance(other, int):
-            return ExtRational(other)
-        return NotImplemented
-
-    def _finite_pair(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_infinite or other.is_infinite:
-            raise ValueError("arithmetic with infinity")
-        return other
-
-    def __add__(self, other):
-        other = self._finite_pair(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ExtRational(self.num * other.den + other.num * self.den,
-                           self.den * other.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._finite_pair(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ExtRational(self.num * other.den - other.num * self.den,
-                           self.den * other.den)
-
-    def __rsub__(self, other):
-        return ExtRational(other) - self
-
-    def __mul__(self, other):
-        other = self._finite_pair(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ExtRational(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._finite_pair(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.num == 0:
-            raise ZeroDivisionError("division by zero")
-        return ExtRational(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return ExtRational(other) / self
-
-    def __neg__(self):
-        if self.is_infinite:
-            raise ValueError("arithmetic with infinity")
-        return ExtRational(-self.num, self.den)
 
     # Compares work on the integers of an ExtRational or an int (a bool
     # included, as the int it equals) and leave other types to Python.
@@ -169,13 +105,17 @@ class ExtRational:
 
     @classmethod
     def parse(cls, text):
+        """Read ``n``, ``n/d`` or ``inf`` (also ``+inf``, ``-inf``).
+
+        Each of n and d is ``[+-]?[0-9]+`` after stripping whitespace.
+        """
         text = text.strip()
         if text in ("inf", "+inf", "-inf"):
             return INF
-        if "/" in text:
-            a, b = text.split("/", 1)
-            return cls(int(a), int(b))
-        return cls(int(text))
+        parts = [part.strip() for part in text.split("/", 1)]
+        if not all(map(_INTEGER.fullmatch, parts)):
+            raise ValueError("cannot parse rational: %r" % (text,))
+        return cls(*map(int, parts))
 
 
 INF = ExtRational(1, 0)
@@ -435,9 +375,6 @@ class SlopeSet:
     def issubset(self, other):
         return self.difference(other).is_empty
 
-    def without_infinity(self):
-        return SlopeSet._canonical(self._ivs, False)
-
     def with_infinity(self):
         return SlopeSet._canonical(self._ivs, True)
 
@@ -580,16 +517,6 @@ class IntMobius:
         x = _as_rat(x)
         return ExtRational(self.a * x.num + self.b * x.den,
                            self.c * x.num + self.d * x.den)
-
-    def inverse(self):
-        return IntMobius(self.d, -self.b, -self.c, self.a)
-
-    def compose(self, other):
-        """self after other."""
-        return IntMobius(self.a * other.a + self.b * other.c,
-                         self.a * other.b + self.b * other.d,
-                         self.c * other.a + self.d * other.c,
-                         self.c * other.b + self.d * other.d)
 
     def __eq__(self, other):
         if not isinstance(other, IntMobius):

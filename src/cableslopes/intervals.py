@@ -15,8 +15,7 @@ Everything else is integer work on the (num, den, strict) slots of
 ``seifert.reduce_integral``, which validates the input once: the gate
 compares the sum of two slots with 1, the left window complements each
 slot to (den - num, den), and each end m0 - w or m1 + w is built once.
-``endpoint_search`` reads its end off the same interval, and
-``cable._ray`` its ray end off the same gate and window.
+``cable._ray`` reads its ray end off the same gate and window.
 """
 
 from dataclasses import dataclass
@@ -28,10 +27,6 @@ from .seifert import DerivedQuantities, reduce_integral
 
 class InsufficientData(ValueError):
     """Raised when fewer than two constraint slots remain."""
-
-
-class WindowClosed(ValueError):
-    """Raised when an endpoint search is requested on an empty window."""
 
 
 @dataclass(frozen=True)
@@ -103,26 +98,6 @@ def _interval(dq, fixed):
     else:
         t_strict = SlopeSet.interval(lo, hi, False, False)
     return RelativeIntervalResult(Arc(lo, hi), t_strict, dq)
-
-
-def endpoint_search(side, gammas, taus, J):
-    """Extremal rational endpoint in the open window on the given side:
-    the least realisable tau', t's low end, when side="left" and it lies
-    below m0, the largest, t's high end, when side="right" and it lies
-    above m1."""
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    dq, fixed = reduce_integral(gammas, taus, J)
-    if dq.s0 != 0:
-        raise WindowClosed("window closed: integral slots pin t to [m0,m1]")
-    t = _interval(dq, fixed).t
-    if side == "left":
-        if t.low < dq.m0:
-            return t.low
-        raise WindowClosed("window closed below m0")
-    if t.high > dq.m1:
-        return t.high
-    raise WindowClosed("window closed above m1")
 
 
 def relative_interval(gammas, taus, J):

@@ -87,7 +87,3 @@ def reduce_integral(gammas, taus, J):
     r1 = len(fixed) - n
     dq = DerivedQuantities(n, r1, s0, b0, b0 - (n + r1 + s0 - 1), b0 + s0 - 1)
     return dq, fixed
-
-
-def derived_quantities(gammas, taus, J):
-    return reduce_integral(gammas, taus, J)[0]

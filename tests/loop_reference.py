@@ -20,7 +20,7 @@ except that an infinite tau is worded as the interval path words it.
 lean rewrite, with its own ``_ray``, ``_piece_union``, basis maps and
 ``mobius_set_image``: it checks the fiber slope with ``contains``,
 builds both basis maps per call, applies them through
-``IntMobius.apply`` and ends rays with ``ExtRational`` arithmetic.
+``IntMobius.apply`` and ends rays with ``Fraction`` arithmetic.
 ``cableslopes.cable.cable_detected_set`` is required to print the same
 set with the same tag.
 """
@@ -28,6 +28,7 @@ set with the same tag.
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from cableslopes.cable import DetectionMode
 from cableslopes.exact import (INF, ExtRational, IntMobius, SlopeSet,
@@ -294,9 +295,10 @@ def normalize(tup):
     leaves realisability unchanged, so every decision can assume
     normalized weights.
     """
-    shift = sum(t.floor() for t in tup.taus)
-    return SeifertTuple(tup.J, tup.b - shift,
-                        tup.gammas, tuple(t.frac() for t in tup.taus))
+    shift = sum(t.num // t.den for t in tup.taus)
+    return SeifertTuple(tup.J, tup.b - shift, tup.gammas,
+                        tuple(ExtRational(t.num % t.den, t.den)
+                              for t in tup.taus))
 
 
 @dataclass(frozen=True)
@@ -328,8 +330,9 @@ def reduce_integral(tup):
     zeros = 0
     kept = []
     for idx, t in enumerate(tup.taus, start=1):
-        b -= t.floor()
-        t = t.frac()
+        fl, fn = divmod(t.num, t.den)
+        b -= fl
+        t = ExtRational(fn, t.den)
         if t.num == 0:
             if idx in tup.J:
                 continue
@@ -368,19 +371,21 @@ def _ray(params, side, at, include, strict):
     tau <= at (left), equality dropped unless ``include``; its end is the
     window of t(at) on that side (see the module docstring).
     """
-    gamma = params.gamma
-    tb = at.frac()
-    if tb.num == 0:
+    gamma = Fraction(params.gamma.num, params.gamma.den)
+    x = Fraction(at.num, at.den)
+    tb = x % 1
+    if tb == 0:
         if include and not strict:
-            end, closed = (-at if side == "right" else -at - 1), True
+            end, closed = (-x if side == "right" else -x - 1), True
         else:
-            end, closed = -at - gamma, strict and include
+            end, closed = -x - gamma, strict and include
+        end = ExtRational(end.numerator, end.denominator)
     else:
-        fixed = [(gamma.num, gamma.den, True),
-                 (tb.num, tb.den, strict or not include)]
+        fixed = [(gamma.numerator, gamma.denominator, True),
+                 (tb.numerator, tb.denominator, strict or not include)]
         left, right, degenerate = _gates(fixed)
         opens, sign = (right, 1) if side == "right" else (left, -1)
-        end = _window(fixed, opens, -at.floor() - 1, sign)
+        end = _window(fixed, opens, -math.floor(x) - 1, sign)
         closed = not strict or (include and degenerate)
     if side == "right":
         return SlopeSet.ray_below(end, closed)
@@ -418,7 +423,7 @@ def cable_detected_set(params, input_set, mode, exactness="auto"):
         raise ValueError("exactness must be 'auto', 'equals' or 'contains'")
     has_fiber = input_set.contains(params.fiber_slope)
     inner = mobius_set_image(inner_basis_map(params), input_set)
-    inner = inner.without_infinity()
+    inner = inner.intersect(SlopeSet.reals())
     use_strict = mode is DetectionMode.STRONG
     out = SlopeSet.union_all(_piece_union(params, piece, use_strict)
                              for piece in inner.affine_pieces())

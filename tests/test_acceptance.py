@@ -6,6 +6,7 @@ All comparisons are exact rational equality; there are no tolerances.
 import math
 import random
 import time
+from fractions import Fraction
 
 from cableslopes.cable import (DetectionMode, bezout, cable_detected_set,
                                torus_knot_detected)
@@ -16,7 +17,15 @@ from cableslopes.jn import decide
 from cableslopes.oracle import _decide_point, grid_scan_interval
 
 R = ExtRational.parse
-ONE = ExtRational(1)
+
+
+def _frac(x):
+    return Fraction(x.num, x.den)
+
+
+def _ext(f):
+    return ExtRational(f.numerator, f.denominator)
+
 
 # intervals produced by the sweeps below, re-checked by criterion 8
 COLLECTED = []
@@ -101,8 +110,8 @@ def test_criterion_03_high_slope_sweep_vs_oracle():
             gamma = params.gamma
             assert _decide_point(frozenset(), 0, (gamma,),
                                  (tau, closed.high))
-            above = closed.high + ExtRational(1, 2 * den)
-            below = ExtRational(-1) - ExtRational(1, 2 * den)
+            above = _ext(_frac(closed.high) + Fraction(1, 2 * den))
+            below = _ext(Fraction(-1) - Fraction(1, 2 * den))
             assert not _decide_point(frozenset(), 0, (gamma,), (tau, above))
             assert not _decide_point(frozenset(), 0, (gamma,), (tau, below))
 
@@ -112,13 +121,13 @@ C23 = bezout(2, 3)
 
 
 def test_criterion_04_case_dispatch_vs_oracle():
-    one_minus_gamma = ONE - C23.gamma  # 1/3
+    one_minus_gamma = 1 - _frac(C23.gamma)  # 1/3
     for tau in GRID:
         res = _collect(C23, frozenset(), tau)
-        n = tau.floor()
-        tb = tau.frac()
-        if tb.num == 0:
-            assert res.t == Arc(-tau - ONE, -tau)
+        n, r = divmod(tau.num, tau.den)
+        tb = Fraction(r, tau.den)
+        if tb == 0:
+            assert res.t == Arc(ExtRational(-n - 1), ExtRational(-n))
         elif tb < one_minus_gamma:
             assert res.t.low == ExtRational(-n - 1)
             assert ExtRational(-n - 1) < res.t.high < ExtRational(-n)
@@ -158,7 +167,7 @@ def test_criterion_05_inchworm_and_nesting():
         assert cur.high <= prev.high
         assert not (cur.low < prev.low and cur.high < prev.high)
     # nesting within each unit cell, split at 1 - gamma
-    one_minus_gamma = ONE - C23.gamma
+    one_minus_gamma = 1 - _frac(C23.gamma)
     by_tau = dict(zip(GRID, intervals))
 
     def contains(outer, inner):
@@ -166,16 +175,16 @@ def test_criterion_05_inchworm_and_nesting():
 
     for i, t1 in enumerate(GRID):
         for t2 in GRID[i:]:
-            n = t1.floor()
+            n = t1.num // t1.den
             if t2 > ExtRational(n + 1):
                 continue
-            f1, f2 = t1 - ExtRational(n), t2 - ExtRational(n)
+            f1, f2 = _frac(t1) - n, _frac(t2) - n
             if f2 <= one_minus_gamma:
                 assert contains(by_tau[t1], by_tau[t2])
                 assert by_tau[t2].low <= -n - 1 <= by_tau[t2].high
                 assert contains(Arc(ExtRational(-n - 1), ExtRational(-n)),
                                 by_tau[t1])
-            elif f1 >= one_minus_gamma and f2 < ONE:
+            elif f1 >= one_minus_gamma and f2 < 1:
                 assert contains(by_tau[t2], by_tau[t1])
                 assert by_tau[t1].low <= -n - 1 <= by_tau[t1].high
                 assert contains(Arc(ExtRational(-n - 2), ExtRational(-n - 1)),
@@ -218,8 +227,8 @@ def test_criterion_07_complement_symmetry():
         J = frozenset(j for j in range(1, k - n + 1) if rng.random() < 0.4)
         b = k - 1
         lhs = decide(J, b, gammas, taus).realizable
-        rhs = decide(J, 1, tuple(ONE - g for g in gammas),
-                     tuple(ONE - t for t in taus)).realizable
+        rhs = decide(J, 1, tuple(_ext(1 - _frac(g)) for g in gammas),
+                     tuple(_ext(1 - _frac(t)) for t in taus)).realizable
         assert lhs == rhs
         count += 1
 
@@ -233,15 +242,14 @@ def _random_unit(rng):
 def test_criterion_08_sandwich_and_strict_set_laws():
     assert COLLECTED, "sweeps must run before this check"
     for res in COLLECTED:
-        m0 = ExtRational(res.quantities.m0)
-        m1 = ExtRational(res.quantities.m1)
+        m0, m1 = res.quantities.m0, res.quantities.m1
         core = SlopeSet.interval(m0, m1, False, False)
-        outer = SlopeSet.interval(m0 - ONE, m1 + ONE, False, False)
+        outer = SlopeSet.interval(m0 - 1, m1 + 1, False, False)
         closed = SlopeSet.interval(res.t.low, res.t.high, True, True)
         assert core.issubset(res.t_strict)
         assert res.t_strict.issubset(closed)
         assert closed.issubset(outer)
-        assert m0 - ONE < res.t.low <= res.t.high < m1 + ONE
+        assert m0 - 1 < res.t.low <= res.t.high < m1 + 1
 
 
 def test_criterion_09_inequality_suites():
@@ -253,7 +261,7 @@ def test_criterion_09_inequality_suites():
         for b in range(0, p // q + 1):
             slope = ExtRational(b * s + r, p - q * b)
             lo, hi = min(slope, gamma), max(slope, gamma)
-            assert ExtRational(0) < lo <= half < hi <= ONE
+            assert ExtRational(0) < lo <= half < hi <= 1
             prev = ExtRational((b - 1) * s + r, p - q * (b - 1))
             assert ExtRational(-s, q) < prev < slope
         for b in range(-(-p // q), 13):
@@ -261,10 +269,14 @@ def test_criterion_09_inequality_suites():
             assert b * (-s) >= r
             assert ExtRational(r, -s) > ExtRational(p, q)
             lo, hi = min(slope, gamma), max(slope, gamma)
-            assert ExtRational(0) <= lo < half <= hi < ONE
+            assert ExtRational(0) <= lo < half <= hi < 1
             if slope != ExtRational(0):
                 assert ExtRational(-s, q) > slope >= ExtRational(-s, q + 1)
                 assert b * (-s) > r
+
+
+def _inverse(m):
+    return IntMobius(m.d, -m.b, -m.c, m.a)
 
 
 def test_criterion_10_mobius_property_samples():
@@ -280,10 +292,11 @@ def test_criterion_10_mobius_property_samples():
         else:
             x = ExtRational(rng.randint(-50, 50), rng.randint(1, 12))
         # round trip through the inverse
-        assert m.inverse().apply(m.apply(x)) == x
+        assert _inverse(m).apply(m.apply(x)) == x
         # membership commutes with taking images
         lo = ExtRational(rng.randint(-10, 10), rng.randint(1, 6))
-        hi = lo + ExtRational(rng.randint(0, 8), rng.randint(1, 6))
+        hi = _ext(_frac(lo) + Fraction(rng.randint(0, 8),
+                                       rng.randint(1, 6)))
         sets = SlopeSet.interval(lo, hi, rng.random() < 0.5,
                                  rng.random() < 0.5)
         if rng.random() < 0.3:

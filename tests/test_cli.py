@@ -174,6 +174,16 @@ class TestExitCodes:
                            "--tau", "0.5")
         assert code == 3
 
+    @pytest.mark.parametrize("tau", ["1_0", "-1_0", "1/1_0", "\u0663/4",
+                                     "\uff11"])
+    def test_rational_grammar(self, capsys, tau):
+        # each part of a rational is [+-]?[0-9]+: no "_" and no
+        # non-ASCII digits, which int() alone would accept
+        code, out, err = run(capsys, "ray-union", "--p", "3", "--q", "2",
+                             "--tau=" + tau, "--direction", "geq")
+        assert code == 3 and out == ""
+        assert err == "error: cannot parse rational: %r" % (tau,)
+
     def test_oracle_agreement(self, capsys):
         code, out, _ = run(capsys, "oracle", "--p", "2", "--q", "3",
                            "--tau", "1/2", "--max-denominator", "10")

@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -19,18 +21,21 @@ class TestExtRational:
         assert ExtRational(-3, 0) == INF
         assert INF.is_infinite
 
-    def test_arithmetic(self):
-        assert R("1/2") + R("1/3") == R("5/6")
-        assert R("1/2") - R("2/3") == R("-1/6")
-        assert R("2/3") * R("3/4") == R("1/2")
-        assert R("1/2") / R("1/4") == ExtRational(2)
-        assert -R("1/2") == R("-1/2")
-
-    def test_infinite_arithmetic_rejected(self):
-        with pytest.raises(ValueError):
-            INF + ExtRational(1)
-        with pytest.raises(ValueError):
-            ExtRational(1) - INF
+    def test_is_a_value(self):
+        # no arithmetic, on either side of an ExtRational or an int;
+        # equality, hashing and order with ints hold as before
+        half = R("1/2")
+        for a, b in ((half, half), (half, 2), (2, half), (half, INF),
+                     (INF, 1)):
+            for op in (operator.add, operator.sub, operator.mul,
+                       operator.truediv):
+                with pytest.raises(TypeError):
+                    op(a, b)
+        for x in (half, ExtRational(2), INF):
+            with pytest.raises(TypeError):
+                -x
+        assert ExtRational(4, 2) == 2 and hash(ExtRational(4, 2)) == hash(2)
+        assert 0 < half < 1 and ExtRational(2) >= 2 and half != 0
 
     def test_comparisons(self):
         assert R("1/3") < R("1/2") < R("2/3") <= R("2/3")
@@ -59,13 +64,6 @@ class TestExtRational:
         assert {ExtRational(4, 2): "two"}[2] == "two"
         assert hash(ExtRational(2, 4)) == hash(ExtRational(1, 2))
 
-    def test_floor_frac(self):
-        assert R("-3/2").floor() == -2
-        assert R("-3/2").frac() == R("1/2")
-        assert R("7/3").floor() == 2
-        assert R("7/3").frac() == R("1/3")
-        assert ExtRational(4).frac() == ExtRational(0)
-
     def test_parse_and_str(self):
         assert str(R("-3/2")) == "-3/2"
         assert str(ExtRational(5)) == "5"
@@ -73,6 +71,21 @@ class TestExtRational:
         assert R("inf") == INF
         with pytest.raises(ValueError):
             R("1.5")
+
+    def test_parse_grammar(self):
+        # each part is [+-]?[0-9]+ after stripping: signs and spaces as
+        # before, no "_" and no non-ASCII digits
+        assert R(" +3 / -6 ") == R("-1/2")
+        assert R("-0") == ExtRational(0) and R("007") == ExtRational(7)
+        assert R(" -inf ") == R("+inf") == INF and R("3/0") == INF
+        for text in ("1_0", "1/1_0", "\u0663/4", "3/\u0664", "\uff13",
+                     "", "/", "1/", "/2", "1/2/3", "+-1", "1 2", "0x10",
+                     "1e3", "inf/2", "2/inf", "--1"):
+            with pytest.raises(ValueError,
+                               match="^cannot parse rational: "):
+                R(text)
+        with pytest.raises(ZeroDivisionError):
+            R("0/0")
 
 
 class TestArc:
@@ -341,9 +354,6 @@ class TestCanonicalForm:
                            lambda x: a.contains(x) and not b.contains(x)),
             "with_infinity": (a.with_infinity(),
                               lambda x: x.is_infinite or a.contains(x)),
-            "without_infinity": (a.without_infinity(),
-                                 lambda x: not x.is_infinite
-                                 and a.contains(x)),
         }
         points = SAMPLE_POINTS[::7] + _endpoints(a) + _endpoints(b) + [v]
         for name, (result, member) in results.items():
@@ -360,6 +370,10 @@ class TestCanonicalForm:
         assert full.is_full and str(full) == "[-inf,inf]"
 
 
+def _inverse(m):
+    return IntMobius(m.d, -m.b, -m.c, m.a)
+
+
 class TestMobius:
     def test_apply_basics(self):
         m = IntMobius(0, 1, 1, 0)  # x -> 1/x
@@ -367,16 +381,10 @@ class TestMobius:
         assert m.apply(ExtRational(0)) == INF
         assert m.apply(INF) == ExtRational(0)
 
-    def test_compose_inverse(self):
-        m = IntMobius(2, 1, 1, 1)
-        ident = m.compose(m.inverse())
-        for x in SAMPLE_POINTS[::11]:
-            assert ident.apply(x) == x
-
     @settings(max_examples=150, deadline=None)
     @given(mobius_maps, ext_rationals)
     def test_round_trip_points(self, m, x):
-        assert m.inverse().apply(m.apply(x)) == x
+        assert _inverse(m).apply(m.apply(x)) == x
 
     @settings(max_examples=80, deadline=None)
     @given(mobius_maps, slope_sets())
@@ -388,4 +396,4 @@ class TestMobius:
     @settings(max_examples=80, deadline=None)
     @given(mobius_maps, slope_sets())
     def test_set_image_round_trip(self, m, s):
-        assert mobius_set_image(m.inverse(), mobius_set_image(m, s)) == s
+        assert mobius_set_image(_inverse(m), mobius_set_image(m, s)) == s

@@ -6,13 +6,12 @@ from hypothesis import given, settings, strategies as st
 from cableslopes import intervals
 from cableslopes.cable import bezout, ray_union
 from cableslopes.exact import Arc, ExtRational, SlopeSet
-from cableslopes.intervals import (InsufficientData, WindowClosed,
-                                   cable_interval, endpoint_search,
+from cableslopes.intervals import (InsufficientData, cable_interval,
                                    extremal_slot_value, relative_interval,
                                    special_slope_interval)
 from cableslopes.jn import JNResult, UnsupportedArity, decide
 from cableslopes.oracle import _decide_point
-from cableslopes.seifert import derived_quantities
+from cableslopes.seifert import reduce_integral
 
 R = ExtRational.parse
 C23 = bezout(2, 3)  # gamma = 2/3
@@ -47,7 +46,7 @@ def _assert_matches_decide_scan(gammas, taus, J):
     """t and t_strict of (gammas; taus; J) agree with the oracle's
     point decisions for tau' on the grid of denominators <= 8 around
     [m0 - 2, m1 + 2], and at the two ends of t."""
-    dq = derived_quantities(gammas, taus, J)
+    dq = reduce_integral(gammas, taus, J)[0]
     if dq.n + dq.r1 + dq.s0 < 2:
         with pytest.raises(InsufficientData):
             relative_interval(gammas, taus, J)
@@ -151,23 +150,27 @@ class TestRelativeInterval:
 
 
 class TestEndpointSearch:
+    """The ends of t beyond the core [m0, m1]: an open window moves t's
+    end past m0 (left) or m1 (right), a shut one leaves it there."""
+
     def test_matches_interval(self):
         res = relative_interval((R("2/3"),), (R("1/2"),), frozenset())
-        assert endpoint_search("left", (R("2/3"),), (R("1/2"),),
-                               frozenset()) == res.t.low == R("-3/2")
+        assert res.t.low == R("-3/2") < res.quantities.m0
 
     def test_closed_window_raises(self):
         # gamma + taubar < 1: nothing opens on the left
-        with pytest.raises(WindowClosed):
-            endpoint_search("left", (R("2/3"),), (R("1/4"),), frozenset())
+        res = relative_interval((R("2/3"),), (R("1/4"),), frozenset())
+        assert res.t.low == res.quantities.m0
+        assert res.t.high > res.quantities.m1
         # gamma + taubar > 1: nothing opens on the right
-        with pytest.raises(WindowClosed):
-            endpoint_search("right", (R("2/3"),), (R("1/2"),), frozenset())
+        res = relative_interval((R("2/3"),), (R("1/2"),), frozenset())
+        assert res.t.high == res.quantities.m1
+        assert res.t.low < res.quantities.m0
 
     def test_integral_slot_closes_windows(self):
-        with pytest.raises(WindowClosed):
-            endpoint_search("left", (R("2/3"),), (ExtRational(1),),
-                            frozenset())
+        res = relative_interval((R("2/3"),), (ExtRational(1),), frozenset())
+        assert res.quantities.s0 > 0
+        assert res.t == Arc(res.quantities.m0, res.quantities.m1)
 
 
 def _gamma_error(g):
@@ -180,26 +183,24 @@ _INF_TAU_TUPLE = (ValueError, "tau weight must be finite")
 _J = (ValueError, "J must contain 1-based tau indices")
 _J_CABLE = (ValueError, "J must be a subset of {1}")
 _SHORT = (InsufficientData, "insufficient data: n + r1 + s0 = 1 < 2")
-_PINNED = (WindowClosed, "window closed: integral slots pin t to [m0,m1]")
 _ARITY = (UnsupportedArity, "unsupported arity: 1 slots with no integral slot")
 
 # gammas, taus, J, then the (type, text) raised by relative_interval,
-# by endpoint_search on either side, by derived_quantities (None: it
-# returns), by cable_interval with that gamma and tau (None: not a
-# cable tuple) and by jn.decide at b = 1 (or the JNResult it returns)
+# by reduce_integral (None: it returns), by cable_interval with that
+# gamma and tau (None: not a cable tuple) and by jn.decide at b = 1 (or
+# the JNResult it returns)
 VALIDATION_TABLE = {
-    **{"gamma " + g: ((g,), ("1/2",), ()) + (_gamma_error(g),) * 5
+    **{"gamma " + g: ((g,), ("1/2",), ()) + (_gamma_error(g),) * 4
        for g in ("0", "1", "3/2", "inf")},
-    "tau inf": (("1/2",), ("inf",), ()) + (_INF_TAU,) * 5,
-    "J 0": (("1/2",), ("1/3",), (0,), _J, _J, _J, _J_CABLE, _J),
-    "J 3": (("1/2",), ("1/3",), (3,), _J, _J, _J, _J_CABLE, _J),
-    "J '1'": (("1/2",), ("1/3",), ("1",), _J, _J, _J, _J_CABLE, _J),
+    "tau inf": (("1/2",), ("inf",), ()) + (_INF_TAU,) * 4,
+    "J 0": (("1/2",), ("1/3",), (0,), _J, _J, _J_CABLE, _J),
+    "J 3": (("1/2",), ("1/3",), (3,), _J, _J, _J_CABLE, _J),
+    "J '1'": (("1/2",), ("1/3",), ("1",), _J, _J, _J_CABLE, _J),
     # J is checked before an infinite tau, by every entry point
-    "J 3 tau inf": (("1/2",), ("inf",), (3,), _J, _J, _J, _J_CABLE, _J),
-    "one gamma": (("1/2",), (), (), _SHORT, _SHORT, None, None, _ARITY),
-    "one strict tau": ((), ("1/3",), (1,), _SHORT, _SHORT, None, None,
-                       _ARITY),
-    "one zero slot": ((), ("0",), (), _SHORT, _PINNED, None, None,
+    "J 3 tau inf": (("1/2",), ("inf",), (3,), _J, _J, _J_CABLE, _J),
+    "one gamma": (("1/2",), (), (), _SHORT, None, None, _ARITY),
+    "one strict tau": ((), ("1/3",), (1,), _SHORT, None, None, _ARITY),
+    "one zero slot": ((), ("0",), (), _SHORT, None, None,
                       JNResult(False, None, "integral-slot-window")),
 }
 
@@ -217,17 +218,15 @@ class TestValidationTable:
 
     @pytest.mark.parametrize("name", sorted(VALIDATION_TABLE))
     def test_entry_points(self, name):
-        gammas, taus, J, rel, end, dq, cab, dec = VALIDATION_TABLE[name]
+        gammas, taus, J, rel, dq, cab, dec = VALIDATION_TABLE[name]
         gammas = tuple(map(R, gammas))
         taus = tuple(map(R, taus))
         J = frozenset(J)
         _raises(rel, relative_interval, gammas, taus, J)
-        for side in ("left", "right"):
-            _raises(end, endpoint_search, side, gammas, taus, J)
         if dq is None:
-            derived_quantities(gammas, taus, J)
+            reduce_integral(gammas, taus, J)
         else:
-            _raises(dq, derived_quantities, gammas, taus, J)
+            _raises(dq, reduce_integral, gammas, taus, J)
         if cab is not None:
             # cable_interval reads only the gamma of its params
             params = types.SimpleNamespace(gamma=gammas[0])

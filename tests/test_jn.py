@@ -156,9 +156,14 @@ class TestProperties:
             return
         J = frozenset()
         lhs = decide(J, k - 1, gammas, taus).realizable
-        rhs = decide(J, 1, tuple(ONE - g for g in gammas),
-                     tuple(ONE - t for t in taus)).realizable
+        rhs = decide(J, 1, tuple(_one_minus(g) for g in gammas),
+                     tuple(_one_minus(t) for t in taus)).realizable
         assert lhs == rhs
+
+
+def _one_minus(v):
+    f = 1 - Fraction(v.num, v.den)
+    return ExtRational(f.numerator, f.denominator)
 
 
 @st.composite

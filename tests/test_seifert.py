@@ -1,7 +1,7 @@
 import pytest
 
 from cableslopes.exact import INF, ExtRational
-from cableslopes.seifert import derived_quantities, normalize, reduce_integral
+from cableslopes.seifert import normalize, reduce_integral
 
 R = ExtRational.parse
 
@@ -74,20 +74,20 @@ class TestReduce:
 
 class TestDerivedQuantities:
     def test_cable_relative_data(self):
-        dq = derived_quantities((R("2/3"),), (R("1/2"),), frozenset())
+        dq, _ = reduce_integral((R("2/3"),), (R("1/2"),), frozenset())
         assert (dq.n, dq.r1, dq.s0) == (1, 1, 0)
         assert dq.b0 == 0
         assert dq.m0 == dq.m1 == -1
 
     def test_integral_slot(self):
-        dq = derived_quantities((R("2/3"),), (ExtRational(2),), frozenset())
+        dq, _ = reduce_integral((R("2/3"),), (ExtRational(2),), frozenset())
         assert (dq.n, dq.r1, dq.s0) == (1, 0, 1)
         assert dq.b0 == -2
         assert dq.m0 == -3
         assert dq.m1 == -2
 
     def test_negative_tau_floor(self):
-        dq = derived_quantities((R("2/3"),), (R("-3/2"), R("1/4")),
+        dq, _ = reduce_integral((R("2/3"),), (R("-3/2"), R("1/4")),
                                 frozenset({2}))
         assert dq.b0 == 2
         assert (dq.n, dq.r1, dq.s0) == (1, 2, 0)
