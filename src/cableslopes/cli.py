@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .cable import (DetectionMode, bezout, cable_detected_set, ray_union,
                     torus_knot_detected)
-from .exact import ExtRational, parse_slope_set
+from .exact import _INTEGER, ExtRational, parse_slope_set
 from .intervals import cable_interval, relative_interval
 from .jn import decide
 from .oracle import grid_scan_interval
@@ -35,6 +35,14 @@ class CommandResult:
         }, indent=2)
 
 
+def integer(text):
+    """Read ``[+-]?[0-9]+`` after stripping, as a rational's parts are."""
+    text = text.strip()
+    if not _INTEGER.fullmatch(text):
+        raise ValueError("cannot parse integer: %r" % (text,))
+    return int(text)
+
+
 def _rat_list(text):
     text = text.strip()
     if not text:
@@ -46,7 +54,7 @@ def _j_set(text):
     text = (text or "").strip()
     if not text:
         return frozenset()
-    return frozenset(int(x) for x in text.split(","))
+    return frozenset(integer(x) for x in text.split(","))
 
 
 def _params(args):
@@ -167,11 +175,11 @@ def cmd_bezout(args):
 
 def _add_common(sub, *names, pq_required=True):
     if "p" in names:
-        sub.add_argument("--p", type=int, required=pq_required)
+        sub.add_argument("--p", type=integer, required=pq_required)
     if "q" in names:
-        sub.add_argument("--q", type=int, required=pq_required)
+        sub.add_argument("--q", type=integer, required=pq_required)
     if "b" in names:
-        sub.add_argument("--b", type=int, default=0)
+        sub.add_argument("--b", type=integer, default=0)
     if "J" in names:
         sub.add_argument("--J", default="")
     if "gamma" in names:
@@ -219,7 +227,7 @@ def build_parser():
 
     p = subs.add_parser("oracle", help="grid scan cross-check")
     _add_common(p, "p", "q", "J", "tau")
-    p.add_argument("--max-denominator", type=int, default=24)
+    p.add_argument("--max-denominator", type=integer, default=24)
     p.set_defaults(func=cmd_oracle)
 
     p = subs.add_parser("bezout", help="normalized Bezout pair")

@@ -18,23 +18,23 @@ witness too.  The loop is finite and complete with no gap argument.
 The scan works on integers too.  A grid point tau' = num/den, with
 num = fl den + fn and 0 <= fn < den, adds the slot fn/den to the
 fixed slots of gamma and tau and puts b at b0 - fl, b0 being the shift
-left by tau's floor.  The realisable b of one slot key form an integer
+left by tau's floor.  The realisable b of one slot list form an integer
 interval, ``_realisable_range``, so per denominator the realised
 numerators form one span [s, e): its members coprime to den are
-exactly the realised grid points (``_spans``).
+exactly the realised grid points; ``_spans`` gives them at b0 = 0.
 
 - k >= 3 slots with tau' and no zero slot: 2 <= b <= k - 2 always,
   b = 1 when fn has a b = 1 witness, fn <= a, and b = k - 1 when its
   complement has one, fn >= c, for (a, c) from ``_witness_thresholds``.
-  b = b0 - fl falls as the row fl rises, so the row of b = k - 1 keeps
+  b = -fl falls as the row fl rises, so the row of b = k - 1 keeps
   the suffix fn >= c, the rows between keep every residue and the row
-  of b = 1 the prefix fn <= a: s = (b0 - k + 1) den + c and
-  e = (b0 - 1) den + a + 1.  c = den or a = 0 puts an end on a
-  multiple of den, which is no grid point, so needs no case of its own.
+  of b = 1 the prefix fn <= a: s = (1 - k) den + c and
+  e = a + 1 - den.  c = den or a = 0 puts an end on a multiple of
+  den, which is no grid point, so needs no case of its own.
 - With zero slots the range ignores the slot values, so every fn != 0
   shares one range and the span covers its rows whole.
 - With one fixed slot v and no zero slot, the two values in (0, 1)
-  must add up to b, so the one realised point has fn/den = 1 - v, b = 1.
+  must add up to b, so the one realised point is tau' = -v, b = 1.
 - For den = 1 the one residue is 0, a zero slot unless tau' is strict.
 
 The expected set becomes integer cuts on the numerator, two per affine
@@ -55,27 +55,23 @@ slots fixed, the values v of tau' with a b = 1 witness form a prefix of
 yes and least known no over ascending denominators.  Once every
 denominator below d is classified, the two ends are neighbours in the
 Farey sequence F_{d-1}, and between neighbours only their mediant has
-denominator d or less; so each denominator costs at most one loop per
-side, and each cache entry holds O(D) integers for D the largest
-denominator.
+denominator d or less: each denominator costs at most one loop a side.
 
 Each translation class of tau is scanned once.  Moving tau by an
-integer moves b0 the other way, and every span above is b0 den plus an
-offset free of b0, as are the scan's rows.  Adding b0 den to a
-numerator keeps its gcd with den and the order of fractions, so the
-scan at b0 is the scan at b0 = 0 with b0 den added to each numerator.
-``_relative_scan`` runs that scan on the expected set's cuts less
-b0 den, cached on (slots, zeros, strict, max_denominator, cuts), and
-``grid_scan_interval`` adds b0 den back into fresh objects.  A translate
-whose expected set moves with it is a cache hit; any other expected set
-is scanned in full.  The cache holds at most 256 entries, each the
+integer moves b0 the other way, and every span and row is b0 den plus
+its value at b0 = 0.  Adding b0 den to a numerator keeps its gcd with
+den and the order of the grid points, so ``_relative_scan`` scans at
+b0 = 0, on the expected set's cuts less b0 den, and
+``grid_scan_interval`` adds b0 den back into fresh objects.
+``_relative_scan`` is the scan's one memo, keyed on (slots, zeros,
+strict, max_denominator, cuts): a translate whose expected set moves
+with it is a cache hit.  It holds at most 256 entries, each the
 integers of one report: the hull ends and one (num, den, got) triple
-per disagreement.
+per disagreement.  Beneath it only ``_coprime_count`` is cached.
 """
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .exact import Arc, ExtRational, SlopeSet, _as_rat
@@ -134,15 +130,14 @@ def _witness_exists(slots):
     return False
 
 
-@lru_cache(maxsize=1 << 16)
 def _realisable_range(slots, zeros):
     """The b realising k (num, den, strict) slots and ``zeros`` zero slots.
 
     With zeros: [2 - zeros, k + zeros - 2].  For k < 3: the slot sum if
     it is an integer.  Else [2, k - 2], widened to 1 by a b = 1 witness
     of the slots and to k - 1 by one of their complements.  The grid
-    scan reads it only for tau' = 0 and for keys with zeros; its other
-    keys go through ``_witness_thresholds`` or the slot sum.
+    scan reads it only for tau' = 0 and for slots with zeros; for the
+    others it reads ``_witness_thresholds`` or the slot sum.
     """
     k = len(slots)
     if zeros:
@@ -162,12 +157,11 @@ def _realisable_range(slots, zeros):
     return range(low, high + 1)
 
 
-@lru_cache(maxsize=1 << 10)
 def _witness_thresholds(fixed, strict, max_denominator):
     """Per denominator, where tau' = fn/den starts and stops widening.
 
     ``fixed`` holds two or more (num, den, strict) slots and tau' adds
-    the slot (fn, den, strict).  Entry den - 1 is (a, c): a is the
+    the slot (fn, den, strict).  Item den - 1 is (a, c): a is the
     largest fn < den with a b = 1 witness (0 if none) and c the least
     fn > 0 whose complement has one (den if none).  Monotonicity: a
     witness for fn/den meets every inequality of a lower value, so
@@ -176,7 +170,7 @@ def _witness_thresholds(fixed, strict, max_denominator):
     (num, den) pairs; after the denominators below den, these are
     Farey neighbours, so at most one fraction of denominator den lies
     strictly between them and gets a witness loop: at most
-    2 (max_denominator - 1) loops per entry.
+    2 (max_denominator - 1) loops per call.
     """
     comp = tuple((d - n, d, st) for n, d, st in fixed)
     yes, no = (0, 1), (1, 1)    # b = 1 side: prefix up to yes
@@ -212,32 +206,30 @@ def _coprime_count(max_denominator):
     return sum(phi[1:])
 
 
-def _spans(b0, fixed, zeros, strict, max_denominator):
+def _spans(fixed, zeros, strict, max_denominator):
     """Per denominator 1, 2, ..., the numerator span [s, e) of tau'.
 
     tau' = num/den with num coprime to den is realisable, with the
-    (num, den, strict) slots ``fixed``, ``zeros`` zero slots and shift
-    b0, exactly when s <= num < e; the module docstring derives each
-    case.  An empty span is (0, 0).
+    (num, den, strict) slots ``fixed``, ``zeros`` zero slots and
+    b0 = 0, exactly when s <= num < e; the module docstring derives
+    each case.  An empty span is (0, 0).
     """
     k = len(fixed) + 1
     dens = range(2, max_denominator + 1)
     rng = _realisable_range(fixed, zeros + (not strict))  # tau' = 0
-    out = [(b0 - rng[-1], b0 - rng[0] + 1) if rng else (0, 0)]
+    out = [(-rng[-1], 1 - rng[0]) if rng else (0, 0)]
     if zeros:
         # with zero slots any slot value gives the same range
         rng = _realisable_range(fixed + ((1, 2, strict),), zeros)
-        return out + [((b0 - rng[-1]) * den, (b0 - rng[0] + 1) * den)
-                      for den in dens]
+        return out + [(-rng[-1] * den, (1 - rng[0]) * den) for den in dens]
     if k < 3:
-        # arity 2: tau' = 1 - v for the one fixed slot v = n/d, reduced
+        # arity 2: tau' = -v for the one fixed slot v = n/d, reduced
         (n, d, _), = fixed
         g = math.gcd(n, d)
-        s = (b0 - 1) * (d // g) + (d - n) // g
-        return out + [(s, s + 1) if den == d // g else (0, 0)
+        return out + [(-(n // g), 1 - n // g) if den == d // g else (0, 0)
                       for den in dens]
     thresholds = _witness_thresholds(fixed, strict, max_denominator)
-    return out + [((b0 - k + 1) * den + c, (b0 - 1) * den + a + 1)
+    return out + [((1 - k) * den + c, a + 1 - den)
                   for den, (a, c) in zip(dens, thresholds[1:])]
 
 
@@ -316,7 +308,7 @@ def _relative_scan(fixed, zeros, strict, max_denominator, ends):
     low = high = None
     found = []
     for den, (s, e) in enumerate(
-            _spans(0, fixed, zeros, strict, max_denominator), 1):
+            _spans(fixed, zeros, strict, max_denominator), 1):
         # shrink the span to its first and last grid point: the ends of
         # the hull at den
         while s < e and math.gcd(s, den) != 1:
@@ -352,7 +344,7 @@ def grid_scan_interval(params, J, tau, max_denominator=24, expected=None):
     Tests every reduced fraction with denominator <= max_denominator in
     (m0 - 2, m1 + 2) and returns the hull of the realisable points.
     When ``expected`` is given, as a ``SlopeSet`` or as an interval
-    result ``Arc`` (the closed set [low, high]), disagreements are
+    result ``Arc`` (the one closed piece [low, high]), disagreements are
     collected as (point, got, expected) mismatches in (denominator,
     numerator) order; any other type raises TypeError.  The scan of
     tau's translation class is cached, and shifted here by b0.
@@ -360,16 +352,17 @@ def grid_scan_interval(params, J, tau, max_denominator=24, expected=None):
     if max_denominator < 1:
         raise ValueError("max_denominator must be at least 1")
     if isinstance(expected, Arc):
-        expected = SlopeSet.interval(expected.low, expected.high)
-    elif not (expected is None or isinstance(expected, SlopeSet)):
+        pieces = [(expected.low, True, expected.high, True)]
+    elif isinstance(expected, SlopeSet):
+        pieces = expected.affine_pieces()
+    elif expected is not None:
         raise TypeError("expected must be an Arc or a SlopeSet")
     # the tuple is (J; 0; gamma; tau, tau'): tau has index 1, tau' 2
     J = _check_J(J, 2)
     gamma = ExtRational(params.q + params.s, params.q)
     b0, fixed, zeros = _reduce(J - {2}, 0, (gamma,), (tau,))
     ends = (None if expected is None
-            else _member_cuts(expected.affine_pieces(), b0,
-                              *_scan_rows(fixed, zeros)))
+            else _member_cuts(pieces, b0, *_scan_rows(fixed, zeros)))
     low, high, tested, found = _relative_scan(fixed, zeros, 2 in J,
                                               max_denominator, ends)
     mismatches = [(ExtRational(num + b0 * den, den), got, not got)
@@ -405,15 +398,14 @@ def exhaustive_witness_check(values, claimed):
     N, A = claimed.N, claimed.A
     if not (0 < A < N) or math.gcd(A, N) != 1:
         return False
-    assigned = [Fraction(x.num, x.den) for x in claimed.assignment]
-    want = sorted([Fraction(A, N), Fraction(N - A, N)]
-                  + [Fraction(1, N)] * (len(values) - 2))
+    # reduced (num, den) pairs are equal exactly when their values are
+    assigned = [(x.num, x.den) for x in claimed.assignment]
+    want = sorted([(A, N), (N - A, N)] + [(1, N)] * (len(values) - 2))
     if sorted(assigned) != want:
         return False
-    for (v, strict), a in zip(values, assigned):
-        f = Fraction(v.num, v.den)
-        if strict and not a > f:
-            return False
-        if not strict and not a >= f:
+    for (v, strict), (n, d) in zip(values, assigned):
+        # n/d - v has the sign of n v.den - v.num d: a strict slot needs
+        # it positive, any other slot non-negative
+        if n * v.den - v.num * d < strict:
             return False
     return True

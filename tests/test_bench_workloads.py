@@ -7,7 +7,8 @@ only lowering the benchmark's pass_ratio.  The module is loaded from
 its file and nothing under ``bench/`` is written.
 
 One traced round per workload also runs ``bench/worker.py`` as the
-benchmark does, in a fresh process, and checks the line it prints.
+benchmark does, in a fresh process, and checks the line it prints, and
+one traced ``bench/run.py`` checks the result line the benchmark reads.
 """
 
 import importlib.util
@@ -82,3 +83,26 @@ def test_traced_round_reports_every_target(name, tmp_path):
     assert out["accounting_ok"] is True
     assert out["failed"] == 0
     assert set(out["stats"]["calls"]) == {t[0] for t in tracer.TARGETS}
+
+
+def test_traced_run_prints_every_per_layer_metric(tmp_path):
+    # the benchmark reads run.py's last line: it must be one strict-JSON
+    # result that is correct and names every per-layer metric that
+    # BENCHMARK.json declares.  run.py imports the library from the src
+    # beside its own directory, so a copy of bench/ gets a link to src.
+    bench = tmp_path / "bench"
+    shutil.copytree(WORKLOADS_PY.parent, bench,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "src").symlink_to(SRC, target_is_directory=True)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, str(bench / "run.py"),
+                           "--workload", "interval-ladder", "--seed", "7",
+                           "--seconds", "0", "--trace", "1"],
+                          capture_output=True, text=True, env=env,
+                          cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    out = json.loads(proc.stdout.splitlines()[-1],
+                     parse_constant=_strict_constant)
+    assert out["correct"] is True
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert set(out["metrics"]) == {m["name"] for m in declared["per_layer"]}

@@ -184,6 +184,36 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err == "error: cannot parse rational: %r" % (tau,)
 
+    @pytest.mark.parametrize("argv", [
+        ("bezout", "--p", "1_1", "--q", "2"),
+        ("bezout", "--p", "\u0665", "--q", "2"),
+        ("jn", "--b", "1_0", "--gamma", "1/2", "--tau", "1/2,1/3"),
+        ("oracle", "--p", "2", "--q", "3", "--tau", "1/2",
+         "--max-denominator", "\uff12"),
+    ])
+    def test_integer_option_grammar(self, capsys, argv):
+        # an integer option is [+-]?[0-9]+, as each part of a rational
+        # is: int() alone would read these as 11, 5, 10 and 2
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert one_line(err) and "invalid integer value" in err
+
+    def test_integer_option_forms(self, capsys):
+        # a sign and spaces around the digits still read
+        assert run(capsys, "bezout", "--p", " +5", "--q", "2 ") == run(
+            capsys, "bezout", "--p", "5", "--q", "2")
+
+    @pytest.mark.parametrize("J, part", [("\u0661", "\u0661"),
+                                         ("1_0", "1_0"),
+                                         ("1,\u0662", "\u0662")])
+    def test_j_part_grammar(self, capsys, J, part):
+        code, out, err = run(capsys, "jn", "--J", J, "--gamma", "1/2",
+                             "--tau", "1/2,1/3")
+        assert code == 3 and out == ""
+        assert err == "error: cannot parse integer: %r" % (part,)
+
     def test_oracle_agreement(self, capsys):
         code, out, _ = run(capsys, "oracle", "--p", "2", "--q", "3",
                            "--tau", "1/2", "--max-denominator", "10")

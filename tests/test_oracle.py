@@ -126,12 +126,15 @@ class TestSpans:
     @example(ALL_YES, 0)
     @example(ALL_NO, 1)
     def test_coprime_members_are_realisable(self, key, b0):
-        # the scan reads every grid point off its denominator's span, so
-        # the span's coprime members must be exactly the nums whose own
-        # key's range holds b = b0 - fl
+        # the scan reads every grid point off its denominator's span at
+        # b0 = 0 moved by b0 den, as grid_scan_interval moves it, so the
+        # moved span's coprime members must be exactly the nums whose
+        # own key's range holds b = b0 - fl
         fixed, zeros, strict, max_denominator = key
-        spans = _spans(b0, fixed, zeros, strict, max_denominator)
+        spans = _spans(fixed, zeros, strict, max_denominator)
         assert len(spans) == max_denominator
+        spans = [(s + b0 * den, e + b0 * den)
+                 for den, (s, e) in enumerate(spans, 1)]
         # every key's b lie in [1 - zeros, len(fixed) + zeros], so
         # these rows hold every realisable num, with room to spare
         rows = range(b0 - len(fixed) - zeros - 3, b0 + zeros + 4)
@@ -160,7 +163,6 @@ class TestWitnessThresholds:
             calls.append(slots)
             return real(slots)
 
-        _witness_thresholds.cache_clear()
         with mock.patch.object(oracle, "_witness_exists", counted):
             entry = _witness_thresholds(fixed, strict, max_denominator)
         assert len(entry) == max_denominator
@@ -175,8 +177,7 @@ class TestWitnessThresholds:
             (0, den) for den in range(1, max_denominator + 1))
 
     def test_caches_are_bounded(self):
-        for fn in (_witness_thresholds, oracle._coprime_count,
-                   _realisable_range, oracle._relative_scan):
+        for fn in (oracle._coprime_count, oracle._relative_scan):
             assert fn.cache_parameters()["maxsize"] is not None
 
 
@@ -264,6 +265,20 @@ class TestGridScan:
                                     expected=wrong)
         assert report.mismatches
         assert not report.ok
+
+    def test_widened_sweep_intervals_mismatch(self):
+        # the benchmark's oracle-sweep taus k/12 in [-2, 2] on its three
+        # cable classes: t widened to [t.low, t.high + 1] must disagree
+        # with the scan at every tau
+        for q, residue in ((3, 1), (4, 3), (5, 2)):
+            params = bezout(residue, q)
+            for k in range(-24, 25):
+                tau = ExtRational(k, 12)
+                t = cable_interval(params, frozenset(), tau).t
+                high = ExtRational(t.high.num + t.high.den, t.high.den)
+                report = grid_scan_interval(params, frozenset(), tau, 24,
+                                            expected=Arc(t.low, high))
+                assert report.mismatches, (params, tau)
 
     def test_report_counts_points(self):
         report = grid_scan_interval(C23, frozenset(), R("1/2"), 6)
@@ -437,9 +452,7 @@ class TestScanMembership:
         params = bezout(*pq)
         moved = ExtRational(tau.num + m * tau.den, tau.den)
         follows = _translate(expected, -m)
-        for fn in (oracle._relative_scan, _witness_thresholds,
-                   _realisable_range):
-            fn.cache_clear()
+        oracle._relative_scan.cache_clear()
         assert _scanned(params, J, tau, max_denominator, expected) == (
             _reference_scan(params, J, tau, max_denominator, expected))
         calls = []
@@ -520,6 +533,15 @@ class TestExhaustiveWitnessCheck:
         values = ((R("1/3"), True), (R("1/2"), False), (R("1/2"), False))
         bogus = JNWitness(2, 1, (R("1/2"), R("1/2"), R("1/4")))
         assert not exhaustive_witness_check(values, bogus)
+
+    def test_value_equal_to_slot(self):
+        from cableslopes.jn import JNWitness
+        # N = 3, A = 1 assigns 1/3, 2/3, 1/3: the first slot receives
+        # exactly its own value, which only a non-strict slot accepts
+        w = JNWitness(3, 1, (R("1/3"), R("2/3"), R("1/3")))
+        others = ((R("1/2"), False), (R("1/4"), True))
+        assert not exhaustive_witness_check(((R("1/3"), True),) + others, w)
+        assert exhaustive_witness_check(((R("1/3"), False),) + others, w)
 
     def test_validates_input_range(self):
         with pytest.raises(ValueError):
