@@ -27,7 +27,7 @@ the gate is degenerate.  Ends are built from divmod(at.num, at.den).
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .exact import ExtRational, IntMobius, SlopeSet, _as_rat, mobius_set_image
 from .intervals import _gates, _window, cable_interval, special_slope_interval
@@ -41,32 +41,25 @@ class DetectionMode(enum.Enum):
 
 @dataclass(frozen=True)
 class CableParams:
-    """Cable parameters p/q with the normalized Bezout pair (r, s).
-
-    Invariants: gcd(p, q) = 1, p*s + q*r = 1, -q < s < 0 < r <= p,
-    and r = p only when p = 1.  Construction also sets the slopes
-    gamma = (q + s)/q and fiber_slope = p/q, and builds the two basis
-    maps that inner_basis_map and outer_basis_map return.
+    """The cable C_{p,q}, built from p and q; it derives the normalized
+    Bezout pair (r, s), p*s + q*r = 1 with -q < s < 0, the slopes
+    gamma = (q + s)/q and fiber_slope = p/q, and the two basis maps.
     """
     p: int
     q: int
-    r: int
-    s: int
+    r: int = field(init=False)
+    s: int = field(init=False)
 
     def __post_init__(self):
-        p, q, r, s = self.p, self.q, self.r, self.s
-        if q < 2 or p < 1:
-            raise ValueError("need p >= 1 and q >= 2")
-        if math.gcd(p, q) != 1:
-            raise ValueError("p and q must be coprime")
-        if p * s + q * r != 1:
-            raise ValueError("p*s + q*r must equal 1")
-        if not (-q < s < 0 < r <= p):
-            raise ValueError("need -q < s < 0 < r <= p")
-        if r == p and p != 1:
-            raise ValueError("r = p is only allowed when p = 1")
-        # built once, past the frozen __setattr__; they are not fields,
-        # so ==, hash and repr still read p, q, r and s alone
+        p, q = self.p, self.q
+        if q < 2 or p < 1 or math.gcd(p, q) != 1:
+            raise ValueError("need coprime p >= 1, q >= 2")
+        s = pow(p, -1, q) - q
+        r = (1 - p * s) // q
+        # set past the frozen __setattr__; gamma and the maps are not
+        # fields, so ==, hash and repr read p, q, r and s alone
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
         object.__setattr__(self, "gamma", ExtRational(q + s, q))
         object.__setattr__(self, "fiber_slope", ExtRational(p, q))
         object.__setattr__(self, "_inner", IntMobius(s, r, -q, p))
@@ -74,12 +67,8 @@ class CableParams:
 
 
 def bezout(p, q):
-    """CableParams for the unique normalized Bezout pair of (p, q)."""
-    if q < 2 or p < 1 or math.gcd(p, q) != 1:
-        raise ValueError("need coprime p >= 1, q >= 2")
-    s = pow(p, -1, q) - q
-    r = (1 - p * s) // q
-    return CableParams(p, q, r, s)
+    """CableParams for (p, q), with its normalized Bezout pair."""
+    return CableParams(p, q)
 
 
 def inner_basis_map(params):

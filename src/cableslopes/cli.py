@@ -57,10 +57,6 @@ def _j_set(text):
     return frozenset(integer(x) for x in text.split(","))
 
 
-def _params(args):
-    return bezout(args.p, args.q)
-
-
 def cmd_jn(args):
     res = decide(_j_set(args.J), args.b, _rat_list(args.gamma),
                  _rat_list(args.tau))
@@ -83,27 +79,27 @@ def cmd_interval(args):
     if args.p is not None or args.q is not None:
         if args.p is None or args.q is None:
             raise ValueError("--p and --q must be given together")
-        params = _params(args)
+        params = bezout(args.p, args.q)
         taus = _rat_list(args.tau)
         if len(taus) != 1:
             raise ValueError("cable intervals take exactly one --tau")
         res = cable_interval(params, _j_set(args.J), taus[0])
         inputs = {"p": args.p, "q": args.q, "J": sorted(_j_set(args.J)),
                   "tau": args.tau}
-        refs = ["cable-interval", "endpoint-search"]
+        refs = ["cable-interval"]
     else:
         res = relative_interval(_rat_list(args.gamma), _rat_list(args.tau),
                                 _j_set(args.J))
         inputs = {"gamma": args.gamma, "tau": args.tau,
                   "J": sorted(_j_set(args.J))}
-        refs = ["relative-interval", "endpoint-search"]
+        refs = ["relative-interval"]
     text = "%s (T), %s (T~)" % (res.t, res.t_strict)
     payload = {"set": [str(res.t)], "strict_set": str(res.t_strict)}
     return CommandResult("interval", inputs, payload, refs, text)
 
 
 def cmd_ray_union(args):
-    params = _params(args)
+    params = bezout(args.p, args.q)
     taus = _rat_list(args.tau)
     if len(taus) != 1:
         raise ValueError("ray-union takes exactly one --tau")
@@ -116,7 +112,7 @@ def cmd_ray_union(args):
 
 
 def cmd_cable(args):
-    params = _params(args)
+    params = bezout(args.p, args.q)
     input_set = parse_slope_set(args.input)
     mode = DetectionMode(args.mode)
     out, tag = cable_detected_set(params, input_set, mode)
@@ -138,7 +134,7 @@ def cmd_torus(args):
 
 
 def cmd_oracle(args):
-    params = _params(args)
+    params = bezout(args.p, args.q)
     taus = _rat_list(args.tau)
     if len(taus) != 1:
         raise ValueError("oracle takes exactly one --tau")
@@ -163,7 +159,7 @@ def cmd_oracle(args):
 
 
 def cmd_bezout(args):
-    params = _params(args)
+    params = bezout(args.p, args.q)
     inputs = {"p": args.p, "q": args.q}
     payload = {"p": params.p, "q": params.q, "r": params.r, "s": params.s,
                "gamma": str(params.gamma)}

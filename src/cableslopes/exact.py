@@ -332,8 +332,6 @@ class SlopeSet:
     def union(self, other):
         return SlopeSet(self._ivs + other._ivs, self._inf or other._inf)
 
-    __or__ = union
-
     def complement(self):
         # the gaps between non-touching intervals are non-empty and do
         # not touch each other, so the result is canonical as built
@@ -365,12 +363,8 @@ class SlopeSet:
                 j += 1
         return SlopeSet._canonical(ivs, self._inf and other._inf)
 
-    __and__ = intersect
-
     def difference(self, other):
         return self.intersect(other.complement())
-
-    __sub__ = difference
 
     def issubset(self, other):
         return self.difference(other).is_empty

@@ -106,10 +106,11 @@ def _gamma_slot(g):
 
 
 def _witness_exists(slots):
-    """Whether two or more (num, den, strict) slots admit a b = 1 witness."""
+    """Whether two or more (num, den, strict) slots admit a b = 1 witness:
+    a pair (i, j) takes A/N and (N - A)/N, and N runs up to the least cap
+    (den - strict) // num among the other slots, each of which takes 1/N.
+    """
     caps = [(d - st) // n for n, d, st in slots]
-    # a pair's bound is the least cap outside it, one of the three least
-    least = sorted(range(len(slots)), key=caps.__getitem__)[:3]
     for i, (ni, di, si) in enumerate(slots):
         for j in range(i + 1, len(slots)):
             nj, dj, sj = slots[j]
@@ -117,13 +118,11 @@ def _witness_exists(slots):
             room = (dj - nj) * di - ni * dj
             if room < 0 or room == 0 and (si or sj):
                 continue
-            for m in least:
-                if m != i and m != j:
-                    break
-            else:
+            rest = caps[:i] + caps[i + 1:j] + caps[j + 1:]
+            if not rest:
                 # nothing bounds N, and a non-empty window holds a fraction
                 return True
-            for N in range(2, caps[m] + 1):
+            for N in range(2, min(rest) + 1):
                 # least A above v_i N against largest A below (1 - v_j) N
                 if (ni * N + di - 1 + si) // di <= ((dj - nj) * N - sj) // dj:
                     return True

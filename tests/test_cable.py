@@ -67,21 +67,25 @@ class TestParams:
         assert (p.r, p.s) == (1, -1)
 
     def test_bezout_normalization_range(self):
-        for q in range(2, 13):
-            for p in range(1, 13):
+        # the normalization of the derived Bezout pair (r, s)
+        for q in range(2, 31):
+            for p in range(1, 61):
                 if math.gcd(p, q) != 1:
                     continue
-                params = bezout(p, q)
-                assert params.p * params.s + params.q * params.r == 1
-                assert -q < params.s < 0 < params.r <= p
+                params = CableParams(p, q)
+                r, s = params.r, params.s
+                assert p * s + q * r == 1
+                assert -q < s < 0 < r <= p
+                assert r != p or p == 1
+                assert params.gamma == ExtRational(q + s, q)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             bezout(2, 4)
-        with pytest.raises(ValueError):
-            CableParams(2, 3, 1, 1)
-        with pytest.raises(ValueError):
-            CableParams(2, 3, 3, -4)
+        for p, q in ((2, 4), (0, 3), (3, 1)):
+            with pytest.raises(ValueError) as err:
+                CableParams(p, q)
+            assert str(err.value) == "need coprime p >= 1, q >= 2"
 
     def test_derived_slopes_built_once(self):
         params = bezout(5, 3)

@@ -82,6 +82,16 @@ class TestJsonFormat:
         assert doc["command"] == "interval"
         assert doc["result"]["set"] == ["[-3/2,-1]"]
 
+    @pytest.mark.parametrize("argv, refs", [
+        (("--p", "2", "--q", "3", "--tau", "1/2"), ["cable-interval"]),
+        (("--gamma", "2/3", "--tau", "1/2"), ["relative-interval"]),
+    ])
+    def test_interval_refs(self, capsys, argv, refs):
+        # each names the function that computed the interval
+        code, out, _ = run(capsys, "interval", *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["refs"] == refs
+
     def test_cable_json_has_exactness(self, capsys):
         code, out, _ = run(capsys, "cable", "--p", "5", "--q", "2",
                            "--input", "[-inf,1]", "--mode", "regular",

@@ -114,8 +114,8 @@ class TestArc:
     def test_str_round_trip(self):
         for text in ("[1/2,3)", "(-inf,7]", "[-3/2,-1]", "(0,1)"):
             assert str(parse_slope_set(text)) == text
-        assert parse_slope_set("[2,-1]") == (
-            SlopeSet.ray_above(2) | SlopeSet.ray_below(-1)).with_infinity()
+        assert parse_slope_set("[2,-1]") == SlopeSet.ray_above(2).union(
+            SlopeSet.ray_below(-1)).with_infinity()
         # the line holds infinity only when a bracket closes there
         assert not parse_slope_set("(-inf,inf)").has_infinity
         assert parse_slope_set("[-inf,inf)") == SlopeSet.full()
@@ -258,16 +258,17 @@ class TestSlopeSetAlgebra:
         (SlopeSet.ray_below(ExtRational(1), False), ["(-inf,1)"]),
         (SlopeSet.ray_below(ExtRational(1), False).with_infinity(),
          ["[-inf,1)"]),
-        (SlopeSet.ray_above(ExtRational(3)).with_infinity()
-         | SlopeSet.interval(ExtRational(0), ExtRational(1), False, True),
+        (SlopeSet.ray_above(ExtRational(3)).with_infinity().union(
+            SlopeSet.interval(ExtRational(0), ExtRational(1), False, True)),
          ["[3,inf]", "(0,1]"]),
-        (SlopeSet.ray_above(ExtRational(5))
-         | SlopeSet.ray_below(ExtRational(1))
-         | SlopeSet.point(R("3/2")) | SlopeSet.point(INF)
-         | SlopeSet.interval(ExtRational(2), ExtRational(3), True, False),
+        (SlopeSet.union_all([
+            SlopeSet.ray_above(ExtRational(5)),
+            SlopeSet.ray_below(ExtRational(1)),
+            SlopeSet.point(R("3/2")), SlopeSet.point(INF),
+            SlopeSet.interval(ExtRational(2), ExtRational(3), True, False)]),
          ["[5,inf]∪[-inf,1]", "{3/2}", "[2,3)"]),
-        (SlopeSet.ray_above(ExtRational(5), False)
-         | SlopeSet.ray_below(ExtRational(-1), False),
+        (SlopeSet.ray_above(ExtRational(5), False).union(
+            SlopeSet.ray_below(ExtRational(-1), False)),
          ["(-inf,-1)", "(5,inf)"]),
     ])
     def test_printed_layout(self, s, parts):

@@ -314,7 +314,8 @@ def arcs(draw):
     elif kind == "above":
         s, inf = SlopeSet.ray_above(a, lc), hc
     elif kind == "wrapped":
-        s, inf = SlopeSet.ray_above(b, lc) | SlopeSet.ray_below(a, hc), True
+        s = SlopeSet.ray_above(b, lc).union(SlopeSet.ray_below(a, hc))
+        inf = True
     else:
         s, inf = SlopeSet.reals(), lc or hc
     return s.with_infinity() if inf else s
@@ -407,7 +408,7 @@ class TestScanMembership:
     @example((2, 3), frozenset(), R("1/2"), 6,
              SlopeSet.ray_above(40).with_infinity())
     @example((3, 4), frozenset({1}), R("-1/3"), 6,
-             (SlopeSet.ray_above(30) | SlopeSet.ray_below(-30))
+             SlopeSet.ray_above(30).union(SlopeSet.ray_below(-30))
              .with_infinity())
     # J = {1}: every den > 1 has a = 0 and c = den, a span holding one
     # multiple of den and no grid point

@@ -1,8 +1,11 @@
 """The public surface of the package: what ``__all__`` names, and what
 is gone from it."""
 
+import pytest
+
 import cableslopes
-from cableslopes import exact, intervals, seifert
+from cableslopes import cli, exact, intervals, seifert
+from cableslopes.cable import CableParams
 
 REMOVED = {
     cableslopes: ("WindowClosed", "endpoint_search", "derived_quantities"),
@@ -14,6 +17,7 @@ REMOVED = {
         "__rtruediv__", "__neg__"),
     exact.IntMobius: ("inverse", "compose"),
     exact.SlopeSet: ("without_infinity",),
+    cli: ("_params",),
 }
 
 
@@ -28,3 +32,19 @@ def test_removed_names_are_unbound():
     for owner, names in REMOVED.items():
         for name in names:
             assert not hasattr(owner, name), (owner, name)
+
+
+def test_set_operations_have_one_name():
+    # union, intersect and difference have no operator aliases; read on
+    # an instance, as the class sees type.__or__ through its metaclass
+    s = exact.SlopeSet.full()
+    for name in ("__or__", "__and__", "__sub__"):
+        assert not hasattr(s, name), name
+    with pytest.raises(TypeError):
+        s | s
+
+
+def test_cable_params_take_p_and_q_alone():
+    # r and s are derived, never given
+    with pytest.raises(TypeError):
+        CableParams(5, 3, 2, -1)
