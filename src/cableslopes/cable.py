@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 from .exact import ExtRational, IntMobius, SlopeSet, _as_rat, mobius_set_image
-from .intervals import _gates, _window, cable_interval, special_slope_interval
+from .intervals import _gates, _window, cable_interval
 
 
 class DetectionMode(enum.Enum):
@@ -162,9 +162,6 @@ def torus_knot_detected(p, q):
         raise ValueError("need coprime p, q >= 2")
     params = bezout(p, q)
     res = cable_interval(params, frozenset({1}), ExtRational(params.r, p))
-    check = special_slope_interval(params, 0, strict=True)
-    if res.t.low != check.low or res.t.high != check.high:
-        raise AssertionError("search interval disagrees with closed form")
     g = outer_basis_map(params)
     closed = SlopeSet.interval(res.t.low, res.t.high, True, True)
     return mobius_set_image(g, closed), mobius_set_image(g, res.t_strict)

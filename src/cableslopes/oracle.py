@@ -42,20 +42,25 @@ piece, and num/den lies in it exactly when an odd number of cuts is at
 most num; it is realised exactly when one of s and e is.  So a grid
 point disagrees exactly when an odd number of all these cuts is at
 most num, and sorted they bound the disagreements as [x0, x1),
-[x2, x3), ....  A scan costs O(D) spans and cuts, a few gcds at each
-end of the hull and one per number in a disagreement, while
-``tested_points`` still counts every grid point, rows times phi(den).
+[x2, x3), ....  The sweep reads s and e before they shrink to the
+hull's coprime ends, so it visits only numerators between disagreeing
+cuts.  A scan costs O(D) spans and cuts, a few gcds at each end of the
+hull and one per number in a disagreement, while ``tested_points``
+still counts every grid point, rows times phi(den).
 
-The residues of one scan need few witness loops.  A witness only gets
-harder to find as one slot's value rises: a witness for the higher
-value satisfies the lower one's inequality too.  So with the other
-slots fixed, the values v of tau' with a b = 1 witness form a prefix of
-(0, 1), and those whose complement has one form a suffix.
-``_witness_thresholds`` brackets each side between its largest known
-yes and least known no over ascending denominators.  Once every
-denominator below d is classified, the two ends are neighbours in the
-Farey sequence F_{d-1}, and between neighbours only their mediant has
-denominator d or less: each denominator costs at most one loop a side.
+The residues of one scan need no witness loop per denominator.  A
+witness for a higher slot value meets a lower one's inequality too, so
+with the other slots fixed tau' has a b = 1 witness exactly when it
+suits W, the largest value a witness gives its slot, and its complement
+has one exactly when it suits the complement slots' W.
+``_free_slot_sup`` takes W over two witness shapes, N bounded by the
+other slots' least cap:
+- a fixed pair takes A/N and (N-A)/N, the free slot 1/N at the least N
+  whose window holds an A; a grid point suits 1/N only if
+  1/N >= fn/den >= 1/den, so N <= D too;
+- the free slot pairs with fixed slot i and takes (N-A)/N, so W is
+  1 less the least A/N slot i accepts, which ``_least_accepted`` finds
+  in O(log N) steps down the Stern-Brocot tree, with no loop over N.
 
 Each translation class of tau is scanned once.  Moving tau by an
 integer moves b0 the other way, and every span and row is b0 den plus
@@ -119,14 +124,22 @@ def _witness_exists(slots):
             if room < 0 or room == 0 and (si or sj):
                 continue
             rest = caps[:i] + caps[i + 1:j] + caps[j + 1:]
-            if not rest:
-                # nothing bounds N, and a non-empty window holds a fraction
+            # with no rest nothing bounds N: a non-empty window holds A/N
+            if not rest or _least_window_N(slots[i], slots[j], min(rest)):
                 return True
-            for N in range(2, min(rest) + 1):
-                # least A above v_i N against largest A below (1 - v_j) N
-                if (ni * N + di - 1 + si) // di <= ((dj - nj) * N - sj) // dj:
-                    return True
     return False
+
+
+def _least_window_N(slot_i, slot_j, bound):
+    """The least N <= bound whose window [v_i, 1 - v_j], open at a strict
+    end, holds some A/N, or None."""
+    ni, di, si = slot_i
+    nj, dj, sj = slot_j
+    for N in range(2, bound + 1):
+        # least A above v_i N against largest A below (1 - v_j) N
+        if (ni * N + di - 1 + si) // di <= ((dj - nj) * N - sj) // dj:
+            return N
+    return None
 
 
 def _realisable_range(slots, zeros):
@@ -156,42 +169,68 @@ def _realisable_range(slots, zeros):
     return range(low, high + 1)
 
 
+def _least_accepted(slot, bound):
+    """The least A/N with N <= bound that the (num, den, strict) slot
+    accepts, as (A, N): a descent of the Stern-Brocot tree between 0/1
+    and 1/1 that takes each run of steps to one side in one batch.
+    """
+    n, d, st = slot
+    a, b, c, e = 0, 1, 1, 1  # the slot rejects a/b and accepts c/e
+    while b + e <= bound:
+        # A/N is accepted when A d - n N >= st: c/e clears that by hi,
+        # a/b falls short of 0 by lo, and their mediant scores hi - lo
+        lo, hi = n * b - a * d, c * d - n * e
+        if hi - lo >= st:
+            # c/e moves down by the most steps that keep it accepted
+            t = min((hi - st) // lo if lo else bound, (bound - e) // b)
+            c, e = c + t * a, e + t * b
+        else:
+            # a/b moves up by the most steps that keep it rejected
+            t = min((lo + st - 1) // hi if hi else bound, (bound - b) // e)
+            a, b = a + t * c, b + t * e
+    return c, e
+
+
+def _free_slot_sup(fixed, max_denominator):
+    """The largest value (X, Y) a free slot takes in a b = 1 witness with
+    the (num, den, strict) slots ``fixed``, (0, 1) if none, as far as a
+    grid point of denominator <= max_denominator can tell.
+    """
+    caps = [(d - st) // n for n, d, st in fixed]
+    x, y = 0, 1
+    for i, slot in enumerate(fixed):
+        # the free slot pairs with i, which takes the least A/N it accepts
+        A, N = _least_accepted(slot, min(caps[:i] + caps[i + 1:]))
+        if (N - A) * y > x * N:
+            x, y = N - A, N
+    for i in range(len(fixed)):
+        for j in range(i + 1, len(fixed)):
+            # the pair (i, j) takes A/N and (N-A)/N and the free slot 1/N,
+            # which beats W = x/y only for N x < y
+            rest = caps[:i] + caps[i + 1:j] + caps[j + 1:]
+            rest += [max_denominator, (y - 1) // x if x else max_denominator]
+            N = _least_window_N(fixed[i], fixed[j], min(rest))
+            if N:
+                x, y = 1, N
+    return x, y
+
+
 def _witness_thresholds(fixed, strict, max_denominator):
     """Per denominator, where tau' = fn/den starts and stops widening.
 
     ``fixed`` holds two or more (num, den, strict) slots and tau' adds
     the slot (fn, den, strict).  Item den - 1 is (a, c): a is the
     largest fn < den with a b = 1 witness (0 if none) and c the least
-    fn > 0 whose complement has one (den if none).  Monotonicity: a
-    witness for fn/den meets every inequality of a lower value, so
-    witnesses form a prefix in value, and complement witnesses a
-    suffix.  Each side keeps (largest known yes, least known no) as
-    (num, den) pairs; after the denominators below den, these are
-    Farey neighbours, so at most one fraction of denominator den lies
-    strictly between them and gets a witness loop: at most
-    2 (max_denominator - 1) loops per call.
+    fn > 0 whose complement has one (den if none).  fn/den has one
+    exactly when fn/den <= W (< W if strict) for the sup W = X/Y of
+    ``_free_slot_sup``, and W < 1 keeps a below den.
     """
-    comp = tuple((d - n, d, st) for n, d, st in fixed)
-    yes, no = (0, 1), (1, 1)    # b = 1 side: prefix up to yes
-    cno, cyes = (0, 1), (1, 1)  # complement side: suffix from cyes
-    out = []
-    for den in range(1, max_denominator + 1):
-        a = yes[0] * den // yes[1]
-        fn = a + 1
-        if fn * no[1] < no[0] * den:
-            if _witness_exists(fixed + ((fn, den, strict),)):
-                yes, a = (fn, den), fn
-            else:
-                no = (fn, den)
-        c = -(-cyes[0] * den // cyes[1])
-        fn = c - 1
-        if fn * cno[1] > cno[0] * den:
-            if _witness_exists(comp + ((den - fn, den, strict),)):
-                cyes, c = (fn, den), fn
-            else:
-                cno = (fn, den)
-        out.append((a, c))
-    return tuple(out)
+    x, y = _free_slot_sup(fixed, max_denominator)
+    cx, cy = _free_slot_sup(tuple((d - n, d, st) for n, d, st in fixed),
+                            max_denominator)
+    return tuple((max((x * den - strict) // y, 0),
+                  den - max((cx * den - strict) // cy, 0))
+                 for den in range(1, max_denominator + 1))
 
 
 @lru_cache(maxsize=1 << 8)
@@ -308,6 +347,19 @@ def _relative_scan(fixed, zeros, strict, max_denominator, ends):
     found = []
     for den, (s, e) in enumerate(
             _spans(fixed, zeros, strict, max_denominator), 1):
+        if ends is not None:
+            # the grid is the num coprime to den in (start, stop); the
+            # shrink below drops no grid point, so the raw span will do
+            start, stop = lo * den, hi * den
+            cuts = [(n * den + off) // d for n, off, d in ends]
+            cuts += s, e
+            cuts.sort()
+            for x0, x1 in zip(cuts[::2], cuts[1::2]):
+                if x0 == x1:
+                    continue
+                for num in range(max(x0, start + 1), min(x1, stop)):
+                    if math.gcd(num, den) == 1:
+                        found.append((num, den, s <= num < e))
         # shrink the span to its first and last grid point: the ends of
         # the hull at den
         while s < e and math.gcd(s, den) != 1:
@@ -319,19 +371,6 @@ def _relative_scan(fixed, zeros, strict, max_denominator, ends):
                 low = (s, den)
             if high is None or (e - 1) * high[1] > high[0] * den:
                 high = (e - 1, den)
-        if ends is None:
-            continue
-        # the grid is the num coprime to den in (start, stop)
-        start, stop = lo * den, hi * den
-        cuts = [(n * den + off) // d for n, off, d in ends]
-        cuts += s, e
-        cuts.sort()
-        for x0, x1 in zip(cuts[::2], cuts[1::2]):
-            if x0 == x1:
-                continue
-            for num in range(max(x0, start + 1), min(x1, stop)):
-                if math.gcd(num, den) == 1:
-                    found.append((num, den, s <= num < e))
     # every den has (hi - lo) phi(den) grid points, but den = 1 lacks lo
     tested = (hi - lo) * _coprime_count(max_denominator) - 1
     return low, high, tested, tuple(found)
@@ -390,7 +429,8 @@ def exhaustive_witness_check(values, claimed):
     if len(values) < 2:
         raise ValueError("need at least two slots")
     for v, _ in values:
-        if not (ExtRational(0) < v < ExtRational(1)):
+        # infinity is stored as 1/0, so it fails this too
+        if not 0 < v.num < v.den:
             raise ValueError("slot values must lie in (0,1)")
     if claimed is None:
         return not _witness_exists([(v.num, v.den, st) for v, st in values])

@@ -9,6 +9,12 @@ plainly follow the definition, so the Stern-Brocot solver in
 query, with its witness loop ``witness_exists``; the oracle's range of
 realisable b is required to hold exactly the b it accepts.
 
+``witness_thresholds`` is the oracle's original per-denominator scan
+of the residues with a witness: it brackets each side between Farey
+neighbours and runs ``witness_exists`` on at most one fraction per
+denominator and side.  The oracle's thresholds, read off one sup per
+side, are required to equal it.
+
 ``decide`` is the tuple decider as it was before ``jn.decide`` took
 the interval path's integer reduction: it validates a ``SeifertTuple``,
 reduces it with its own ``reduce_integral`` to ``ExtRational`` slots
@@ -251,6 +257,39 @@ def realisable(b, slots, zeros):
     if b == 1:
         return witness_exists(slots)
     return 2 <= b <= k - 2
+
+
+def witness_thresholds(fixed, strict, max_denominator):
+    """Per denominator den, (a, c) for tau' = fn/den beside ``fixed``.
+
+    a is the largest fn < den with a b = 1 witness (0 if none) and c the
+    least fn > 0 whose complement has one (den if none).  Witnesses
+    form a prefix in value and complement witnesses a suffix, so each
+    side keeps (largest known yes, least known no); after the
+    denominators below den these are Farey neighbours, and only their
+    mediant can lie strictly between them with denominator den.
+    """
+    comp = tuple((d - n, d, st) for n, d, st in fixed)
+    yes, no = (0, 1), (1, 1)    # b = 1 side: prefix up to yes
+    cno, cyes = (0, 1), (1, 1)  # complement side: suffix from cyes
+    out = []
+    for den in range(1, max_denominator + 1):
+        a = yes[0] * den // yes[1]
+        fn = a + 1
+        if fn * no[1] < no[0] * den:
+            if witness_exists(fixed + ((fn, den, strict),)):
+                yes, a = (fn, den), fn
+            else:
+                no = (fn, den)
+        c = -(-cyes[0] * den // cyes[1])
+        fn = c - 1
+        if fn * cno[1] > cno[0] * den:
+            if witness_exists(comp + ((den - fn, den, strict),)):
+                cyes, c = (fn, den), fn
+            else:
+                cno = (fn, den)
+        out.append((a, c))
+    return tuple(out)
 
 
 def _check_gamma(g):

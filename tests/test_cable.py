@@ -151,6 +151,20 @@ class TestTorusKnots:
         with pytest.raises(ValueError):
             torus_knot_detected(1, 2)
 
+    def test_search_interval_matches_closed_form(self):
+        # torus_knot_detected reads t at the b = 0 special slope r/p off
+        # the search path; the closed form must give the same interval
+        pairs = [(p, q) for p in range(2, 41) for q in range(2, 41)
+                 if math.gcd(p, q) == 1]
+        pairs += [(10**15 + 1, 2), (10**15 + 1, 3), (10**15 + 2, 5),
+                  (10**15 - 1, 10**15), (3, 10**15 + 1)]
+        for p, q in pairs:
+            params = bezout(p, q)
+            t = cable_interval(params, frozenset({1}),
+                               ExtRational(params.r, p)).t
+            closed = intervals.special_slope_interval(params, 0, strict=True)
+            assert (t.low, t.high) == (closed.low, closed.high), (p, q)
+
     def test_known_answer_net(self):
         # T(p, q) has genus (p-1)(q-1)/2, so 2g - 1 = pq - p - q: the
         # regular set is [-inf, pq-p-q] plus inf, the strong set the

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -9,14 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from cableslopes import cable, oracle
 from cableslopes.cable import bezout
-from cableslopes.exact import (Arc, ExtRational, IntMobius, SlopeSet,
+from cableslopes.exact import (INF, Arc, ExtRational, IntMobius, SlopeSet,
                                mobius_set_image)
 from cableslopes.intervals import cable_interval
 from cableslopes.jn import UnsupportedArity, decide, witness_search
 from cableslopes.oracle import (ScanReport, _decide_point, _realisable_range,
                                 _spans, _witness_thresholds,
                                 exhaustive_witness_check, grid_scan_interval)
-from loop_reference import realisable
+from loop_reference import realisable, witness_thresholds
 
 R = ExtRational.parse
 C23 = bezout(2, 3)
@@ -151,22 +152,79 @@ class TestSpans:
                     if math.gcd(num, den) == 1} == want
 
 
+@st.composite
+def threshold_keys(draw):
+    """(fixed, strict, max_denominator): 2-3 slots, denominators <= 2,000.
+
+    A numerator next to 0 or den gives a slot a large cap or a large
+    complement cap, so the sup searches run to their bounds.
+    """
+    fixed = []
+    for _ in range(draw(st.integers(2, 3))):
+        d = draw(st.one_of(st.integers(2, 15), st.integers(2, 2000)))
+        n = draw(st.one_of(st.integers(1, d - 1),
+                           st.integers(1, min(3, d - 1)),
+                           st.integers(max(d - 3, 1), d - 1)))
+        fixed.append((n, d, draw(st.booleans())))
+    return tuple(fixed), draw(st.booleans()), draw(st.integers(1, 40))
+
+
+# every reduced slot with den <= 8, at either strictness
+SMALL_SLOTS = [(n, d, st_) for d in range(2, 9) for n in range(1, d)
+               if math.gcd(n, d) == 1 for st_ in (False, True)]
+
+
 class TestWitnessThresholds:
+    def test_matches_reference_on_small_pairs(self):
+        # every pair of small slots, with tau' strict or not; at D = 12
+        # the pair loop's last N, D itself, decides some key
+        for fixed in itertools.combinations_with_replacement(SMALL_SLOTS, 2):
+            for strict in (False, True):
+                for max_denominator in (6, 12):
+                    assert _witness_thresholds(
+                        fixed, strict, max_denominator) == witness_thresholds(
+                        fixed, strict, max_denominator), (fixed, strict)
+
+    @settings(max_examples=300, deadline=None)
+    @given(threshold_keys())
+    def test_matches_reference(self, key):
+        assert _witness_thresholds(*key) == witness_thresholds(*key)
+
     @settings(max_examples=100, deadline=None)
     @given(scan_keys().filter(lambda key: len(key[0]) >= 2))
-    def test_two_witness_loops_per_denominator(self, key):
+    def test_makes_no_witness_loop(self, key):
+        # both sides come from one sup each, whatever the denominator
+        # bound: no per-denominator witness loop runs
         fixed, _, strict, max_denominator = key
         calls = []
-        real = oracle._witness_exists
-
-        def counted(slots):
-            calls.append(slots)
-            return real(slots)
-
-        with mock.patch.object(oracle, "_witness_exists", counted):
+        with mock.patch.object(oracle, "_witness_exists", calls.append):
             entry = _witness_thresholds(fixed, strict, max_denominator)
         assert len(entry) == max_denominator
-        assert len(calls) <= 2 * (max_denominator - 1)
+        assert calls == []
+
+    def test_cable_scans_make_no_witness_loop(self):
+        # a cable scan has two fixed slots, gamma and frac(tau), or one
+        # for an integral tau: tau' = 0 falls to the zero-slot range or
+        # to the slot sum, and the other residues to the thresholds
+        calls = []
+        oracle._relative_scan.cache_clear()
+        with mock.patch.object(oracle, "_witness_exists", calls.append):
+            for p, q in COPRIME:
+                for J in (frozenset(), {1}, {2}, {1, 2}):
+                    for k in range(-12, 13):
+                        grid_scan_interval(bezout(p, q), J,
+                                           ExtRational(k, 6), 12)
+        assert calls == []
+
+    def test_large_slot_denominators(self):
+        # 1/10**15 paired with the free slot takes 1/(10**15 - 1), the
+        # least value the other slot's cap lets it take, so the free slot
+        # takes (10**15 - 2)/(10**15 - 1) and every fn < den has a
+        # witness; the complements (10**15 - 1)/10**15 have cap 1 and none
+        for strict in (False, True):
+            fixed = ((1, 10**15, True), (1, 10**15, False))
+            assert _witness_thresholds(fixed, strict, 24) == tuple(
+                (den - 1, den) for den in range(1, 25))
 
     def test_pinned_entries_are_extreme(self):
         fixed, _, strict, max_denominator = ALL_YES
@@ -232,13 +290,23 @@ class TestGridScan:
 
     def test_large_tau_denominator(self):
         # the tau slot accepts 1/N up to N ~ 10**7, so the witness loop
-        # must stop at a hit or skip an empty window, not run to the cap
-        for tau in (ExtRational(1, 10**7), ExtRational(10**7 - 1, 10**7),
-                    ExtRational(-10**7 - 1, 10**7)):
+        # must stop at a hit or skip an empty window, not run to the cap;
+        # slots of denominator ~10**15 bound the free slot's sup by
+        # ~10**15, which the scan must reach in few steps
+        cases = [(C23, tau) for tau in (
+            ExtRational(1, 10**7), ExtRational(10**7 - 1, 10**7),
+            ExtRational(-10**7 - 1, 10**7))]
+        for p, q in ((10**15 - 1, 10**15), (10**15 + 1, 3), (3, 10**15 + 1)):
+            params = bezout(p, q)
+            cases += [(params, tau) for tau in (
+                ExtRational(-1, 10**15), ExtRational(1, q),
+                ExtRational(q - 1, q), ExtRational(params.r, p))]
+        for params, tau in cases:
             for J in (frozenset(), frozenset({1})):
-                res = cable_interval(C23, J, tau)
-                report = grid_scan_interval(C23, J, tau, 24, expected=res.t)
-                assert report.mismatches == []
+                res = cable_interval(params, J, tau)
+                report = grid_scan_interval(params, J, tau, 24,
+                                            expected=res.t)
+                assert report.mismatches == [], (params, tau, J)
                 assert report.tested_points > 0
 
     def test_large_denominator_matches_interval(self):
@@ -545,6 +613,9 @@ class TestExhaustiveWitnessCheck:
         assert exhaustive_witness_check(((R("1/3"), False),) + others, w)
 
     def test_validates_input_range(self):
-        with pytest.raises(ValueError):
-            exhaustive_witness_check(((ExtRational(2), True),
-                                      (R("1/2"), False)), None)
+        # infinity has no order, so it must be refused before a compare
+        for bad in (ExtRational(2), ExtRational(0), ExtRational(1),
+                    R("-1/2"), INF):
+            with pytest.raises(ValueError, match="must lie in"):
+                exhaustive_witness_check(((bad, True), (R("1/2"), False)),
+                                         None)
