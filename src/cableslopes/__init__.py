@@ -8,7 +8,7 @@ from .exact import (INF, Arc, ExtRational, IntMobius, SlopeSet,
 from .intervals import (InsufficientData, RelativeIntervalResult,
                         cable_interval, relative_interval,
                         special_slope_interval)
-from .jn import JNResult, JNWitness, UnsupportedArity, decide, witness_search
+from .jn import JNResult, JNWitness, decide, witness_search
 from .oracle import ScanReport, exhaustive_witness_check, grid_scan_interval
 from .seifert import normalize, reduce_integral
 
@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Arc", "CableParams", "DetectionMode", "ExtRational", "INF",
     "InsufficientData", "IntMobius", "JNResult", "JNWitness",
-    "RelativeIntervalResult", "ScanReport", "SlopeSet", "UnsupportedArity",
+    "RelativeIntervalResult", "ScanReport", "SlopeSet",
     "bezout", "cable_detected_set", "cable_genus_bound", "cable_interval",
     "decide", "exhaustive_witness_check", "grid_scan_interval",
     "inner_basis_map", "mobius_set_image", "normalize", "outer_basis_map",

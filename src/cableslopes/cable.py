@@ -27,9 +27,9 @@ the gate is degenerate.  Ends are built from divmod(at.num, at.den).
 
 import enum
 import math
-from dataclasses import dataclass, field
 
-from .exact import ExtRational, IntMobius, SlopeSet, _as_rat, mobius_set_image
+from .exact import (ExtRational, IntMobius, SlopeSet, _Record, _as_rat,
+                    mobius_set_image)
 from .intervals import _gates, _window, cable_interval
 
 
@@ -39,31 +39,24 @@ class DetectionMode(enum.Enum):
     STRONG = "strong"
 
 
-@dataclass(frozen=True)
-class CableParams:
+class CableParams(_Record):
     """The cable C_{p,q}, built from p and q; it derives the normalized
     Bezout pair (r, s), p*s + q*r = 1 with -q < s < 0, the slopes
     gamma = (q + s)/q and fiber_slope = p/q, and the two basis maps.
     """
-    p: int
-    q: int
-    r: int = field(init=False)
-    s: int = field(init=False)
 
-    def __post_init__(self):
-        p, q = self.p, self.q
+    _fields = ("p", "q", "r", "s")
+    # gamma and the maps are not fields: ==, hash and repr read p, q, r
+    # and s alone
+    __slots__ = _fields + ("gamma", "fiber_slope", "_inner", "_outer")
+
+    def __init__(self, p, q):
         if q < 2 or p < 1 or math.gcd(p, q) != 1:
             raise ValueError("need coprime p >= 1, q >= 2")
         s = pow(p, -1, q) - q
         r = (1 - p * s) // q
-        # set past the frozen __setattr__; gamma and the maps are not
-        # fields, so ==, hash and repr read p, q, r and s alone
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "gamma", ExtRational(q + s, q))
-        object.__setattr__(self, "fiber_slope", ExtRational(p, q))
-        object.__setattr__(self, "_inner", IntMobius(s, r, -q, p))
-        object.__setattr__(self, "_outer", IntMobius(p * q, p * q + 1, 1, 1))
+        self._fill(p, q, r, s, ExtRational(q + s, q), ExtRational(p, q),
+                   IntMobius(s, r, -q, p), IntMobius(p * q, p * q + 1, 1, 1))
 
 
 def bezout(p, q):

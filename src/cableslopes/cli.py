@@ -7,24 +7,31 @@ Exit codes: 0 success, 2 usage error, 3 domain error (invalid inputs),
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .cable import (DetectionMode, bezout, cable_detected_set, ray_union,
                     torus_knot_detected)
-from .exact import _INTEGER, ExtRational, parse_slope_set
+from .exact import _INTEGER, ExtRational, _Record, parse_slope_set
 from .intervals import cable_interval, relative_interval
 from .jn import decide
 from .oracle import grid_scan_interval
 
 
-@dataclass
-class CommandResult:
-    command: str
-    inputs: dict
-    result: dict
-    refs: list
-    text: str
-    exit_code: int = 0
+class CommandResult(_Record):
+    """One command's answer, as JSON or as text.  Mutable and unhashable."""
+
+    __slots__ = _fields = ("command", "inputs", "result", "refs", "text",
+                           "exit_code")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, command, inputs, result, refs, text, exit_code=0):
+        self.command = command
+        self.inputs = inputs
+        self.result = result
+        self.refs = refs
+        self.text = text
+        self.exit_code = exit_code
 
     def to_json(self):
         return json.dumps({

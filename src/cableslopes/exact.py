@@ -9,6 +9,14 @@ other set type, Arc, is the closed finite interval [low, high] that an
 interval result t always is.  All work is integer based; nothing in
 this module ever rounds.
 
+Values are validated where they enter: by the public constructors and
+at each public entry.  Code that has proved what a check proves builds
+with a trusted constructor: the caller of ``ExtRational._reduced``
+guarantees den > 0 and gcd(num, den) = 1, the caller of ``Arc._ends``
+passes two ExtRationals, whose finiteness and order it still tests on
+their integers, and the caller of ``SlopeSet._canonical`` a canonical
+cut list.  ``_Record`` is the base of the value types.
+
 The hot paths avoid building objects: ExtRational compares another
 ExtRational or an int by cross-multiplying integers, and the SlopeSet
 algebra works in one pass over sorted cut lists (complement and
@@ -50,6 +58,14 @@ class ExtRational:
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtRational is immutable")
+
+    @classmethod
+    def _reduced(cls, num, den):
+        """num/den, for den > 0 and gcd(num, den) = 1: no gcd."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
+        return out
 
     @property
     def is_infinite(self):
@@ -125,7 +141,44 @@ def _as_rat(x):
     return x if isinstance(x, ExtRational) else ExtRational(x)
 
 
-class Arc:
+class _Record:
+    """A value type read through ``_fields``, like a frozen dataclass:
+    == within one class, hash and repr ``Name(field=value, ...)`` read
+    the fields, and assigning or deleting an attribute raises
+    AttributeError.  ``__init__`` fills ``__slots__`` through ``_fill``,
+    or on a hot path through ``object.__setattr__``.  A mutable subclass
+    puts back object's __setattr__ and __delattr__, and has no hash.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+    def _fill(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+
+class Arc(_Record):
     """A closed finite interval [low, high] of rationals.
 
     This is the type of an interval result t.  Every other subset of the
@@ -133,27 +186,26 @@ class Arc:
     this one as a set.
     """
 
-    __slots__ = ("low", "high")
+    __slots__ = _fields = ("low", "high")
 
     def __init__(self, low, high):
-        low, high = _as_rat(low), _as_rat(high)
-        if low.is_infinite or high.is_infinite:
+        self._set_ends(_as_rat(low), _as_rat(high))
+
+    @classmethod
+    def _ends(cls, low, high):
+        """Arc(low, high) for two ExtRationals, with no conversion."""
+        out = object.__new__(cls)
+        out._set_ends(low, high)
+        return out
+
+    def _set_ends(self, low, high):
+        # both checks are integer tests on the ends' num and den
+        if not (low.den and high.den):
             raise ValueError("arc ends must be finite")
-        if low > high:
+        if low.num * high.den > high.num * low.den:
             raise ValueError("low endpoint above high")
         object.__setattr__(self, "low", low)
         object.__setattr__(self, "high", high)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Arc is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Arc):
-            return NotImplemented
-        return self.low == other.low and self.high == other.high
-
-    def __hash__(self):
-        return hash((self.low, self.high))
 
     def __repr__(self):
         return "Arc(%s)" % (str(self),)
@@ -483,25 +535,19 @@ def parse_slope_set(text):
 # Integer Moebius maps
 # ---------------------------------------------------------------------------
 
-class IntMobius:
+class IntMobius(_Record):
     """x -> (a x + b) / (c x + d) with integer entries and nonzero det.
 
     Acts on the projective circle; a positive determinant preserves the
     circular orientation, a negative one reverses it.
     """
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = _fields = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
         if a * d - b * c == 0:
             raise ValueError("degenerate map")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMobius is immutable")
+        self._fill(a, b, c, d)
 
     @property
     def det(self):
@@ -511,15 +557,6 @@ class IntMobius:
         x = _as_rat(x)
         return ExtRational(self.a * x.num + self.b * x.den,
                            self.c * x.num + self.d * x.den)
-
-    def __eq__(self, other):
-        if not isinstance(other, IntMobius):
-            return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (other.a, other.b,
-                                                    other.c, other.d)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
 
     def __repr__(self):
         return "IntMobius(%d, %d, %d, %d)" % (self.a, self.b, self.c, self.d)

@@ -15,25 +15,30 @@ Everything else is integer work on the (num, den, strict) slots of
 ``seifert.reduce_integral``, which validates the input once: the gate
 compares the sum of two slots with 1, the left window complements each
 slot to (den - num, den), and each end m0 - w or m1 + w is built once.
-``cable._ray`` reads its ray end off the same gate and window.
+Those slots are reduced and w is, so every end is a reduced pair with
+den > 0 and is built by ``ExtRational._reduced``; t is built by
+``Arc._ends``, which keeps its checks as integer tests, and t_strict
+from its cut list, with no gcd and no merge.  ``extremal_slot_value``
+is a public entry and validates its slots again, in its pass over the
+caps.  ``cable._ray`` reads its ray end off the same gate and window.
 """
 
-from dataclasses import dataclass
-
-from .exact import Arc, ExtRational, SlopeSet
+from .exact import Arc, ExtRational, SlopeSet, _Record
 from .jn import extremal_slot_value
-from .seifert import DerivedQuantities, reduce_integral
+from .seifert import reduce_integral
 
 
 class InsufficientData(ValueError):
-    """Raised when fewer than two constraint slots remain."""
+    """Raised for a tuple with no slot, or with one zero slot alone."""
 
 
-@dataclass(frozen=True)
-class RelativeIntervalResult:
-    t: Arc
-    t_strict: SlopeSet
-    quantities: DerivedQuantities
+class RelativeIntervalResult(_Record):
+    __slots__ = _fields = ("t", "t_strict", "quantities")
+
+    def __init__(self, t, t_strict, quantities):
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "t_strict", t_strict)
+        object.__setattr__(self, "quantities", quantities)
 
 
 def _gates(fixed):
@@ -70,34 +75,50 @@ def _window(fixed, opens, m, sign):
             fixed = [(d - n, d, st) for n, d, st in fixed]
         width = extremal_slot_value(fixed)
         if width is not None:
-            return ExtRational(m * width.den + sign * width.num, width.den)
+            return ExtRational._reduced(m * width.den + sign * width.num,
+                                        width.den)
         if opens:
             raise AssertionError("open %s gate but empty witness search"
                                  % ("left" if sign < 0 else "right"))
-    return ExtRational(m)
+    return ExtRational._reduced(m, 1)
 
 
 def _interval(dq, fixed):
-    """relative_interval's result for a reduced tuple (dq, fixed)."""
+    """relative_interval's result for a reduced tuple (dq, fixed).
+
+    One slot v and no zero slot: a non-integral tau' adds the slot
+    frac(tau'), and two values in (0, 1) must add up to
+    b = b0 - floor(tau'), so b = 1 and tau' = b0 - v, strict or not.
+    An integral tau' is a zero slot, whose window 1 <= b <= 0 is empty,
+    or is dropped, and v = b is impossible.  So t = t_strict = {b0 - v}.
+    """
     size = dq.n + dq.r1 + dq.s0
+    if size == 1 and not dq.s0:
+        (num, den, _), = fixed
+        v = ExtRational._reduced(dq.b0 * den - num, den)
+        return RelativeIntervalResult(
+            Arc._ends(v, v), SlopeSet._canonical([((0, v, 0), (0, v, 1))]),
+            dq)
     if size < 2:
         raise InsufficientData("insufficient data: n + r1 + s0 = %d < 2"
                                % size)
     if dq.s0 > 0:
-        m0, m1 = ExtRational(dq.m0), ExtRational(dq.m1)
-        return RelativeIntervalResult(
-            Arc(m0, m1), SlopeSet.interval(m0, m1, False, False), dq)
-
-    left_opens, right_opens, degenerate = _gates(fixed)
-    lo = _window(fixed, left_opens, dq.m0, -1)
-    hi = _window(fixed, right_opens, dq.m1, 1)
-    if degenerate:
-        t_strict = SlopeSet.point(lo)  # both windows shut: lo = m0
-    elif lo == hi:
-        t_strict = SlopeSet.empty()
+        # m0 < m1: t_strict is the open core
+        lo = ExtRational._reduced(dq.m0, 1)
+        hi = ExtRational._reduced(dq.m1, 1)
+        cuts = [((0, lo, 1), (0, hi, 0))]
     else:
-        t_strict = SlopeSet.interval(lo, hi, False, False)
-    return RelativeIntervalResult(Arc(lo, hi), t_strict, dq)
+        left_opens, right_opens, degenerate = _gates(fixed)
+        lo = _window(fixed, left_opens, dq.m0, -1)
+        hi = _window(fixed, right_opens, dq.m1, 1)
+        if degenerate:  # both windows shut: lo = m0 = hi
+            cuts = [((0, lo, 0), (0, lo, 1))]
+        elif lo == hi:
+            cuts = []
+        else:
+            cuts = [((0, lo, 1), (0, hi, 0))]
+    return RelativeIntervalResult(Arc._ends(lo, hi),
+                                  SlopeSet._canonical(cuts), dq)
 
 
 def relative_interval(gammas, taus, J):
@@ -109,19 +130,12 @@ def cable_interval(params, J, tau):
     """Specialize relative_interval to a cable space with n=1.
 
     J is a subset of {1}.  For J={1} with integral tau the constraint
-    slot disappears entirely and the answer collapses to one point.
+    slot disappears entirely and the answer is the one point -tau - gamma.
     """
     J = frozenset(J)
     if not J <= {1}:
         raise ValueError("J must be a subset of {1}")
-    dq, fixed = reduce_integral((params.gamma,), (tau,), J)
-    if dq.r1 == dq.s0 == 0:
-        # J = {1}, tau integral: gamma alone is left; -tau - gamma
-        (gn, gd, _), = fixed
-        value = ExtRational(dq.b0 * gd - gn, gd)
-        return RelativeIntervalResult(
-            Arc(value, value), SlopeSet.point(value), dq)
-    return _interval(dq, fixed)
+    return relative_interval((params.gamma,), (tau,), J)
 
 
 def special_slope_interval(params, b, strict=False):

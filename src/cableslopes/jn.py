@@ -6,6 +6,8 @@ surviving slots as integers (num, den, strict) and the count s0 of
 zero slots.  Dispatch:
 
 - with zero slots present, realisability is an integer window on b;
+- with none and k <= 2 slots, every translation number is pinned, so
+  the slot values must add up to b (``slot-sum``);
 - otherwise b outside [1, k-1] is never realisable, 2 <= b <= k-2 is
   always realisable, b = k-1 reduces to b = 1 by complementing every
   slot value, and b = 1 is decided by a search for a coprime witness
@@ -16,7 +18,8 @@ This module holds the one solver for that search; ``intervals`` takes
 ``extremal_slot_value`` from here.  A witness gives two special slots
 i and j the values A/N and (N-A)/N and every other slot 1/N.  So A/N
 lies in the window [v_i, 1 - v_j], open at a strict end, and N is at
-most the cap (largest N with 1/N acceptable) of every other slot.
+most the cap (largest N with 1/N acceptable) of every other slot, so
+at most their least cap, taken over the other slots each time.
 Caps only bound N from above, so each ordered pair needs just one
 fraction: the least-denominator A/N in its window, found by a walk
 down the Stern-Brocot tree (Graham-Knuth-Patashnik, Concrete
@@ -28,6 +31,10 @@ Each unordered pair is walked once: x -> 1 - x maps the window of
 (i, j) onto that of (j, i), open ends to open ends, so both have the
 same least denominator N, at A and N - A, and the same slots outside.
 Slots come as (value, strict) or as integers (num, den, strict).
+``witness_search`` and ``extremal_slot_value`` validate them in the
+pass that takes their caps.  A walk's nodes are reduced with den > 0,
+as are 1/N and (N - A)/N, so values are built by
+``ExtRational._reduced``.
 
 The witness search is deterministic: least N, then least A, then the
 lexicographically first slot pair, so reported witnesses are minimal
@@ -35,42 +42,42 @@ and stable.
 """
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact import ExtRational, _as_rat
+from .exact import ExtRational, _Record, _as_rat
 from .seifert import reduce_integral
 
 
-class UnsupportedArity(ValueError):
-    """Raised for zero-free queries with fewer than three slots."""
-
-
-@dataclass(frozen=True)
-class JNWitness:
+class JNWitness(_Record):
     """A realisability certificate for a b=1 query.
 
     ``assignment`` maps each slot, in input order, to the fraction it
     received out of the multiset {A/N, (N-A)/N, 1/N, ..., 1/N}.
     """
 
-    N: int
-    A: int
-    assignment: tuple
+    __slots__ = _fields = ("N", "A", "assignment")
+
+    def __init__(self, N, A, assignment):
+        self._fill(N, A, assignment)
 
 
-@dataclass(frozen=True)
-class JNResult:
-    realizable: bool
-    witness: object
-    rule: str
+class JNResult(_Record):
+    """A decision, true exactly when ``realizable``; ``witness`` is the
+    JNWitness of a b=1 search or None, and ``rule`` names the branch."""
+
+    __slots__ = _fields = ("realizable", "witness", "rule")
+
+    def __init__(self, realizable, witness, rule):
+        self._fill(realizable, witness, rule)
 
     def __bool__(self):
         return self.realizable
 
 
-def _slot_ints(values, least):
-    out = []
+def _slot_caps(values, least):
+    """The slots as (num, den, strict), validated, and their caps, the
+    largest N with num/den < 1/N (<= when not strict), in one pass."""
+    slots, caps = [], []
     for slot in values:
         if len(slot) == 2:
             value = _as_rat(slot[0])
@@ -79,25 +86,21 @@ def _slot_ints(values, least):
         if not 0 < num < den:
             raise ValueError("slot value must lie in (0,1): %s"
                              % ExtRational(num, den))
-        out.append((num, den, bool(strict)))
-    if len(out) < least:
+        strict = bool(strict)
+        slots.append((num, den, strict))
+        caps.append((den - strict) // num)
+    if len(slots) < least:
         raise ValueError("need at least %d slots" % least)
-    return out
+    return slots, caps
 
 
-def _least_caps(slots):
-    """Each slot's cap, the largest N with num/den < 1/N (<= when not
-    strict), and the indices of the three least caps."""
-    caps = [(den - strict) // num for num, den, strict in slots]
-    return caps, sorted(range(len(caps)), key=caps.__getitem__)[:3]
-
-
-def _cap_outside(caps, least, i, j):
-    # the least cap among the slots other than i and j, or None
-    for m in least:
-        if m != i and m != j:
-            return caps[m]
-    return None
+def _least_outside(caps, i, j):
+    """The least cap of the slots other than i and j, or None."""
+    least = None
+    for m, cap in enumerate(caps):
+        if m != i and m != j and (least is None or cap < least):
+            least = cap
+    return least
 
 
 def _walk(low, high, cap):
@@ -158,21 +161,19 @@ def witness_search(values):
     then the first pair.  Pair (j, i) is the mirror of pair (i, j):
     (N, N - A) where (i, j) has (N, A).
     """
-    slots = _slot_ints(values, 3)
-    caps, least = _least_caps(slots)
+    slots, caps = _slot_caps(values, 3)
     found = []
     for i, j in itertools.combinations(range(len(slots)), 2):
-        fit = _pair_witness(slots[i], slots[j],
-                            _cap_outside(caps, least, i, j))
+        fit = _pair_witness(slots[i], slots[j], _least_outside(caps, i, j))
         if fit is not None:
             N, A = fit
             found += (N, A, i, j), (N, N - A, j, i)
     if not found:
         return None
     N, A, i, j = min(found)
-    assignment = [ExtRational(1, N)] * len(slots)
-    assignment[i] = ExtRational(A, N)
-    assignment[j] = ExtRational(N - A, N)
+    assignment = [ExtRational._reduced(1, N)] * len(slots)
+    assignment[i] = ExtRational._reduced(A, N)
+    assignment[j] = ExtRational._reduced(N - A, N)
     return JNWitness(N, A, tuple(assignment))
 
 
@@ -187,22 +188,21 @@ def extremal_slot_value(fixed):
     any pair, which a pair and its mirror share.  Returns None when no
     witness exists at all.
     """
-    slots = _slot_ints(fixed, 2)
-    caps, least = _least_caps(slots)
+    slots, caps = _slot_caps(fixed, 2)
     best_num, best_den = 0, 1
     for j, (nj, dj, sj) in enumerate(slots):
         # the one-point window {1 - v_j}, empty when j is strict: the
         # walk returns that point or the largest fraction below it
         _, x, n = _walk((dj - nj, dj, False), (dj - nj, dj, sj),
-                        _cap_outside(caps, least, j, j))
+                        _least_outside(caps, j, j))
         if x * best_den > best_num * n:
             best_num, best_den = x, n
     for i, j in itertools.combinations(range(len(slots)), 2):
-        fit = _pair_witness(slots[i], slots[j],
-                            _cap_outside(caps, least, i, j))
+        fit = _pair_witness(slots[i], slots[j], _least_outside(caps, i, j))
         if fit is not None and fit[0] * best_num < best_den:
             best_num, best_den = 1, fit[0]
-    return ExtRational(best_num, best_den) if best_num else None
+    # a Stern-Brocot node or 1/N: reduced as it stands
+    return ExtRational._reduced(best_num, best_den) if best_num else None
 
 
 @lru_cache(maxsize=1 << 16)
@@ -213,8 +213,12 @@ def _decide(b, slot_key, zeros):
         ok = 2 - zeros <= b <= total - 2
         return JNResult(ok, None, "integral-slot-window")
     if k < 3:
-        raise UnsupportedArity(
-            "unsupported arity: %d slots with no integral slot" % k)
+        # every translation number is pinned: the slot values must add
+        # up to b exactly
+        num, den = 0, 1
+        for n, d, _ in slot_key:
+            num, den = num * d + n * den, den * d
+        return JNResult(num == b * den, None, "slot-sum")
     if b < 1 or b > k - 1:
         return JNResult(False, None, "translation-number-bound")
     if 2 <= b <= k - 2:

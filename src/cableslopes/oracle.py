@@ -76,18 +76,26 @@ per disagreement.  Beneath it only ``_coprime_count`` is cached.
 """
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .exact import Arc, ExtRational, SlopeSet, _as_rat
+from .exact import Arc, ExtRational, SlopeSet, _Record, _as_rat
 
 
-@dataclass
-class ScanReport:
-    hull_low: ExtRational | None
-    hull_high: ExtRational | None
-    tested_points: int
-    mismatches: list = field(default_factory=list)
+class ScanReport(_Record):
+    """A scan's realised hull (None, None: empty), point count and
+    (point, got, expected) mismatches, a fresh list by default."""
+
+    __slots__ = _fields = ("hull_low", "hull_high", "tested_points",
+                           "mismatches")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, hull_low, hull_high, tested_points, mismatches=None):
+        self.hull_low = hull_low
+        self.hull_high = hull_high
+        self.tested_points = tested_points
+        self.mismatches = [] if mismatches is None else mismatches
 
     @property
     def ok(self):

@@ -11,24 +11,7 @@ three at once, with the surviving slots as integers (num, den, strict),
 for ``jn.decide`` and the interval path alike.
 """
 
-from dataclasses import dataclass
-
-from .exact import _as_rat
-
-
-def _check_gamma(g):
-    g = _as_rat(g)
-    if not 0 < g.num < g.den:
-        raise ValueError("gamma weight must lie strictly between 0 and 1: %s" % g)
-    return g
-
-
-def _check_indices(J, taus):
-    J = frozenset(J)
-    for j in J:
-        if not (isinstance(j, int) and 1 <= j <= len(taus)):
-            raise ValueError("J must contain 1-based tau indices")
-    return J
+from .exact import _Record, _as_rat
 
 
 def normalize(tau):
@@ -42,8 +25,7 @@ def normalize(tau):
     return divmod(tau.num, tau.den)
 
 
-@dataclass(frozen=True)
-class DerivedQuantities:
+class DerivedQuantities(_Record):
     """Slot counts and the bounds they induce on the free weight.
 
     For weights gamma_1..gamma_n and tau_1..tau_{r-1} with strict set J:
@@ -55,12 +37,15 @@ class DerivedQuantities:
       integer translates bounding where a further slot can be chosen.
     """
 
-    n: int
-    r1: int
-    s0: int
-    b0: int
-    m0: int
-    m1: int
+    __slots__ = _fields = ("n", "r1", "s0", "b0", "m0", "m1")
+
+    def __init__(self, n, r1, s0, b0, m0, m1):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r1", r1)
+        object.__setattr__(self, "s0", s0)
+        object.__setattr__(self, "b0", b0)
+        object.__setattr__(self, "m0", m0)
+        object.__setattr__(self, "m1", m1)
 
 
 def reduce_integral(gammas, taus, J):
@@ -71,13 +56,24 @@ def reduce_integral(gammas, taus, J):
     (num mod den, den, index in J), all reduced; an integral tau in J
     is dropped.  Raises ValueError for a gamma outside (0, 1), a J
     index that names no tau and an infinite tau, checked in that order.
+    This is the tuple's one validation: callers build the values of its
+    results with the trusted constructors of ``exact``.
     """
-    fixed = [(g.num, g.den, True) for g in map(_check_gamma, gammas)]
+    fixed = []
+    for g in gammas:
+        g = _as_rat(g)
+        if not 0 < g.num < g.den:
+            raise ValueError(
+                "gamma weight must lie strictly between 0 and 1: %s" % g)
+        fixed.append((g.num, g.den, True))
     n = len(fixed)
-    taus = [_as_rat(t) for t in taus]
-    J = _check_indices(J, taus)
+    J = frozenset(J)
+    for j in J:
+        if not (isinstance(j, int) and 1 <= j <= len(taus)):
+            raise ValueError("J must contain 1-based tau indices")
     b0 = s0 = 0
     for idx, t in enumerate(taus, start=1):
+        t = _as_rat(t)
         fl, fn = normalize(t)
         b0 -= fl
         if fn:

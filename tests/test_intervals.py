@@ -9,7 +9,7 @@ from cableslopes.exact import Arc, ExtRational, SlopeSet
 from cableslopes.intervals import (InsufficientData, cable_interval,
                                    extremal_slot_value, relative_interval,
                                    special_slope_interval)
-from cableslopes.jn import JNResult, UnsupportedArity, decide
+from cableslopes.jn import JNResult, decide, witness_search
 from cableslopes.oracle import _decide_point
 from cableslopes.seifert import reduce_integral
 
@@ -47,7 +47,8 @@ def _assert_matches_decide_scan(gammas, taus, J):
     point decisions for tau' on the grid of denominators <= 8 around
     [m0 - 2, m1 + 2], and at the two ends of t."""
     dq = reduce_integral(gammas, taus, J)[0]
-    if dq.n + dq.r1 + dq.s0 < 2:
+    size = dq.n + dq.r1 + dq.s0
+    if size == 0 or size == 1 and dq.s0:
         with pytest.raises(InsufficientData):
             relative_interval(gammas, taus, J)
         return
@@ -76,8 +77,21 @@ class TestRelativeInterval:
             relative_interval((R("1/2"),), (R("1/3"),), frozenset({3}))
 
     def test_insufficient_data(self):
-        with pytest.raises(InsufficientData):
-            relative_interval((R("1/2"),), (), frozenset())
+        # no slot, or one zero slot alone
+        for taus in ((), (ExtRational(0),)):
+            with pytest.raises(InsufficientData):
+                relative_interval((), taus, frozenset())
+
+    def test_one_slot_gives_a_point(self):
+        # the two values in (0, 1) must add up to b = 1: tau' = b0 - v,
+        # in t and in t_strict
+        for gammas, taus, J, v in (((R("1/2"),), (), (), R("-1/2")),
+                                   ((), (R("7/3"),), (1,), R("-7/3")),
+                                   ((R("2/3"),), (ExtRational(1),), (1,),
+                                    R("-5/3"))):
+            res = relative_interval(gammas, taus, frozenset(J))
+            assert res.t == Arc(v, v)
+            assert res.t_strict == SlopeSet.point(v)
 
     def test_sandwich(self):
         for tau in (R("1/2"), R("1/4"), R("5/6"), R("-7/3")):
@@ -128,7 +142,8 @@ class TestRelativeInterval:
     @given(st.data())
     def test_every_shape_matches_decide_scan(self, data):
         # n = 0-2 gammas and 1-3 taus with denominators <= 9, which
-        # keeps the oracle's witness loops (N up to a slot cap) short
+        # keeps the oracle's witness loops (N up to a slot cap) short;
+        # a tuple of one slot is compared with the oracle too
         gammas = data.draw(st.lists(_unit_weights, max_size=2))
         taus = data.draw(st.lists(_tau_weights, min_size=1, max_size=3))
         J = data.draw(st.sets(st.integers(1, len(taus))))
@@ -183,12 +198,12 @@ _INF_TAU_TUPLE = (ValueError, "tau weight must be finite")
 _J = (ValueError, "J must contain 1-based tau indices")
 _J_CABLE = (ValueError, "J must be a subset of {1}")
 _SHORT = (InsufficientData, "insufficient data: n + r1 + s0 = 1 < 2")
-_ARITY = (UnsupportedArity, "unsupported arity: 1 slots with no integral slot")
+_SUM = JNResult(False, None, "slot-sum")
 
-# gammas, taus, J, then the (type, text) raised by relative_interval,
-# by reduce_integral (None: it returns), by cable_interval with that
-# gamma and tau (None: not a cable tuple) and by jn.decide at b = 1 (or
-# the JNResult it returns)
+# gammas, taus, J, then the (type, text) raised by relative_interval
+# (or the t it returns), by reduce_integral (None: it returns), by
+# cable_interval with that gamma and tau (None: not a cable tuple) and
+# by jn.decide at b = 1 (or the JNResult it returns)
 VALIDATION_TABLE = {
     **{"gamma " + g: ((g,), ("1/2",), ()) + (_gamma_error(g),) * 4
        for g in ("0", "1", "3/2", "inf")},
@@ -198,8 +213,11 @@ VALIDATION_TABLE = {
     "J '1'": (("1/2",), ("1/3",), ("1",), _J, _J, _J_CABLE, _J),
     # J is checked before an infinite tau, by every entry point
     "J 3 tau inf": (("1/2",), ("inf",), (3,), _J, _J, _J_CABLE, _J),
-    "one gamma": (("1/2",), (), (), _SHORT, None, None, _ARITY),
-    "one strict tau": ((), ("1/3",), (1,), _SHORT, None, None, _ARITY),
+    # one slot v: t = {-v}, and the slot sum v is not 1
+    "one gamma": (("1/2",), (), (), Arc(R("-1/2"), R("-1/2")), None, None,
+                  _SUM),
+    "one strict tau": ((), ("1/3",), (1,), Arc(R("-1/3"), R("-1/3")), None,
+                       None, _SUM),
     "one zero slot": ((), ("0",), (), _SHORT, None, None,
                       JNResult(False, None, "integral-slot-window")),
 }
@@ -222,7 +240,10 @@ class TestValidationTable:
         gammas = tuple(map(R, gammas))
         taus = tuple(map(R, taus))
         J = frozenset(J)
-        _raises(rel, relative_interval, gammas, taus, J)
+        if isinstance(rel, Arc):
+            assert relative_interval(gammas, taus, J).t == rel
+        else:
+            _raises(rel, relative_interval, gammas, taus, J)
         if dq is None:
             reduce_integral(gammas, taus, J)
         else:
@@ -243,6 +264,59 @@ class TestValidationTable:
     def test_tuple_deciders_infinite_tau(self, decide_tuple, want):
         _raises(want, decide_tuple, frozenset(), 1, (R("1/2"),),
                 (R("1/3"), R("inf")))
+
+
+def _reduced_weights(max_den):
+    return st.integers(1, max_den).flatmap(
+        lambda d: st.builds(ExtRational, st.integers(-3 * d, 3 * d),
+                            st.just(d)))
+
+
+def _assert_checked(value):
+    # a trusted ExtRational is the one the checked constructor builds;
+    # == compares num and den
+    assert ExtRational(value.num, value.den) == value
+
+
+class TestTrustedConstructors:
+    """The interval path builds its values with the trusted constructors
+    of ``exact``; each equals its rebuild through the checked ones, so
+    the reduction and the end arithmetic keep every value reduced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_results_equal_checked_rebuild(self, data):
+        gammas = tuple(g for g in data.draw(st.lists(_reduced_weights(10**6),
+                                                     max_size=3))
+                       if 0 < g.num < g.den)
+        taus = tuple(data.draw(st.lists(_reduced_weights(10**6),
+                                        max_size=3)))
+        J = frozenset(data.draw(st.sets(st.integers(1, len(taus))))
+                      if taus else ())
+        dq, fixed = reduce_integral(gammas, taus, J)
+        try:
+            res = relative_interval(gammas, taus, J)
+        except InsufficientData:
+            return
+        low, high = res.t.low, res.t.high
+        _assert_checked(low)
+        _assert_checked(high)
+        assert res.t == Arc(low, high)
+        # the t_strict that SlopeSet's checked constructors build
+        if (dq.n + dq.r1 + dq.s0 == 1
+                or not dq.s0 and intervals._gates(fixed)[2]):
+            want = SlopeSet.point(low)
+        elif low == high:
+            want = SlopeSet.empty()
+        else:
+            want = SlopeSet.interval(low, high, False, False)
+        assert res.t_strict == want
+        for side in (fixed, [(d - n, d, s) for n, d, s in fixed]):
+            if len(side) >= 2 and (width := extremal_slot_value(side)):
+                _assert_checked(width)
+            if len(side) >= 3 and (w := witness_search(side)):
+                for value in w.assignment:
+                    _assert_checked(value)
 
 
 class TestCableInterval:

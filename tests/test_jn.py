@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 import loop_reference
 from cableslopes import jn
 from cableslopes.exact import ExtRational
-from cableslopes.jn import (UnsupportedArity, decide, extremal_slot_value,
-                            witness_search)
+from cableslopes.jn import decide, extremal_slot_value, witness_search
 from cableslopes.oracle import exhaustive_witness_check
 
 R = ExtRational.parse
@@ -43,9 +42,15 @@ class TestDecideExamples:
         assert res.realizable
         assert res.rule == "interior-window"
 
-    def test_unsupported_arity(self):
-        with pytest.raises(UnsupportedArity):
-            decide(frozenset(), 1, (R("1/2"),), (R("1/2"),))
+    def test_slot_sum(self):
+        # two slots and no zero slot: realisable when the values add up
+        # to b, strict or not
+        for J, b, want in ((frozenset(), 1, True), (frozenset({1}), 1, True),
+                           (frozenset(), 2, False), (frozenset(), 0, False)):
+            res = decide(J, b, (R("1/2"),), (R("1/2"),))
+            assert (res.realizable, res.rule) == (want, "slot-sum")
+        assert decide(frozenset(), 0, (), ()).realizable
+        assert not decide(frozenset(), 1, (R("1/2"),), ()).realizable
 
 
 class TestSearchBound:
@@ -193,7 +198,6 @@ class TestMirrorPairs:
         for i, j in itertools.combinations(range(len(slots)), 2):
             rest = [c for m, c in enumerate(caps) if m not in (i, j)]
             cap = min(rest) if rest else None
-            assert jn._cap_outside(*jn._least_caps(slots), i, j) == cap
             fit = jn._pair_witness(slots[i], slots[j], cap)
             mirror = jn._pair_witness(slots[j], slots[i], cap)
             if fit is None:

@@ -4,11 +4,13 @@ is gone from it."""
 import pytest
 
 import cableslopes
-from cableslopes import cli, exact, intervals, seifert
+from cableslopes import cli, exact, intervals, jn, seifert
 from cableslopes.cable import CableParams
 
 REMOVED = {
-    cableslopes: ("WindowClosed", "endpoint_search", "derived_quantities"),
+    cableslopes: ("WindowClosed", "endpoint_search", "derived_quantities",
+                  "UnsupportedArity"),
+    jn: ("UnsupportedArity", "_least_caps", "_cap_outside"),
     intervals: ("WindowClosed", "endpoint_search"),
     seifert: ("derived_quantities",),
     exact.ExtRational: (
