@@ -17,21 +17,13 @@ from .oracle import grid_scan_interval
 
 
 class CommandResult(_Record):
-    """One command's answer, as JSON or as text.  Mutable and unhashable."""
+    """One command's answer, as JSON or as text; its dicts have no hash."""
 
     __slots__ = _fields = ("command", "inputs", "result", "refs", "text",
                            "exit_code")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, command, inputs, result, refs, text, exit_code=0):
-        self.command = command
-        self.inputs = inputs
-        self.result = result
-        self.refs = refs
-        self.text = text
-        self.exit_code = exit_code
+        self._fill(command, inputs, result, refs, text, exit_code)
 
     def to_json(self):
         return json.dumps({
@@ -86,6 +78,8 @@ def cmd_interval(args):
     if args.p is not None or args.q is not None:
         if args.p is None or args.q is None:
             raise ValueError("--p and --q must be given together")
+        if args.gamma.strip():
+            raise ValueError("--gamma cannot be given with --p and --q")
         params = bezout(args.p, args.q)
         taus = _rat_list(args.tau)
         if len(taus) != 1:

@@ -29,7 +29,7 @@ from .seifert import reduce_integral
 
 
 class InsufficientData(ValueError):
-    """Raised for a tuple with no slot, or with one zero slot alone."""
+    """Raised for a tuple with no slot: n + r1 + s0 = 0."""
 
 
 class RelativeIntervalResult(_Record):
@@ -91,22 +91,23 @@ def _interval(dq, fixed):
     b = b0 - floor(tau'), so b = 1 and tau' = b0 - v, strict or not.
     An integral tau' is a zero slot, whose window 1 <= b <= 0 is empty,
     or is dropped, and v = b is impossible.  So t = t_strict = {b0 - v}.
+    A zero slot alone takes the core: m0 = m1 = b0, so t = {b0} and
+    t_strict, the open core, is empty.
     """
     size = dq.n + dq.r1 + dq.s0
+    if not size:
+        raise InsufficientData("insufficient data: n + r1 + s0 = 0")
     if size == 1 and not dq.s0:
         (num, den, _), = fixed
         v = ExtRational._reduced(dq.b0 * den - num, den)
         return RelativeIntervalResult(
             Arc._ends(v, v), SlopeSet._canonical([((0, v, 0), (0, v, 1))]),
             dq)
-    if size < 2:
-        raise InsufficientData("insufficient data: n + r1 + s0 = %d < 2"
-                               % size)
     if dq.s0 > 0:
-        # m0 < m1: t_strict is the open core
+        # t_strict is the open core (m0, m1), empty when m0 = m1
         lo = ExtRational._reduced(dq.m0, 1)
         hi = ExtRational._reduced(dq.m1, 1)
-        cuts = [((0, lo, 1), (0, hi, 0))]
+        cuts = [((0, lo, 1), (0, hi, 0))] if dq.m0 < dq.m1 else []
     else:
         left_opens, right_opens, degenerate = _gates(fixed)
         lo = _window(fixed, left_opens, dq.m0, -1)
@@ -127,14 +128,12 @@ def relative_interval(gammas, taus, J):
 
 
 def cable_interval(params, J, tau):
-    """Specialize relative_interval to a cable space with n=1.
+    """relative_interval with the cable's gamma and the one tau.
 
-    J is a subset of {1}.  For J={1} with integral tau the constraint
-    slot disappears entirely and the answer is the one point -tau - gamma.
+    J is a set of 1-based tau indices, so a subset of {1}; for J = {1}
+    with integral tau the tau slot is dropped, and t is the one point
+    -tau - gamma.
     """
-    J = frozenset(J)
-    if not J <= {1}:
-        raise ValueError("J must be a subset of {1}")
     return relative_interval((params.gamma,), (tau,), J)
 
 

@@ -164,6 +164,14 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: J must contain 1-based tau indices"
 
+    def test_gamma_with_p_and_q(self, capsys):
+        # a cable's gamma comes from p and q
+        code, out, err = run(capsys, "interval", "--p", "2", "--q", "3",
+                             "--gamma", "1/5", "--tau", "1/2")
+        assert code == 3
+        assert out == ""
+        assert err == "error: --gamma cannot be given with --p and --q"
+
     def test_infinite_ray_tau(self, capsys):
         for direction in ("geq", "leq"):
             code, out, err = run(capsys, "ray-union", "--p", "2", "--q", "3",

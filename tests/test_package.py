@@ -1,10 +1,13 @@
-"""The public surface of the package: what ``__all__`` names, and what
-is gone from it."""
+"""The public surface of the package: what ``__all__`` names, what is
+gone from it, and which classes say how attributes change."""
+
+import importlib
+import pkgutil
 
 import pytest
 
 import cableslopes
-from cableslopes import cli, exact, intervals, jn, seifert
+from cableslopes import cli, exact, intervals, jn, oracle, seifert
 from cableslopes.cable import CableParams
 
 REMOVED = {
@@ -50,3 +53,27 @@ def test_cable_params_take_p_and_q_alone():
     # r and s are derived, never given
     with pytest.raises(TypeError):
         CableParams(5, 3, 2, -1)
+
+
+def _package_classes():
+    """Every class defined in a module of the package."""
+    modules = [cableslopes] + [
+        importlib.import_module("cableslopes." + info.name)
+        for info in pkgutil.iter_modules(cableslopes.__path__)]
+    for module in modules:
+        for value in vars(module).values():
+            if (isinstance(value, type)
+                    and value.__module__ == module.__name__):
+                yield value
+
+
+def test_values_refuse_change_through_record_alone():
+    # every slotted class is a _Record, and no class but _Record and the
+    # one mutable record ScanReport says how attributes change
+    classes = list(_package_classes())
+    assert exact.ExtRational in classes and oracle.ScanReport in classes
+    for cls in classes:
+        if "__slots__" in vars(cls):
+            assert issubclass(cls, exact._Record), cls
+        if cls not in (exact._Record, oracle.ScanReport):
+            assert not {"__setattr__", "__delattr__"} & vars(cls).keys(), cls

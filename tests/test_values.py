@@ -5,7 +5,7 @@ import pytest
 
 from cableslopes.cable import CableParams
 from cableslopes.cli import CommandResult
-from cableslopes.exact import Arc, ExtRational, SlopeSet
+from cableslopes.exact import _MAX, _MIN, Arc, ExtRational, SlopeSet
 from cableslopes.intervals import RelativeIntervalResult
 from cableslopes.jn import JNResult, JNWitness
 from cableslopes.oracle import ScanReport
@@ -20,6 +20,12 @@ T_STRICT = SlopeSet.interval(R("-3/2"), ExtRational(-1), False, False)
 # class, positional fields, the same fields by keyword, a differing
 # instance and the exact repr
 CASES = {
+    "ExtRational": (
+        ExtRational, (1, 2), dict(num=1, den=2), ExtRational(1, 3),
+        "ExtRational('1/2')"),
+    "SlopeSet": (
+        SlopeSet, ([(_MIN, _MAX)], True), dict(_ivs=[(_MIN, _MAX)], _inf=True),
+        SlopeSet.reals(), "SlopeSet([-inf,inf])"),
     "DerivedQuantities": (
         DerivedQuantities, (1, 1, 0, 0, -1, -1),
         dict(n=1, r1=1, s0=0, b0=0, m0=-1, m1=-1),
@@ -62,7 +68,10 @@ CASES = {
         "CommandResult(command='torus', inputs={'p': 3}, "
         "result={'set': []}, refs=['x'], text='text', exit_code=4)"),
 }
-MUTABLE = {"ScanReport", "CommandResult"}
+MUTABLE = {"ScanReport"}
+# ScanReport has no hash, and CommandResult's dict and list fields have
+# none, as in a frozen dataclass
+UNHASHABLE = {"ScanReport", "CommandResult"}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -87,7 +96,7 @@ class TestValueTypes:
 
     def test_hash(self, name):
         cls, args, _, _, _ = CASES[name]
-        if name in MUTABLE:
+        if name in UNHASHABLE:
             with pytest.raises(TypeError):
                 hash(cls(*args))
         else:
