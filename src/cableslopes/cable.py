@@ -7,29 +7,32 @@ the outer basis change.  Weak detection computes the union of closed
 intervals t; strong detection uses the strict companions; regular
 detection is sandwiched between the two.  The inner map sends p/q,
 and nothing else, to infinity, so the pipeline reads whether the input
-holds the fiber slope off the inner image.
+holds the fiber slope off the inner image, and sends it out as pq.
 
 A piece is an interval of tau, so its union is one ray or the meet of
-two.  A ray ends where one interval does: t(at) when it is weak and
-includes at, else cable_interval(params, {1}, at).t, whose tau slot is
-strict.  As t(tau + 1) = t(tau) - 1, further unit cells lie past the
-core end -floor(at) - 1, and t(k) = [-k - 1, -k] joins the cells.  In
-at's cell t's far end is the core end plus or minus the window width
-w, which shrinks as tau moves away from at (a witness for a larger
-slot value serves every smaller one), so its sup beyond at is read
-with the tau slot strict.  That end is the interval path's own gate
-and window, ``intervals._gates`` and ``_window``, on the slots gamma
-(strict) and frac(at), for the ray's side alone: one extremal search
-at most.  t_strict is the interior of t or a point, so strong rays are
-open but at an included integral tau or frac(at) = 1 - gamma, where
-the gate is degenerate.  Ends are built from divmod(at.num, at.den).
+two: [l, r], l the end of the rays at its high end, r of those at its
+low end, or infinity.  As det g = -1, [l, r] goes out as the arc from
+g(r) to g(l), into one cut list canonicalised once.  A ray ends where
+one interval does: t(at) when it is weak and includes at, else
+cable_interval(params, {1}, at).t, whose tau slot is strict.  As
+t(tau + 1) = t(tau) - 1, further unit cells lie past the core end
+-floor(at) - 1, and t(k) = [-k - 1, -k] joins the cells.  In at's cell
+t's far end is the core end plus or minus the window width w, which
+shrinks as tau moves away from at (a witness for a larger slot value
+serves every smaller one), so its sup beyond at is read with the tau
+slot strict.  That end is the interval path's own gate and window,
+``intervals._gates`` and ``_window``, on the slots gamma (strict) and
+frac(at), for the ray's side alone: one extremal search at most.
+t_strict is the interior of t or a point, so strong rays are open but
+at an included integral tau or frac(at) = 1 - gamma, where the gate is
+degenerate.  Ends are built from divmod(at.num, at.den).
 """
 
 import enum
 import math
 
-from .exact import (ExtRational, IntMobius, SlopeSet, _Record, _as_rat,
-                    mobius_set_image)
+from .exact import (INF, ExtRational, IntMobius, SlopeSet, _Record, _as_rat,
+                    _directed_cuts, _point_cuts, mobius_set_image)
 from .intervals import _gates, _window, cable_interval
 
 
@@ -74,27 +77,29 @@ def outer_basis_map(params):
     return params._outer
 
 
-def _ray(params, side, at, include, strict):
-    """Union of t (weak) or t_strict (strict) over tau >= at (right) or
-    tau <= at (left), equality dropped unless ``include``; its end is the
-    window of t(at) on that side (see the module docstring).
+def _ray_end(params, side, at, include, strict):
+    """(end, closed) of the union of t (weak) or t_strict (strict) over
+    tau >= at (right) or tau <= at (left), equality dropped unless
+    ``include``: the window of t(at) on that side.
     """
     gamma = params.gamma
     fl, tn = divmod(at.num, at.den)  # at = fl + tn/den, 0 <= tn < den
     if not tn:
         if include and not strict:
-            end = ExtRational(-fl if side == "right" else -fl - 1)
-            closed = True
-        else:
-            end = ExtRational(-fl * gamma.den - gamma.num, gamma.den)
-            closed = strict and include
-    else:
-        fixed = [(gamma.num, gamma.den, True),
-                 (tn, at.den, strict or not include)]
-        left, right, degenerate = _gates(fixed)
-        opens, sign = (right, 1) if side == "right" else (left, -1)
-        end = _window(fixed, opens, -fl - 1, sign)
-        closed = not strict or (include and degenerate)
+            return ExtRational(-fl if side == "right" else -fl - 1), True
+        return (ExtRational(-fl * gamma.den - gamma.num, gamma.den),
+                strict and include)
+    fixed = [(gamma.num, gamma.den, True),
+             (tn, at.den, strict or not include)]
+    left, right, degenerate = _gates(fixed)
+    opens, sign = (right, 1) if side == "right" else (left, -1)
+    return (_window(fixed, opens, -fl - 1, sign),
+            not strict or (include and degenerate))
+
+
+def _ray(params, side, at, include, strict):
+    """The union that ``_ray_end`` ends, as a ray below (right) or above."""
+    end, closed = _ray_end(params, side, at, include, strict)
     if side == "right":
         return SlopeSet.ray_below(end, closed)
     return SlopeSet.ray_above(end, closed)
@@ -111,19 +116,6 @@ def ray_union(params, direction, tau0):
     return _ray(params, side, tau0, True, False)
 
 
-def _piece_union(params, piece, strict):
-    """Union of intervals over one affine piece of the inner-image set."""
-    low, low_closed, high, high_closed = piece
-    if low is None and high is None:
-        return SlopeSet.reals()
-    if low is None:
-        return _ray(params, "left", high, high_closed, strict)
-    if high is None:
-        return _ray(params, "right", low, low_closed, strict)
-    return _ray(params, "right", low, low_closed, strict).intersect(
-        _ray(params, "left", high, high_closed, strict))
-
-
 def cable_detected_set(params, input_set, mode):
     """Detected slopes of the cable, given the detected slopes downstairs.
 
@@ -136,13 +128,27 @@ def cable_detected_set(params, input_set, mode):
     if not isinstance(mode, DetectionMode):
         raise ValueError("mode must be a DetectionMode")
     inner = mobius_set_image(inner_basis_map(params), input_set)
-    use_strict = mode is DetectionMode.STRONG
-    out = SlopeSet.union_all(_piece_union(params, piece, use_strict)
-                             for piece in inner.affine_pieces())
+    strict = mode is DetectionMode.STRONG
+    g = outer_basis_map(params)
+    ivs, inf = [], False
     if inner.has_infinity:  # the fiber slope passes through in every mode
-        out = out.with_infinity()
-    result = mobius_set_image(outer_basis_map(params), out)
-    return result, "contains" if use_strict else "equals"
+        _point_cuts(g.apply(INF), ivs)
+    for low, low_closed, high, high_closed in inner.affine_pieces():
+        # t over the piece is [l, r] (see the module docstring)
+        l, lc = (INF, False) if high is None else _ray_end(
+            params, "left", high, high_closed, strict)
+        r, rc = (INF, False) if low is None else _ray_end(
+            params, "right", low, low_closed, strict)
+        if l.den and r.den:
+            cross = l.num * r.den - r.num * l.den
+            if cross > 0 or not (cross or lc and rc):
+                continue  # crossing ends, or equal ends not both closed
+            if not cross:
+                inf = _point_cuts(g.apply(l), ivs) or inf
+                continue
+        # det g = -1, so the image runs from g(r) to g(l)
+        inf = _directed_cuts(g.apply(r), rc, g.apply(l), lc, ivs) or inf
+    return SlopeSet(ivs, inf), "contains" if strict else "equals"
 
 
 def torus_knot_detected(p, q):

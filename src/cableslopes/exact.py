@@ -39,7 +39,8 @@ class _Record:
     Read through ``_fields``, it works like a frozen dataclass: == within
     one class, hash and repr ``Name(field=value, ...)``; ``ExtRational``
     and ``SlopeSet`` define their own.  ``__init__`` fills ``__slots__``
-    through ``_fill``, or on a hot path through ``object.__setattr__``.
+    through ``_fill``, or on a hot path through ``object.__setattr__``;
+    copy and pickle rebuild through ``object.__new__`` and ``_fill``.
     ``oracle.ScanReport``, one per scan, alone puts back object's
     __setattr__ and __delattr__ and has no hash: plain slot stores fill
     it in about 250 ns, ``object.__setattr__`` in about 900 ns (Python
@@ -60,6 +61,13 @@ class _Record:
 
     def _values(self):
         return tuple(getattr(self, name) for name in self._fields)
+
+    def __reduce__(self):
+        return object.__new__, (type(self),), [
+            getattr(self, name) for name in self.__slots__]
+
+    def __setstate__(self, values):
+        self._fill(*values)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

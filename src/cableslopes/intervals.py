@@ -20,7 +20,7 @@ den > 0 and is built by ``ExtRational._reduced``; t is built by
 ``Arc._ends``, which keeps its checks as integer tests, and t_strict
 from its cut list, with no gcd and no merge.  ``extremal_slot_value``
 is a public entry and validates its slots again, in its pass over the
-caps.  ``cable._ray`` reads its ray end off the same gate and window.
+caps.  ``cable._ray_end`` reads its ray end off the same gate and window.
 """
 
 from .exact import Arc, ExtRational, SlopeSet, _Record

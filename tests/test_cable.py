@@ -53,6 +53,9 @@ def slope_sets(params):
 
 CABLE_SETS = CABLES.flatmap(
     lambda params: st.tuples(st.just(params), slope_sets(params)))
+CABLE_SET_PAIRS = CABLES.flatmap(
+    lambda params: st.tuples(st.just(params), slope_sets(params),
+                             slope_sets(params)))
 
 
 class TestParams:
@@ -383,6 +386,13 @@ class TestLoopReference:
     @given(case=CABLE_SETS)
     @example(case=(bezout(2, 3),
                    parse_slope_set("{2/3} U [1/3,2/3) U (3/2,inf]")))
+    @example(case=(bezout(2, 3), SlopeSet.reals()))
+    @example(case=(bezout(2, 3), SlopeSet.empty()))
+    @example(case=(bezout(5, 2), SlopeSet.full()))
+    # p/q = 2/3 inside the arc: its inner image wraps and holds the fiber
+    @example(case=(bezout(2, 3), parse_slope_set("[0,1)")))
+    # tau = 0: in strong mode both ray ends are -2/3, closed, a point
+    @example(case=(bezout(2, 3), SlopeSet.point(ExtRational(1))))
     def test_matches_reference_pipeline(self, case):
         # the same set, printed the same, and the same tag as the
         # pipeline before its lean rewrite, in every mode
@@ -396,6 +406,39 @@ class TestLoopReference:
         assert (mobius_set_image(inner_basis_map(params), s)
                 == loop_reference.mobius_set_image(
                     loop_reference.inner_basis_map(params), s))
+
+
+class TestPipelineLaws:
+    """The output is a union over the points of the inner image, and the
+    basis maps are bijections, so the map f = cable_detected_set is a
+    union homomorphism in every mode, hence monotone, and reaches f({x})
+    for each x in its input; strong mode detects a subset of weak mode,
+    and regular mode computes weak mode's set.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=CABLE_SET_PAIRS)
+    @example(case=(bezout(2, 3), parse_slope_set("[0,1/2]"),
+                   parse_slope_set("(1/2,1)")))
+    def test_union_monotone_points_and_modes(self, case):
+        params, a, b = case
+
+        def f(s, mode):
+            return cable_detected_set(params, s, mode)[0]
+
+        both = a.intersect(b)
+        for mode in DetectionMode:
+            fa, fb = f(a, mode), f(b, mode)
+            assert f(a.union(b), mode) == fa.union(fb)
+            assert f(both, mode).issubset(fa)
+            assert f(both, mode).issubset(fb)
+            for low, low_closed, high, high_closed in a.affine_pieces():
+                for x, closed in ((low, low_closed), (high, high_closed)):
+                    if x is not None and closed:
+                        assert f(SlopeSet.point(x), mode).issubset(fa)
+        weak = f(a, DetectionMode.WEAK)
+        assert f(a, DetectionMode.REGULAR) == weak
+        assert f(a, DetectionMode.STRONG).issubset(weak)
 
 
 class TestPipeline:

@@ -14,15 +14,20 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _cli_examples():
-    """(argv, expected stdout) for each example in the README's CLI block."""
+    """(argv, expected stdout) for each example in the README's CLI
+    block and in every other code block that starts with a command."""
     text = README.read_text(encoding="utf-8")
-    block = re.search(r"^## CLI\n\n```\n(.*?)^```", text, re.S | re.M).group(1)
+    assert re.search(r"^## CLI\n\n```\ncableslopes ", text, re.M)
     examples = []
-    for para in block.strip().split("\n\n"):
-        command, *output = para.split("\n")
-        argv = shlex.split(command)
-        assert argv[0] == "cableslopes"
-        examples.append((argv[1:], "".join(line + "\n" for line in output)))
+    for block in re.findall(r"^```\n(.*?)^```", text, re.S | re.M):
+        if not block.startswith("cableslopes "):
+            continue
+        for para in block.strip().split("\n\n"):
+            command, *output = para.split("\n")
+            argv = shlex.split(command)
+            assert argv[0] == "cableslopes"
+            examples.append((argv[1:],
+                             "".join(line + "\n" for line in output)))
     return examples
 
 

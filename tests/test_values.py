@@ -1,11 +1,15 @@
 """The value types: constructor signature, ==, hash, repr and
 immutability of each result class, as a dataclass would give them."""
 
+import copy
+import pickle
+
 import pytest
 
 from cableslopes.cable import CableParams
 from cableslopes.cli import CommandResult
-from cableslopes.exact import _MAX, _MIN, Arc, ExtRational, SlopeSet
+from cableslopes.exact import (_MAX, _MIN, INF, Arc, ExtRational, IntMobius,
+                               SlopeSet)
 from cableslopes.intervals import RelativeIntervalResult
 from cableslopes.jn import JNResult, JNWitness
 from cableslopes.oracle import ScanReport
@@ -72,6 +76,12 @@ MUTABLE = {"ScanReport"}
 # ScanReport has no hash, and CommandResult's dict and list fields have
 # none, as in a frozen dataclass
 UNHASHABLE = {"ScanReport", "CommandResult"}
+ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+    "pickle-0": lambda value: pickle.loads(pickle.dumps(value, 0)),
+}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -119,6 +129,38 @@ class TestValueTypes:
             with pytest.raises(AttributeError):
                 delattr(value, field)
             assert value == cls(*args)
+
+    @pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
+    def test_copy_and_pickle(self, name, how):
+        cls, args, _, _, _ = CASES[name]
+        value = cls(*args)
+        twin = ROUND_TRIPS[how](value)
+        assert type(twin) is cls and twin == value
+        assert repr(twin) == repr(value)
+        if name not in UNHASHABLE:
+            assert hash(twin) == hash(value)
+        if name not in MUTABLE:
+            field = next(iter(CASES[name][2]))
+            with pytest.raises(AttributeError):
+                setattr(twin, field, 7)
+            with pytest.raises(AttributeError):
+                delattr(twin, field)
+
+
+@pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
+def test_round_trip_keeps_infinity_and_derived_slots(how):
+    # INF and the slots that CableParams derives from p and q come back
+    # too, though ==, hash and repr do not read the derived ones
+    twin = ROUND_TRIPS[how](INF)
+    assert twin == INF and hash(twin) == hash(INF) and twin.is_infinite
+    params = ROUND_TRIPS[how](CableParams(5, 3))
+    assert (params.gamma, params.fiber_slope) == (R("2/3"), R("5/3"))
+    assert params._inner == IntMobius(-1, 2, -3, 5)
+    assert params._outer == IntMobius(15, 16, 1, 1)
+    with pytest.raises(AttributeError):
+        params.gamma = HALF
+    mobius = ROUND_TRIPS[how](IntMobius(1, 2, 3, 4))
+    assert mobius == IntMobius(1, 2, 3, 4) and mobius.det == -2
 
 
 def test_hash_reads_the_fields():
