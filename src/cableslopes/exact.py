@@ -344,15 +344,6 @@ class SlopeSet(_Record):
             raise ValueError(_INFINITE_END)
         return cls._canonical([(_low_cut(low, closed), _MAX)])
 
-    @classmethod
-    def union_all(cls, sets):
-        """The union of any number of sets, canonicalised once."""
-        ivs, inf = [], False
-        for s in sets:
-            ivs.extend(s._ivs)
-            inf = inf or s._inf
-        return cls(ivs, inf)
-
     # -- queries -------------------------------------------------------
 
     @property

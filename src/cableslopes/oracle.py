@@ -5,15 +5,17 @@ and decides each one directly through the realisability test, so the
 closed-form and search-based intervals can be validated point by
 point.  This module shares no code with the solver it checks: it
 imports nothing from ``jn``, ``seifert`` or ``intervals``, and decides
-on integer (num, den, strict) slots with a witness loop of its own.
+on integer (num, den, strict) slots with a witness test of its own.
 
 A b = 1 witness gives two slots i and j the values A/N and (N-A)/N and
-every other slot 1/N, so N runs from 2 up to the least cap (the
-largest N whose 1/N the slot accepts) of the other slots, and for each
-N some integer A must lie in [v_i N, (1 - v_j) N], open at a strict
-end.  A need not be coprime to N: a non-reduced A/N equals some a/n
-with n < N, and 1/n > 1/N still suits every other slot, so a/n is a
-witness too.  The loop is finite and complete with no gap argument.
+every other slot 1/N, so some N from 2 up to the least cap (the
+largest N whose 1/N the slot accepts) of the other slots must have an
+integer A in [v_i N, (1 - v_j) N], open at a strict end.  A need not
+be coprime to N: a non-reduced A/N equals some a/n with n < N, and
+1/n > 1/N still suits every other slot, so a/n is a witness too.  So
+the least N in the window decides, and ``_least_window_N`` walks down
+the Stern-Brocot tree to it in O(log) batched steps, with no loop over
+N and no gap argument.
 
 The scan works on integers too.  A grid point tau' = num/den, with
 num = fl den + fn and 0 <= fn < den, adds the slot fn/den to the
@@ -25,7 +27,7 @@ exactly the realised grid points; ``_spans`` gives them at b0 = 0.
 
 - k >= 3 slots with tau' and no zero slot: 2 <= b <= k - 2 always,
   b = 1 when fn has a b = 1 witness, fn <= a, and b = k - 1 when its
-  complement has one, fn >= c, for (a, c) from ``_witness_thresholds``.
+  complement has one, fn >= c, for a and c read off the two sups below.
   b = -fl falls as the row fl rises, so the row of b = k - 1 keeps
   the suffix fn >= c, the rows between keep every residue and the row
   of b = 1 the prefix fn <= a: s = (1 - k) den + c and
@@ -42,11 +44,14 @@ piece, and num/den lies in it exactly when an odd number of cuts is at
 most num; it is realised exactly when one of s and e is.  So a grid
 point disagrees exactly when an odd number of all these cuts is at
 most num, and sorted they bound the disagreements as [x0, x1),
-[x2, x3), ....  The sweep reads s and e before they shrink to the
-hull's coprime ends, so it visits only numerators between disagreeing
-cuts.  A scan costs O(D) spans and cuts, a few gcds at each end of the
-hull and one per number in a disagreement, while ``tested_points``
-still counts every grid point, rows times phi(den).
+[x2, x3), ....  Each cut is built as a column over den, and when the
+columns are the spans' s and e, as for a correct t of a fractional
+tau, every pair cancels and nothing is swept.  Else the sweep reads s
+and e before they shrink to the hull's coprime ends, so it visits only
+numerators between disagreeing cuts.  A scan costs two sups, O(D)
+spans and cuts, a few gcds where a span end could move the hull and
+one per number in a disagreement, while ``tested_points`` still counts
+every grid point, rows times phi(den).
 
 The residues of one scan need no witness loop per denominator.  A
 witness for a higher slot value meets a lower one's inequality too, so
@@ -56,8 +61,8 @@ has one exactly when it suits the complement slots' W.
 ``_free_slot_sup`` takes W over two witness shapes, N bounded by the
 other slots' least cap:
 - a fixed pair takes A/N and (N-A)/N, the free slot 1/N at the least N
-  whose window holds an A; a grid point suits 1/N only if
-  1/N >= fn/den >= 1/den, so N <= D too;
+  whose window holds an A, from ``_least_window_N``; a grid point
+  suits 1/N only if 1/N >= fn/den >= 1/den, so N <= D too;
 - the free slot pairs with fixed slot i and takes (N-A)/N, so W is
   1 less the least A/N slot i accepts, which ``_least_accepted`` finds
   in O(log N) steps down the Stern-Brocot tree, with no loop over N.
@@ -124,29 +129,45 @@ def _witness_exists(slots):
     (den - strict) // num among the other slots, each of which takes 1/N.
     """
     caps = [(d - st) // n for n, d, st in slots]
-    for i, (ni, di, si) in enumerate(slots):
+    for i in range(len(slots)):
         for j in range(i + 1, len(slots)):
-            nj, dj, sj = slots[j]
-            # no N helps a pair whose window [v_i, 1 - v_j] is empty
-            room = (dj - nj) * di - ni * dj
-            if room < 0 or room == 0 and (si or sj):
-                continue
             rest = caps[:i] + caps[i + 1:j] + caps[j + 1:]
-            # with no rest nothing bounds N: a non-empty window holds A/N
-            if not rest or _least_window_N(slots[i], slots[j], min(rest)):
+            # with no rest nothing bounds N, and a non-empty window
+            # holds the mediant of its ends, of denominator di + dj
+            bound = min(rest) if rest else slots[i][1] + slots[j][1]
+            if _least_window_N(slots[i], slots[j], bound):
                 return True
     return False
 
 
 def _least_window_N(slot_i, slot_j, bound):
     """The least N <= bound whose window [v_i, 1 - v_j], open at a strict
-    end, holds some A/N, or None."""
+    end, holds some A/N, or None: a descent of the Stern-Brocot tree
+    between 0/1 and 1/1, each run of steps to one side in one batch as
+    in ``_least_accepted``, whose first node inside has the least N.
+    """
     ni, di, si = slot_i
     nj, dj, sj = slot_j
-    for N in range(2, bound + 1):
-        # least A above v_i N against largest A below (1 - v_j) N
-        if (ni * N + di - 1 + si) // di <= ((dj - nj) * N - sj) // dj:
-            return N
+    room = (dj - nj) * di - ni * dj
+    if room < 0 or room == 0 and (si or sj):
+        return None  # the window is empty
+    a, b, c, e = 0, 1, 1, 1  # a/b lies below the window and c/e above
+    while b + e <= bound:
+        # p/q clears v_i when p di - ni q >= si and 1 - v_j when
+        # (dj - nj) q - p dj >= sj; la, lc and ha, hc are those margins
+        # for a/b and c/e, and the mediant's are their sums
+        la, lc = a * di - ni * b, c * di - ni * e
+        ha, hc = (dj - nj) * b - a * dj, (dj - nj) * e - c * dj
+        if la + lc < si:
+            # a/b moves up by the most steps that keep it below
+            t = min((si - la - 1) // lc, (bound - b) // e)
+            a, b = a + t * c, b + t * e
+        elif ha + hc < sj:
+            # c/e moves down by the most steps that keep it above
+            t = min((sj - hc - 1) // ha, (bound - e) // b)
+            c, e = c + t * a, e + t * b
+        else:
+            return b + e
     return None
 
 
@@ -157,7 +178,7 @@ def _realisable_range(slots, zeros):
     it is an integer.  Else [2, k - 2], widened to 1 by a b = 1 witness
     of the slots and to k - 1 by one of their complements.  The grid
     scan reads it only for tau' = 0 and for slots with zeros; for the
-    others it reads ``_witness_thresholds`` or the slot sum.
+    others ``_spans`` reads the two sups or the slot sum.
     """
     k = len(slots)
     if zeros:
@@ -223,24 +244,6 @@ def _free_slot_sup(fixed, max_denominator):
     return x, y
 
 
-def _witness_thresholds(fixed, strict, max_denominator):
-    """Per denominator, where tau' = fn/den starts and stops widening.
-
-    ``fixed`` holds two or more (num, den, strict) slots and tau' adds
-    the slot (fn, den, strict).  Item den - 1 is (a, c): a is the
-    largest fn < den with a b = 1 witness (0 if none) and c the least
-    fn > 0 whose complement has one (den if none).  fn/den has one
-    exactly when fn/den <= W (< W if strict) for the sup W = X/Y of
-    ``_free_slot_sup``, and W < 1 keeps a below den.
-    """
-    x, y = _free_slot_sup(fixed, max_denominator)
-    cx, cy = _free_slot_sup(tuple((d - n, d, st) for n, d, st in fixed),
-                            max_denominator)
-    return tuple((max((x * den - strict) // y, 0),
-                  den - max((cx * den - strict) // cy, 0))
-                 for den in range(1, max_denominator + 1))
-
-
 @lru_cache(maxsize=1 << 8)
 def _coprime_count(max_denominator):
     """The sum of phi(den) over den <= max_denominator, by a sieve."""
@@ -274,9 +277,15 @@ def _spans(fixed, zeros, strict, max_denominator):
         g = math.gcd(n, d)
         return out + [(-(n // g), 1 - n // g) if den == d // g else (0, 0)
                       for den in dens]
-    thresholds = _witness_thresholds(fixed, strict, max_denominator)
-    return out + [((1 - k) * den + c, a + 1 - den)
-                  for den, (a, c) in zip(dens, thresholds[1:])]
+    # fn/den has a b = 1 witness when it is <= W = x/y (< W if strict),
+    # and its complement one when 1 - fn/den is <= cx/cy (<); W > 0
+    # keeps each floor >= 0, and W = 0 gives 0 once strict is dropped
+    x, y = _free_slot_sup(fixed, max_denominator)
+    cx, cy = _free_slot_sup(tuple((d - n, d, st) for n, d, st in fixed),
+                            max_denominator)
+    sa, sc = strict if x else 0, strict if cx else 0
+    return out + [((2 - k) * den - (cx * den - sc) // cy,
+                   (x * den - sa) // y + 1 - den) for den in dens]
 
 
 def _reduce(J, b, gammas, taus):
@@ -351,37 +360,44 @@ def _relative_scan(fixed, zeros, strict, max_denominator, ends):
     got) triples in (den, num) order.
     """
     lo, hi = _scan_rows(fixed, zeros)
-    low = high = None
+    spans = _spans(fixed, zeros, strict, max_denominator)
     found = []
-    for den, (s, e) in enumerate(
-            _spans(fixed, zeros, strict, max_denominator), 1):
-        if ends is not None:
-            # the grid is the num coprime to den in (start, stop); the
-            # shrink below drops no grid point, so the raw span will do
-            start, stop = lo * den, hi * den
-            cuts = [(n * den + off) // d for n, off, d in ends]
-            cuts += s, e
-            cuts.sort()
-            for x0, x1 in zip(cuts[::2], cuts[1::2]):
-                if x0 == x1:
-                    continue
-                for num in range(max(x0, start + 1), min(x1, stop)):
-                    if math.gcd(num, den) == 1:
-                        found.append((num, den, s <= num < e))
-        # shrink the span to its first and last grid point: the ends of
-        # the hull at den
-        while s < e and math.gcd(s, den) != 1:
-            s += 1
-        while s < e and math.gcd(e - 1, den) != 1:
-            e -= 1
-        if s < e:
-            if low is None or s * low[1] < low[0] * den:
-                low = (s, den)
-            if high is None or (e - 1) * high[1] > high[0] * den:
-                high = (e - 1, den)
+    if ends is not None:
+        dens = range(1, max_denominator + 1)
+        cols = [[(n * den + off) // d for den in dens] for n, off, d in ends]
+        # cuts equal to the span ends cancel in pairs: no disagreement
+        se = list(map(list, zip(*spans)))
+        if cols != se:
+            for den, (s, e), cuts in zip(dens, spans, zip(*cols, *se)):
+                # the grid is the num coprime to den in [start, stop);
+                # the shrink below drops no grid point, so the raw span
+                # will do
+                start, stop = lo * den + 1, hi * den
+                cuts = iter(sorted(cuts))
+                for x0, x1 in zip(cuts, cuts):
+                    if x0 < x1:
+                        for num in range(max(x0, start), min(x1, stop)):
+                            if math.gcd(num, den) == 1:
+                                found.append((num, den, s <= num < e))
+    # the hull so far is [ln/ld, hn/hd], 1/0 and -1/0 while empty; an end
+    # shrinks to its first grid point only when it could move the hull
+    ln, ld, hn, hd = 1, 0, -1, 0
+    for den, (s, e) in enumerate(spans, 1):
+        if s < e and s * ld < ln * den:
+            while s < e and math.gcd(s, den) != 1:
+                s += 1
+            if s < e and s * ld < ln * den:
+                ln, ld = s, den
+        if s < e and (e - 1) * hd > hn * den:
+            while s < e and math.gcd(e - 1, den) != 1:
+                e -= 1
+            if s < e and (e - 1) * hd > hn * den:
+                hn, hd = e - 1, den
     # every den has (hi - lo) phi(den) grid points, but den = 1 lacks lo
     tested = (hi - lo) * _coprime_count(max_denominator) - 1
-    return low, high, tested, tuple(found)
+    if not ld:
+        return None, None, tested, tuple(found)
+    return (ln, ld), (hn, hd), tested, tuple(found)
 
 
 def grid_scan_interval(params, J, tau, max_denominator=24, expected=None):
@@ -411,12 +427,13 @@ def grid_scan_interval(params, J, tau, max_denominator=24, expected=None):
             else _member_cuts(pieces, b0, *_scan_rows(fixed, zeros)))
     low, high, tested, found = _relative_scan(fixed, zeros, 2 in J,
                                               max_denominator, ends)
-    mismatches = [(ExtRational(num + b0 * den, den), got, not got)
+    # every num here is coprime to its den, and so is num + b0 den
+    mismatches = [(ExtRational._reduced(num + b0 * den, den), got, not got)
                   for num, den, got in found]
     if low is None:
         return ScanReport(None, None, tested, mismatches)
-    return ScanReport(ExtRational(low[0] + b0 * low[1], low[1]),
-                      ExtRational(high[0] + b0 * high[1], high[1]),
+    return ScanReport(ExtRational._reduced(low[0] + b0 * low[1], low[1]),
+                      ExtRational._reduced(high[0] + b0 * high[1], high[1]),
                       tested, mismatches)
 
 
@@ -426,11 +443,9 @@ def exhaustive_witness_check(values, claimed):
     ``values`` lists (value, strict) slot constraints with at least two
     slots.  A claimed witness is checked directly against the slot
     inequalities and the required multiset shape; claimed=None is
-    confirmed by the witness loop over every N up to the other slots'
-    caps (with two slots, by the window itself).  That loop stops at the
-    least denominator in a pair's window, so its cost grows with that
-    denominator: millions of steps for a narrow window between slots of
-    large denominator.
+    confirmed when no pair's window holds a fraction of denominator up
+    to the other slots' caps (with two slots, when the pair's window is
+    empty), each found by a walk of O(log) steps.
     """
     values = [(v if isinstance(v, ExtRational) else ExtRational(v), bool(st))
               for v, st in values]

@@ -9,11 +9,15 @@ plainly follow the definition, so the Stern-Brocot solver in
 query, with its witness loop ``witness_exists``; the oracle's range of
 realisable b is required to hold exactly the b it accepts.
 
+``least_window_N`` is the oracle's original loop over N for the least
+denominator in a pair's window; the oracle's Stern-Brocot descent is
+required to return the same N.
+
 ``witness_thresholds`` is the oracle's original per-denominator scan
 of the residues with a witness: it brackets each side between Farey
 neighbours and runs ``witness_exists`` on at most one fraction per
-denominator and side.  The oracle's thresholds, read off one sup per
-side, are required to equal it.
+denominator and side.  The (a, c) held in the oracle's spans, which
+it reads off one sup per side, are required to equal it.
 
 ``decide`` is the tuple decider as it was before ``jn.decide`` took
 the interval path's integer reduction: it validates a ``SeifertTuple``,
@@ -233,11 +237,21 @@ def witness_exists(slots):
         if not rest:
             # nothing bounds N, and a non-empty window holds a fraction
             return True
-        for N in range(2, min(rest) + 1):
-            # least A above v_i N against largest A below (1 - v_j) N
-            if (ni * N + di - 1 + si) // di <= ((dj - nj) * N - sj) // dj:
-                return True
+        if least_window_N(slots[i], slots[j], min(rest)):
+            return True
     return False
+
+
+def least_window_N(slot_i, slot_j, bound):
+    """The least N <= bound whose window [v_i, 1 - v_j], open at a strict
+    end, holds some A/N, or None."""
+    ni, di, si = slot_i
+    nj, dj, sj = slot_j
+    for N in range(2, bound + 1):
+        # least A above v_i N against largest A below (1 - v_j) N
+        if (ni * N + di - 1 + si) // di <= ((dj - nj) * N - sj) // dj:
+            return N
+    return None
 
 
 def realisable(b, slots, zeros):
@@ -464,8 +478,9 @@ def cable_detected_set(params, input_set, mode, exactness="auto"):
     inner = mobius_set_image(inner_basis_map(params), input_set)
     inner = inner.intersect(SlopeSet.reals())
     use_strict = mode is DetectionMode.STRONG
-    out = SlopeSet.union_all(_piece_union(params, piece, use_strict)
-                             for piece in inner.affine_pieces())
+    out = SlopeSet.empty()
+    for piece in inner.affine_pieces():
+        out = out.union(_piece_union(params, piece, use_strict))
     if has_fiber:  # the fiber slope passes through in every mode
         out = out.with_infinity()
     result = mobius_set_image(outer_basis_map(params), out)

@@ -261,11 +261,10 @@ class TestSlopeSetAlgebra:
         (SlopeSet.ray_above(ExtRational(3)).with_infinity().union(
             SlopeSet.interval(ExtRational(0), ExtRational(1), False, True)),
          ["[3,inf]", "(0,1]"]),
-        (SlopeSet.union_all([
-            SlopeSet.ray_above(ExtRational(5)),
-            SlopeSet.ray_below(ExtRational(1)),
-            SlopeSet.point(R("3/2")), SlopeSet.point(INF),
-            SlopeSet.interval(ExtRational(2), ExtRational(3), True, False)]),
+        (SlopeSet.ray_above(ExtRational(5)).union(
+            SlopeSet.ray_below(ExtRational(1))).union(
+            SlopeSet.point(R("3/2"))).union(SlopeSet.point(INF)).union(
+            SlopeSet.interval(ExtRational(2), ExtRational(3), True, False)),
          ["[5,inf]∪[-inf,1]", "{3/2}", "[2,3)"]),
         (SlopeSet.ray_above(ExtRational(5), False).union(
             SlopeSet.ray_below(ExtRational(-1), False)),
@@ -346,8 +345,8 @@ class TestCanonicalForm:
             "ray_above open": (SlopeSet.ray_above(v, False),
                                lambda x: not x.is_infinite and x > v),
             "union": (a.union(b), lambda x: a.contains(x) or b.contains(x)),
-            "union_all": (SlopeSet.union_all([b, a, b]),
-                          lambda x: a.contains(x) or b.contains(x)),
+            "union folded": (b.union(a).union(b),
+                             lambda x: a.contains(x) or b.contains(x)),
             "intersect": (a.intersect(b),
                           lambda x: a.contains(x) and b.contains(x)),
             "complement": (a.complement(), lambda x: not a.contains(x)),
