@@ -162,8 +162,7 @@ def torus_knot_detected(p, q):
     params = bezout(p, q)
     res = cable_interval(params, frozenset({1}), ExtRational(params.r, p))
     g = outer_basis_map(params)
-    closed = SlopeSet.interval(res.t.low, res.t.high, True, True)
-    return mobius_set_image(g, closed), mobius_set_image(g, res.t_strict)
+    return mobius_set_image(g, res.t), mobius_set_image(g, res.t_strict)
 
 
 def cable_genus_bound(p, q, g):

@@ -95,7 +95,7 @@ def cmd_interval(args):
                   "J": sorted(_j_set(args.J))}
         refs = ["relative-interval"]
     text = "%s (T), %s (T~)" % (res.t, res.t_strict)
-    payload = {"set": [str(res.t)], "strict_set": str(res.t_strict)}
+    payload = {"set": res.t.parts(), "strict_set": str(res.t_strict)}
     return CommandResult("interval", inputs, payload, refs, text)
 
 

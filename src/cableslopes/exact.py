@@ -4,18 +4,15 @@ Values live in Q together with a single point at infinity, i.e. the
 rational points of RP^1.  An ExtRational is such a value, not a number:
 it is built, compared, hashed, printed and parsed, and callers do their
 arithmetic on its integers.  Every subset is a SlopeSet: a finite union
-of arcs with rational endpoints, each end open or closed.  The one
-other set type, Arc, is the closed finite interval [low, high] that an
-interval result t always is.  All work is integer based; nothing in
-this module ever rounds.
+of arcs with rational endpoints, each end open or closed.  All work is
+integer based; nothing in this module ever rounds.
 
 Values are validated where they enter: by the public constructors and
 at each public entry.  Code that has proved what a check proves builds
 with a trusted constructor: the caller of ``ExtRational._reduced``
-guarantees den > 0 and gcd(num, den) = 1, the caller of ``Arc._ends``
-passes two ExtRationals, whose finiteness and order it still tests on
-their integers, and the caller of ``SlopeSet._canonical`` a canonical
-cut list.  ``_Record``, the base of the value types, refuses change.
+guarantees den > 0 and gcd(num, den) = 1, and the caller of
+``SlopeSet._canonical`` a canonical cut list.  ``_Record``, the base of
+the value types, refuses change.
 
 The hot paths avoid building objects: ExtRational compares another
 ExtRational or an int by cross-multiplying integers, and the SlopeSet
@@ -188,42 +185,6 @@ def _as_rat(x):
     return x if isinstance(x, ExtRational) else ExtRational(x)
 
 
-class Arc(_Record):
-    """A closed finite interval [low, high] of rationals.
-
-    This is the type of an interval result t.  Every other subset of the
-    circle is a SlopeSet; ``SlopeSet.interval(arc.low, arc.high)`` is
-    this one as a set.
-    """
-
-    __slots__ = _fields = ("low", "high")
-
-    def __init__(self, low, high):
-        self._set_ends(_as_rat(low), _as_rat(high))
-
-    @classmethod
-    def _ends(cls, low, high):
-        """Arc(low, high) for two ExtRationals, with no conversion."""
-        out = object.__new__(cls)
-        out._set_ends(low, high)
-        return out
-
-    def _set_ends(self, low, high):
-        # both checks are integer tests on the ends' num and den
-        if not (low.den and high.den):
-            raise ValueError("arc ends must be finite")
-        if low.num * high.den > high.num * low.den:
-            raise ValueError("low endpoint above high")
-        object.__setattr__(self, "low", low)
-        object.__setattr__(self, "high", high)
-
-    def __repr__(self):
-        return "Arc(%s)" % (str(self),)
-
-    def __str__(self):
-        return "[%s,%s]" % (self.low, self.high)
-
-
 def _arc_text(low, low_closed, high, high_closed):
     """Text like ``[low,high)``; an end that is None is unbounded."""
     return "%s%s,%s%s" % (
@@ -357,6 +318,18 @@ class SlopeSet(_Record):
     @property
     def has_infinity(self):
         return self._inf
+
+    @property
+    def low(self):
+        """The least affine end, or None when empty or unbounded below."""
+        lo = self._ivs[0][0] if self._ivs else _MIN
+        return None if lo == _MIN else lo[1]
+
+    @property
+    def high(self):
+        """The greatest affine end, or None when empty or unbounded above."""
+        hi = self._ivs[-1][1] if self._ivs else _MAX
+        return None if hi == _MAX else hi[1]
 
     def contains(self, x):
         x = _as_rat(x)

@@ -3,33 +3,30 @@
 For fixed weights (gamma; tau_*) and strict set J, the set of tau' such
 that (J; 0; gamma; tau_*, tau') is realisable is a closed rational
 interval t, and its strict companion (tau' slot also strict) is either
-the interior of t or a single point.  The core [m0, m1] is always
-contained in t; beyond the core, one extra unit window may open on
-each side, and its exact extent is the largest value a free slot can
-receive in a witness pair (A, N).  That optimization is
-``extremal_slot_value``, which lives with the single witness solver in
-``jn`` (see there for the Stern-Brocot walk that finds it without a
-scan over N) and is imported here.
+the interior of t or a single point; both are SlopeSets.  A tuple with
+no slot is the one exception: t is empty and t_strict is the point b0.
+The core [m0, m1] is always contained in t; beyond the core, one extra
+unit window may open on each side, and its exact extent is the largest
+value a free slot can receive in a witness pair (A, N).  That
+optimization is ``extremal_slot_value``, which lives with the single
+witness solver in ``jn`` (see there for the Stern-Brocot walk that
+finds it without a scan over N) and is imported here.
 
 Everything else is integer work on the (num, den, strict) slots of
 ``seifert.reduce_integral``, which validates the input once: the gate
 compares the sum of two slots with 1, the left window complements each
 slot to (den - num, den), and each end m0 - w or m1 + w is built once.
 Those slots are reduced and w is, so every end is a reduced pair with
-den > 0 and is built by ``ExtRational._reduced``; t is built by
-``Arc._ends``, which keeps its checks as integer tests, and t_strict
-from its cut list, with no gcd and no merge.  ``extremal_slot_value``
-is a public entry and validates its slots again, in its pass over the
-caps.  ``cable._ray_end`` reads its ray end off the same gate and window.
+den > 0 and is built by ``ExtRational._reduced``, and t and t_strict
+are built from their cut lists by ``SlopeSet._canonical``, with no gcd
+and no merge.  ``extremal_slot_value`` is a public entry and validates
+its slots again, in its pass over the caps.  ``cable._ray_end`` reads
+its ray end off the same gate and window.
 """
 
-from .exact import Arc, ExtRational, SlopeSet, _Record
+from .exact import ExtRational, SlopeSet, _Record
 from .jn import extremal_slot_value
 from .seifert import reduce_integral
-
-
-class InsufficientData(ValueError):
-    """Raised for a tuple with no slot: n + r1 + s0 = 0."""
 
 
 class RelativeIntervalResult(_Record):
@@ -86,23 +83,23 @@ def _window(fixed, opens, m, sign):
 def _interval(dq, fixed):
     """relative_interval's result for a reduced tuple (dq, fixed).
 
-    One slot v and no zero slot: a non-integral tau' adds the slot
-    frac(tau'), and two values in (0, 1) must add up to
-    b = b0 - floor(tau'), so b = 1 and tau' = b0 - v, strict or not.
-    An integral tau' is a zero slot, whose window 1 <= b <= 0 is empty,
-    or is dropped, and v = b is impossible.  So t = t_strict = {b0 - v}.
+    No zero slot and at most one slot v (v = 0 for none): a
+    non-integral tau' adds the slot frac(tau'), and the values in (0, 1)
+    must add up to b = b0 - floor(tau'), so with v, b = 1 and
+    tau' = b0 - v, strict or not, and with none nothing.  An integral
+    tau' outside J is a zero slot, whose window 1 <= b <= 0 is empty; in
+    J it is dropped, and the slots must add up to b = b0 - tau', which
+    v cannot and the empty sum does at tau' = b0.  So t_strict is
+    {b0 - v}, and t is that point with v and {} without.
     A zero slot alone takes the core: m0 = m1 = b0, so t = {b0} and
     t_strict, the open core, is empty.
     """
-    size = dq.n + dq.r1 + dq.s0
-    if not size:
-        raise InsufficientData("insufficient data: n + r1 + s0 = 0")
-    if size == 1 and not dq.s0:
-        (num, den, _), = fixed
+    if not dq.s0 and dq.n + dq.r1 < 2:
+        num, den = fixed[0][:2] if fixed else (0, 1)
         v = ExtRational._reduced(dq.b0 * den - num, den)
+        point = SlopeSet._canonical([((0, v, 0), (0, v, 1))])
         return RelativeIntervalResult(
-            Arc._ends(v, v), SlopeSet._canonical([((0, v, 0), (0, v, 1))]),
-            dq)
+            point if fixed else SlopeSet._canonical(()), point, dq)
     if dq.s0 > 0:
         # t_strict is the open core (m0, m1), empty when m0 = m1
         lo = ExtRational._reduced(dq.m0, 1)
@@ -118,12 +115,14 @@ def _interval(dq, fixed):
             cuts = []
         else:
             cuts = [((0, lo, 1), (0, hi, 0))]
-    return RelativeIntervalResult(Arc._ends(lo, hi),
-                                  SlopeSet._canonical(cuts), dq)
+    return RelativeIntervalResult(
+        SlopeSet._canonical([((0, lo, 0), (0, hi, 1))]),
+        SlopeSet._canonical(cuts), dq)
 
 
 def relative_interval(gammas, taus, J):
-    """The closed interval t and strict set t_strict for (gamma; tau_*; J)."""
+    """The closed interval t, empty with no slot, and the strict set
+    t_strict for (gamma; tau_*; J), both SlopeSets."""
     return _interval(*reduce_integral(gammas, taus, J))
 
 
@@ -138,7 +137,7 @@ def cable_interval(params, J, tau):
 
 
 def special_slope_interval(params, b, strict=False):
-    """Closed-form t for the slopes tau = (bs+r)/(p-qb).
+    """Closed-form t for the slopes tau = (bs+r)/(p-qb), as a SlopeSet.
 
     For integers 0 <= b <= p/q the interval is [-1-1/(p-qb), -1], and
     the strict (J={1}) variant widens to [-1-1/(p-q(b-1)), -1] except
@@ -151,14 +150,13 @@ def special_slope_interval(params, b, strict=False):
     d = p - q * b
     if d > 0:
         if not strict:
-            return Arc(ExtRational(-d - 1, d), ExtRational(-1))
+            return SlopeSet.interval(ExtRational(-d - 1, d), -1)
         if b * s + r == d:  # slope 1
-            v = ExtRational(-(2 * q + s), q)
-            return Arc(v, v)
+            return SlopeSet.point(ExtRational(-(2 * q + s), q))
         d += q  # p - q(b - 1)
-        return Arc(ExtRational(-d - 1, d), ExtRational(-1))
+        return SlopeSet.interval(ExtRational(-d - 1, d), -1)
     if d < 0:
         if strict:
             raise ValueError("no strict closed form on the b >= p/q branch")
-        return Arc(ExtRational(-1), ExtRational(d + 1, -d))
+        return SlopeSet.interval(-1, ExtRational(d + 1, -d))
     raise ValueError("b = p/q is impossible for coprime p, q with q > 1")

@@ -83,7 +83,7 @@ per disagreement.  Beneath it only ``_coprime_count`` is cached.
 import math
 from functools import lru_cache
 
-from .exact import Arc, ExtRational, SlopeSet, _Record, _as_rat
+from .exact import ExtRational, SlopeSet, _Record, _as_rat
 
 
 class ScanReport(_Record):
@@ -381,17 +381,18 @@ def _relative_scan(fixed, zeros, strict, max_denominator, ends):
                                 found.append((num, den, s <= num < e))
     # the hull so far is [ln/ld, hn/hd], 1/0 and -1/0 while empty; an end
     # shrinks to its first grid point only when it could move the hull
+    # and still moves it: only an integer m can shrink, to m den +- 1
     ln, ld, hn, hd = 1, 0, -1, 0
     for den, (s, e) in enumerate(spans, 1):
         if s < e and s * ld < ln * den:
             while s < e and math.gcd(s, den) != 1:
                 s += 1
-            if s < e and s * ld < ln * den:
+            if s < e:
                 ln, ld = s, den
         if s < e and (e - 1) * hd > hn * den:
             while s < e and math.gcd(e - 1, den) != 1:
                 e -= 1
-            if s < e and (e - 1) * hd > hn * den:
+            if s < e:
                 hn, hd = e - 1, den
     # every den has (hi - lo) phi(den) grid points, but den = 1 lacks lo
     tested = (hi - lo) * _coprime_count(max_denominator) - 1
@@ -405,26 +406,23 @@ def grid_scan_interval(params, J, tau, max_denominator=24, expected=None):
 
     Tests every reduced fraction with denominator <= max_denominator in
     (m0 - 2, m1 + 2) and returns the hull of the realisable points.
-    When ``expected`` is given, as a ``SlopeSet`` or as an interval
-    result ``Arc`` (the one closed piece [low, high]), disagreements are
-    collected as (point, got, expected) mismatches in (denominator,
-    numerator) order; any other type raises TypeError.  The scan of
-    tau's translation class is cached, and shifted here by b0.
+    When ``expected`` is given, as a ``SlopeSet`` such as an interval
+    result's t, disagreements are collected as (point, got, expected)
+    mismatches in (denominator, numerator) order; any other type raises
+    TypeError.  The scan of tau's translation class is cached, and
+    shifted here by b0.
     """
     if max_denominator < 1:
         raise ValueError("max_denominator must be at least 1")
-    if isinstance(expected, Arc):
-        pieces = [(expected.low, True, expected.high, True)]
-    elif isinstance(expected, SlopeSet):
-        pieces = expected.affine_pieces()
-    elif expected is not None:
-        raise TypeError("expected must be an Arc or a SlopeSet")
+    if not (expected is None or isinstance(expected, SlopeSet)):
+        raise TypeError("expected must be a SlopeSet")
     # the tuple is (J; 0; gamma; tau, tau'): tau has index 1, tau' 2
     J = _check_J(J, 2)
     gamma = ExtRational(params.q + params.s, params.q)
     b0, fixed, zeros = _reduce(J - {2}, 0, (gamma,), (tau,))
     ends = (None if expected is None
-            else _member_cuts(pieces, b0, *_scan_rows(fixed, zeros)))
+            else _member_cuts(expected.affine_pieces(), b0,
+                              *_scan_rows(fixed, zeros)))
     low, high, tested, found = _relative_scan(fixed, zeros, 2 in J,
                                               max_denominator, ends)
     # every num here is coprime to its den, and so is num + b0 den

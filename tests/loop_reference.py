@@ -5,6 +5,11 @@ try every A in [1, N) and every slot pair (i, j).  They are slow but
 plainly follow the definition, so the Stern-Brocot solver in
 ``cableslopes.jn`` is required to return exactly what they return.
 
+``ziggurat_slot_value`` is a third derivation of the free slot's
+largest value, a closed-form maximum over one common denominator with
+no witness pair: ``jn.extremal_slot_value`` and the oracle's
+``_free_slot_sup`` are both required to return it.
+
 ``realisable`` is the oracle's original per-b decision of a reduced
 query, with its witness loop ``witness_exists``; the oracle's range of
 realisable b is required to hold exactly the b it accepts.
@@ -221,6 +226,40 @@ def extremal_slot_value(fixed):
                 if best is None or c > best:
                     best = c
     return best
+
+
+def ziggurat_slot_value(fixed):
+    """extremal_slot_value by the Jankins-Neumann formula, with no walk.
+
+    Jankins and Neumann (Math. Ann. 271, 1985; proved by Calegari and
+    Walker, J. Mod. Dyn. 2011, "Ziggurats and rotation numbers") give
+    the largest rotation number of a product of circle maps with given
+    rotation numbers r_i as a maximum over one common denominator q:
+    the largest (sum p_i + k - 1)/q with p_i/q <= r_i.  A slot v_i is
+    such a map with r_i = 1 - v_i, so with p_i(q) the largest p with
+    p/q <= 1 - v_i (< when slot i is strict) the free slot's largest
+    value is
+
+        max over q of (sum p_i(q) + k - 1)/q - (k - 1),
+
+    and there is none when that maximum is 0, its value at q = 1.  The
+    search stops at q = sum den_i.  The largest value is attained in a
+    witness of denominator N: 1/N for the least N of a window
+    [v_i, 1 - v_j], at most den_i + den_j (the mediant of its ends), or
+    x/N with N under a cap of a slot, at most its den.  The fixed
+    slots' witness values c_i/N add up with x/N to 1 + (k - 1)/N, and
+    p_i(N) >= N - c_i, so the term at q = N already reaches it.  The
+    cost is O(k sum den_i).
+    """
+    slots = _slot_ints(fixed)
+    k = len(slots)
+    best_num, best_den = 0, 1
+    for q in range(1, sum(den for _, den, _ in slots) + 1):
+        num = sum(((den - n) * q - strict) // den for n, den, strict in slots)
+        num += (k - 1) * (1 - q)
+        if num * best_den > best_num * q:
+            best_num, best_den = num, q
+    return ExtRational(best_num, best_den) if best_num else None
 
 
 def witness_exists(slots):

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from cableslopes.cable import (DetectionMode, bezout, cable_detected_set,
                                torus_knot_detected)
-from cableslopes.exact import (INF, Arc, ExtRational, IntMobius, SlopeSet,
+from cableslopes.exact import (INF, ExtRational, IntMobius, SlopeSet,
                                mobius_set_image, parse_slope_set)
 from cableslopes.intervals import cable_interval, special_slope_interval
 from cableslopes.jn import decide
@@ -64,10 +64,10 @@ def test_criterion_02_low_slope_sweep_vs_oracle():
             tau = ExtRational(b * s + r, p - q * b)
             # plain family: [-1 - 1/(p-qb), -1]
             closed = special_slope_interval(params, b, strict=False)
-            assert closed == Arc(ExtRational(-(p - q * b) - 1, p - q * b),
-                                 ExtRational(-1))
+            assert closed == SlopeSet.interval(
+                ExtRational(-(p - q * b) - 1, p - q * b), -1)
             res = _collect(params, frozenset(), tau)
-            assert (res.t.low, res.t.high) == (closed.low, closed.high)
+            assert res.t == closed
             report = grid_scan_interval(params, frozenset(), tau, 24,
                                         expected=res.t)
             assert report.mismatches == []
@@ -77,10 +77,9 @@ def test_criterion_02_low_slope_sweep_vs_oracle():
             res = _collect(params, frozenset({1}), tau)
             if p >= 2:
                 strict = special_slope_interval(params, b, strict=True)
-                assert (res.t.low, res.t.high) == (strict.low, strict.high)
+                assert res.t == strict
             else:
-                point = ExtRational(-(2 * q + s), q)
-                assert res.t == Arc(point, point)
+                assert res.t == SlopeSet.point(ExtRational(-(2 * q + s), q))
             report = grid_scan_interval(params, frozenset({1}), tau, 24,
                                         expected=res.t)
             assert report.mismatches == []
@@ -96,10 +95,9 @@ def test_criterion_03_high_slope_sweep_vs_oracle():
             tau = ExtRational(b * s + r, p - q * b)
             closed = special_slope_interval(params, b, strict=False)
             den = b * q - p
-            assert closed == Arc(ExtRational(-1),
-                                 ExtRational(-den + 1, den))
+            assert closed == SlopeSet.interval(-1, ExtRational(-den + 1, den))
             res = _collect(params, frozenset(), tau)
-            assert (res.t.low, res.t.high) == (closed.low, closed.high)
+            assert res.t == closed
             report = grid_scan_interval(params, frozenset(), tau, 24,
                                         expected=res.t)
             assert report.mismatches == []
@@ -127,12 +125,12 @@ def test_criterion_04_case_dispatch_vs_oracle():
         n, r = divmod(tau.num, tau.den)
         tb = Fraction(r, tau.den)
         if tb == 0:
-            assert res.t == Arc(ExtRational(-n - 1), ExtRational(-n))
+            assert res.t == SlopeSet.interval(-n - 1, -n)
         elif tb < one_minus_gamma:
             assert res.t.low == ExtRational(-n - 1)
             assert ExtRational(-n - 1) < res.t.high < ExtRational(-n)
         elif tb == one_minus_gamma:
-            assert res.t == Arc(ExtRational(-n - 1), ExtRational(-n - 1))
+            assert res.t == SlopeSet.point(-n - 1)
         else:
             assert res.t.high == ExtRational(-n - 1)
             assert ExtRational(-n - 2) < res.t.low < ExtRational(-n - 1)
@@ -170,9 +168,6 @@ def test_criterion_05_inchworm_and_nesting():
     one_minus_gamma = 1 - _frac(C23.gamma)
     by_tau = dict(zip(GRID, intervals))
 
-    def contains(outer, inner):
-        return outer.low <= inner.low and inner.high <= outer.high
-
     for i, t1 in enumerate(GRID):
         for t2 in GRID[i:]:
             n = t1.num // t1.den
@@ -180,15 +175,13 @@ def test_criterion_05_inchworm_and_nesting():
                 continue
             f1, f2 = _frac(t1) - n, _frac(t2) - n
             if f2 <= one_minus_gamma:
-                assert contains(by_tau[t1], by_tau[t2])
-                assert by_tau[t2].low <= -n - 1 <= by_tau[t2].high
-                assert contains(Arc(ExtRational(-n - 1), ExtRational(-n)),
-                                by_tau[t1])
+                assert by_tau[t2].issubset(by_tau[t1])
+                assert by_tau[t2].contains(-n - 1)
+                assert by_tau[t1].issubset(SlopeSet.interval(-n - 1, -n))
             elif f1 >= one_minus_gamma and f2 < 1:
-                assert contains(by_tau[t2], by_tau[t1])
-                assert by_tau[t1].low <= -n - 1 <= by_tau[t1].high
-                assert contains(Arc(ExtRational(-n - 2), ExtRational(-n - 1)),
-                                by_tau[t2])
+                assert by_tau[t1].issubset(by_tau[t2])
+                assert by_tau[t1].contains(-n - 1)
+                assert by_tau[t2].issubset(SlopeSet.interval(-n - 2, -n - 1))
 
 
 def test_criterion_06_cabling_pipeline():
@@ -245,10 +238,9 @@ def test_criterion_08_sandwich_and_strict_set_laws():
         m0, m1 = res.quantities.m0, res.quantities.m1
         core = SlopeSet.interval(m0, m1, False, False)
         outer = SlopeSet.interval(m0 - 1, m1 + 1, False, False)
-        closed = SlopeSet.interval(res.t.low, res.t.high, True, True)
         assert core.issubset(res.t_strict)
-        assert res.t_strict.issubset(closed)
-        assert closed.issubset(outer)
+        assert res.t_strict.issubset(res.t)
+        assert res.t.issubset(outer)
         assert m0 - 1 < res.t.low <= res.t.high < m1 + 1
 
 

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 import loop_reference
 from cableslopes import intervals
@@ -29,26 +29,28 @@ TAUS = st.integers(1, 30).flatmap(
     lambda d: st.integers(-4 * d, 4 * d).map(lambda n: ExtRational(n, d)))
 
 
-def _parsed(text):
-    try:
-        return parse_slope_set(text)
-    except ValueError:  # a degenerate open arc
-        return None
+def _arc_text(left, low, high, right):
+    """An arc's text; equal ends make a point, so both brackets close
+    and no drawn arc is a degenerate open one."""
+    if low == high or R(low) == R(high) and not R(low).is_infinite:
+        left, right = "[", "]"
+    return "%s%s,%s%s" % (left, low, high, right)
 
 
 def slope_sets(params):
     """Unions of one to four points and arcs, whose ends are often the
-    fiber slope p/q or infinity."""
+    fiber slope p/q or infinity.  Every text parses, so the strategy
+    needs no filter and shrinks cheaply."""
     end = st.one_of(st.just(str(params.fiber_slope)), st.just("inf"),
                     st.just("-inf"), st.builds("{}/{}".format,
                                                st.integers(-90, 90),
                                                st.integers(1, 30)))
     arc = st.one_of(
         st.builds("{%s}".__mod__, end),
-        st.builds("{}{},{}{}".format, st.sampled_from("[("), end, end,
+        st.builds(_arc_text, st.sampled_from("[("), end, end,
                   st.sampled_from("])")))
     return st.lists(arc, min_size=1, max_size=4).map(" U ".join).map(
-        _parsed).filter(lambda s: s is not None)
+        parse_slope_set)
 
 
 CABLE_SETS = CABLES.flatmap(
@@ -167,7 +169,7 @@ class TestTorusKnots:
             t = cable_interval(params, frozenset({1}),
                                ExtRational(params.r, p)).t
             closed = intervals.special_slope_interval(params, 0, strict=True)
-            assert (t.low, t.high) == (closed.low, closed.high), (p, q)
+            assert t == closed, (p, q)
 
     def test_known_answer_net(self):
         # T(p, q) has genus (p-1)(q-1)/2, so 2g - 1 = pq - p - q: the
@@ -241,8 +243,8 @@ class TestStrictRayTables:
                     acc = acc.union(cable_interval(params, frozenset({1}),
                                                    tau).t_strict)
                 else:
-                    t = cable_interval(params, frozenset(), tau).t
-                    acc = acc.union(SlopeSet.interval(t.low, t.high))
+                    acc = acc.union(cable_interval(params, frozenset(),
+                                                   tau).t)
         return ray, acc
 
     def test_sampled_strict_union_inside_ray(self):
@@ -267,9 +269,8 @@ class TestStrictRayTables:
             params = bezout(p, q)
             for tau0 in {ExtRational(n, d) for d in range(1, 9)
                          for n in range(-4 * d, 4 * d + 1)}:
-                t = cable_interval(params, frozenset(), tau0).t
                 at_tau0 = {
-                    False: SlopeSet.interval(t.low, t.high),
+                    False: cable_interval(params, frozenset(), tau0).t,
                     True: cable_interval(params, frozenset({1}),
                                          tau0).t_strict,
                 }
@@ -416,7 +417,10 @@ class TestPipelineLaws:
     and regular mode computes weak mode's set.
     """
 
-    @settings(max_examples=60, deadline=None)
+    # a fault fails many laws at once: shrink the first one only, and
+    # skip the explain phase, which reruns each step at length
+    @settings(max_examples=60, deadline=None, report_multiple_bugs=False,
+              phases=set(Phase) - {Phase.explain})
     @given(case=CABLE_SET_PAIRS)
     @example(case=(bezout(2, 3), parse_slope_set("[0,1/2]"),
                    parse_slope_set("(1/2,1)")))
@@ -485,9 +489,7 @@ class TestPipeline:
                                         DetectionMode.WEAK)
             tau = inner_basis_map(params).apply(slope)
             res = cable_interval(params, frozenset(), tau)
-            expected = mobius_set_image(
-                outer_basis_map(params),
-                SlopeSet.interval(res.t.low, res.t.high, True, True))
+            expected = mobius_set_image(outer_basis_map(params), res.t)
             assert out == expected
 
     def test_fiber_slope_passes_infinity(self):

@@ -63,7 +63,14 @@ class TestGoldenOutputs:
         code, out, _ = run(capsys, "interval", "--gamma", "", "--tau",
                            "9/7,5/7", "--J", "1,2")
         assert code == 0
-        assert out == "[-2,-2] (T), {-2} (T~)"
+        assert out == "{-2} (T), {-2} (T~)"
+
+    def test_interval_with_no_slot(self, capsys):
+        # the strict integral tau is dropped: t is empty, and t_strict is
+        # the point b0 = -2
+        code, out, _ = run(capsys, "interval", "--tau", "2", "--J", "1")
+        assert code == 0
+        assert out == "{} (T), {-2} (T~)"
 
     def test_ray_union(self, capsys):
         code, out, _ = run(capsys, "ray-union", "--p", "2", "--q", "3",
@@ -81,6 +88,16 @@ class TestJsonFormat:
         assert set(doc) == {"command", "inputs", "result", "refs"}
         assert doc["command"] == "interval"
         assert doc["result"]["set"] == ["[-3/2,-1]"]
+
+    @pytest.mark.parametrize("argv, pieces", [
+        (("--tau", "9/7,5/7", "--J", "1,2"), ["{-2}"]),
+        (("--tau", "2", "--J", "1"), []),
+    ])
+    def test_interval_set_is_parts(self, capsys, argv, pieces):
+        # the "set" lists t's pieces, as every other command's does
+        code, out, _ = run(capsys, "interval", *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["result"]["set"] == pieces
 
     @pytest.mark.parametrize("argv, refs", [
         (("--p", "2", "--q", "3", "--tau", "1/2"), ["cable-interval"]),

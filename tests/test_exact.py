@@ -3,7 +3,7 @@ import operator
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cableslopes.exact import (INF, Arc, ExtRational, IntMobius, SlopeSet,
+from cableslopes.exact import (INF, ExtRational, IntMobius, SlopeSet,
                                mobius_set_image, parse_slope_set)
 
 R = ExtRational.parse
@@ -89,6 +89,8 @@ class TestExtRational:
 
 
 class TestArc:
+    """The arcs of a SlopeSet, as parsed and printed."""
+
     def test_contains_plain(self):
         arc = parse_slope_set("[1/2,3)")
         assert arc.contains(R("1/2"))
@@ -155,21 +157,6 @@ class TestArc:
         for text in ("(-inf,inf)", "(inf,-inf)"):
             assert parse_slope_set(text) == SlopeSet.reals()
 
-    def test_interval_result_type(self):
-        arc = Arc(R("-3/2"), ExtRational(-1))
-        assert (arc.low, arc.high) == (R("-3/2"), ExtRational(-1))
-        assert str(arc) == "[-3/2,-1]"
-        assert arc == Arc(R("-3/2"), -1)
-        assert hash(arc) == hash(Arc(R("-3/2"), -1))
-        assert arc != Arc(R("-3/2"), R("-3/2"))
-        with pytest.raises(ValueError, match="^low endpoint above high$"):
-            Arc(ExtRational(1), ExtRational(0))
-        for low, high in ((INF, ExtRational(0)), (ExtRational(0), INF)):
-            with pytest.raises(ValueError, match="^arc ends must be finite$"):
-                Arc(low, high)
-        with pytest.raises(AttributeError):
-            arc.low = ExtRational(0)
-
 
 def _sample_points(lo=-8, hi=8, den=5):
     pts = [INF]
@@ -235,6 +222,22 @@ class TestSlopeSetAlgebra:
         with pytest.raises(ValueError,
                            match="^interval and ray ends must be finite$"):
             build()
+
+    @pytest.mark.parametrize("text, low, high", [
+        ("{}", None, None),
+        ("{inf}", None, None),
+        ("[-3/2,-1]", R("-3/2"), ExtRational(-1)),
+        ("{-2}", ExtRational(-2), ExtRational(-2)),
+        ("(0,1) ∪ [2,3] ∪ {inf}", ExtRational(0), ExtRational(3)),
+        ("[-inf,7)", None, ExtRational(7)),
+        ("[-inf,-1] ∪ (2,3]", None, ExtRational(3)),
+        ("[2,-1]", None, None),
+        ("[-inf,inf]", None, None),
+    ])
+    def test_low_and_high(self, text, low, high):
+        # the least and greatest affine ends, None where there is none
+        s = parse_slope_set(text)
+        assert (s.low, s.high) == (low, high)
 
     def test_full_and_empty(self):
         assert SlopeSet.full().is_full

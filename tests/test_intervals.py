@@ -5,10 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from cableslopes import intervals
 from cableslopes.cable import bezout, ray_union
-from cableslopes.exact import Arc, ExtRational, SlopeSet
-from cableslopes.intervals import (InsufficientData, cable_interval,
-                                   extremal_slot_value, relative_interval,
-                                   special_slope_interval)
+from cableslopes.exact import ExtRational, SlopeSet
+from cableslopes.intervals import (cable_interval, extremal_slot_value,
+                                   relative_interval, special_slope_interval)
 from cableslopes.jn import JNResult, decide, witness_search
 from cableslopes.oracle import _decide_point
 from cableslopes.seifert import reduce_integral
@@ -45,22 +44,17 @@ _tau_weights = st.one_of(
 def _assert_matches_decide_scan(gammas, taus, J):
     """t and t_strict of (gammas; taus; J) agree with the oracle's
     point decisions for tau' on the grid of denominators <= 8 around
-    [m0 - 2, m1 + 2], and at the two ends of t."""
-    dq = reduce_integral(gammas, taus, J)[0]
-    size = dq.n + dq.r1 + dq.s0
-    if size == 0:
-        with pytest.raises(InsufficientData):
-            relative_interval(gammas, taus, J)
-        return
+    [m0 - 2, m1 + 2], and at the ends of t."""
     res = relative_interval(gammas, taus, J)
-    points = {res.t.low, res.t.high}
+    dq = res.quantities
+    points = {res.t.low, res.t.high} - {None}
     for den in range(1, 9):
         for num in range((dq.m0 - 2) * den, (dq.m1 + 2) * den + 1):
             points.add(ExtRational(num, den))
     strict = J | {len(taus) + 1}
     for x in points:
         assert (_decide_point(J, 0, gammas, taus + (x,))
-                == (res.t.low <= x <= res.t.high))
+                == res.t.contains(x))
         assert (_decide_point(strict, 0, gammas, taus + (x,))
                 == res.t_strict.contains(x))
 
@@ -68,7 +62,7 @@ def _assert_matches_decide_scan(gammas, taus, J):
 class TestRelativeInterval:
     def test_integral_slot_gives_unit_core(self):
         res = relative_interval((R("2/3"),), (ExtRational(0),), frozenset())
-        assert res.t == Arc(ExtRational(-1), ExtRational(0))
+        assert res.t == SlopeSet.interval(-1, 0)
         assert res.t_strict == SlopeSet.interval(
             ExtRational(-1), ExtRational(0), False, False)
 
@@ -76,10 +70,19 @@ class TestRelativeInterval:
         with pytest.raises(ValueError, match="1-based tau indices"):
             relative_interval((R("1/2"),), (R("1/3"),), frozenset({3}))
 
-    def test_insufficient_data(self):
-        # no slot
-        with pytest.raises(InsufficientData):
-            relative_interval((), (), frozenset())
+    @pytest.mark.parametrize("taus, J, b0", [
+        ((), (), 0),
+        ((ExtRational(2),), (1,), -2),
+        ((ExtRational(-1), ExtRational(3)), (1, 2), -2),
+    ], ids=["no tau", "one strict integral tau", "two strict integral taus"])
+    def test_no_slot_gives_empty_t(self, taus, J, b0):
+        # no slot: t is empty, and t_strict is b0, where the strict
+        # integral tau' is dropped and the empty slot sum is b
+        res = relative_interval((), taus, frozenset(J))
+        assert res.t == SlopeSet.empty()
+        assert res.t.low is res.t.high is None
+        assert res.t_strict == SlopeSet.point(b0)
+        _assert_matches_decide_scan((), taus, frozenset(J))
 
     def test_one_slot_gives_a_point(self):
         # the two values in (0, 1) must add up to b = 1: tau' = b0 - v,
@@ -89,8 +92,7 @@ class TestRelativeInterval:
                                    ((R("2/3"),), (ExtRational(1),), (1,),
                                     R("-5/3"))):
             res = relative_interval(gammas, taus, frozenset(J))
-            assert res.t == Arc(v, v)
-            assert res.t_strict == SlopeSet.point(v)
+            assert res.t == res.t_strict == SlopeSet.point(v)
 
     def test_sandwich(self):
         for tau in (R("1/2"), R("1/4"), R("5/6"), R("-7/3")):
@@ -101,10 +103,9 @@ class TestRelativeInterval:
                                          False, False)
                 outer = SlopeSet.interval(ExtRational(m0 - 1),
                                           ExtRational(m1 + 1), False, False)
-                closed = SlopeSet.interval(res.t.low, res.t.high, True, True)
                 assert core.issubset(res.t_strict)
-                assert res.t_strict.issubset(closed)
-                assert closed.issubset(outer)
+                assert res.t_strict.issubset(res.t)
+                assert res.t.issubset(outer)
 
     @pytest.mark.parametrize("taus, J", [
         ((R("3/4"), R("-3/4")), frozenset()),
@@ -159,7 +160,7 @@ class TestRelativeInterval:
         monkeypatch.setattr(intervals, "extremal_slot_value", counted)
         res = relative_interval((R("1/3"), R("1/4")), (R("1/5"),),
                                 frozenset())
-        assert res.t == Arc(ExtRational(-2), R("-1/2"))
+        assert res.t == SlopeSet.interval(-2, R("-1/2"))
         assert len(calls) == 2
 
 
@@ -184,7 +185,8 @@ class TestEndpointSearch:
     def test_integral_slot_closes_windows(self):
         res = relative_interval((R("2/3"),), (ExtRational(1),), frozenset())
         assert res.quantities.s0 > 0
-        assert res.t == Arc(res.quantities.m0, res.quantities.m1)
+        assert res.t == SlopeSet.interval(res.quantities.m0,
+                                          res.quantities.m1)
 
 
 def _gamma_error(g):
@@ -211,13 +213,17 @@ VALIDATION_TABLE = {
     # J is checked before an infinite tau, by every entry point
     "J 3 tau inf": (("1/2",), ("inf",), (3,)) + (_J,) * 4,
     # one slot v: t = {-v}, and the slot sum v is not 1
-    "one gamma": (("1/2",), (), (), Arc(R("-1/2"), R("-1/2")), None, None,
+    "one gamma": (("1/2",), (), (), SlopeSet.point(R("-1/2")), None, None,
                   _SUM),
-    "one strict tau": ((), ("1/3",), (1,), Arc(R("-1/3"), R("-1/3")), None,
+    "one strict tau": ((), ("1/3",), (1,), SlopeSet.point(R("-1/3")), None,
                        None, _SUM),
     # a zero slot alone: t = {b0}
-    "one zero slot": ((), ("0",), (), Arc(0, 0), None, None,
+    "one zero slot": ((), ("0",), (), SlopeSet.point(0), None, None,
                       JNResult(False, None, "integral-slot-window")),
+    # no slot: t = {}; the tau 1 in J is dropped and moves b = 1 to 0,
+    # the empty slot sum
+    "no slot": ((), ("1",), (1,), SlopeSet.empty(), None, None,
+                JNResult(True, None, "slot-sum")),
 }
 
 
@@ -238,7 +244,7 @@ class TestValidationTable:
         gammas = tuple(map(R, gammas))
         taus = tuple(map(R, taus))
         J = frozenset(J)
-        if isinstance(rel, Arc):
+        if isinstance(rel, SlopeSet):
             assert relative_interval(gammas, taus, J).t == rel
         else:
             _raises(rel, relative_interval, gammas, taus, J)
@@ -292,14 +298,15 @@ class TestTrustedConstructors:
         J = frozenset(data.draw(st.sets(st.integers(1, len(taus))))
                       if taus else ())
         dq, fixed = reduce_integral(gammas, taus, J)
-        try:
-            res = relative_interval(gammas, taus, J)
-        except InsufficientData:
-            return
+        res = relative_interval(gammas, taus, J)
         low, high = res.t.low, res.t.high
+        if low is None:  # no slot: t = {}, t_strict = {b0}
+            assert res.t == SlopeSet.empty()
+            assert res.t_strict == SlopeSet.point(dq.b0)
+            return
         _assert_checked(low)
         _assert_checked(high)
-        assert res.t == Arc(low, high)
+        assert res.t == SlopeSet.interval(low, high)
         # the t_strict that SlopeSet's checked constructors build
         if (dq.n + dq.r1 + dq.s0 == 1 and not dq.s0
                 or not dq.s0 and intervals._gates(fixed)[2]):
@@ -320,30 +327,28 @@ class TestTrustedConstructors:
 class TestCableInterval:
     def test_branch_integral(self):
         res = cable_interval(C23, frozenset(), ExtRational(0))
-        assert res.t == Arc(ExtRational(-1), ExtRational(0))
+        assert res.t == SlopeSet.interval(-1, 0)
 
     def test_branch_below_one(self):
         # gamma + taubar < 1: [-floor-1, xi]
         res = cable_interval(C23, frozenset(), R("1/4"))
-        assert res.t == Arc(ExtRational(-1), R("-3/4"))
+        assert res.t == SlopeSet.interval(-1, R("-3/4"))
         assert res.t_strict == SlopeSet.interval(
             ExtRational(-1), R("-3/4"), False, False)
 
     def test_branch_equal_one(self):
         # gamma + taubar = 1: the singleton {-floor(tau)-1}
         res = cable_interval(C23, frozenset(), R("1/3"))
-        assert res.t == Arc(ExtRational(-1), ExtRational(-1))
-        assert res.t_strict == SlopeSet.point(ExtRational(-1))
+        assert res.t == res.t_strict == SlopeSet.point(-1)
 
     def test_branch_above_one(self):
         res = cable_interval(C23, frozenset(), R("1/2"))
-        assert res.t == Arc(R("-3/2"), ExtRational(-1))
+        assert res.t == SlopeSet.interval(R("-3/2"), -1)
 
     def test_strict_family_integral_singleton(self):
         res = cable_interval(C23, frozenset({1}), ExtRational(2))
-        v = R("-8/3")  # -tau - gamma
-        assert res.t == Arc(v, v)
-        assert res.t_strict == SlopeSet.point(v)
+        # -tau - gamma
+        assert res.t == res.t_strict == SlopeSet.point(R("-8/3"))
 
     def test_rejects_bad_j(self):
         with pytest.raises(ValueError):
@@ -358,10 +363,10 @@ class TestSpecialSlopeInterval:
                 tau = ExtRational(b * s + r, p - q * b)
                 got = special_slope_interval(params, b, strict=False)
                 res = cable_interval(params, frozenset(), tau)
-                assert (got.low, got.high) == (res.t.low, res.t.high)
+                assert got == res.t
                 got = special_slope_interval(params, b, strict=True)
                 res = cable_interval(params, frozenset({1}), tau)
-                assert (got.low, got.high) == (res.t.low, res.t.high)
+                assert got == res.t
 
     def test_high_branch_matches_search(self):
         cases = []
@@ -375,7 +380,7 @@ class TestSpecialSlopeInterval:
             tau = ExtRational(b * s + r, p - q * b)
             got = special_slope_interval(params, b, strict=False)
             res = cable_interval(params, frozenset(), tau)
-            assert (got.low, got.high) == (res.t.low, res.t.high)
+            assert got == res.t
 
     @pytest.mark.parametrize("q", [3, 5, 29, 119, 1001, 4999, 9999, 14285])
     def test_large_denominators_match_search(self, q):
@@ -390,7 +395,7 @@ class TestSpecialSlopeInterval:
             for J, strict in J_values:
                 got = special_slope_interval(params, b, strict=strict)
                 res = cable_interval(params, J, tau)
-                assert (got.low, got.high) == (res.t.low, res.t.high)
+                assert got == res.t
 
     def test_strict_rejected_on_high_branch(self):
         with pytest.raises(ValueError):
@@ -410,8 +415,7 @@ class TestRayUnion:
                 if direction == "leq" and tau > tau0:
                     continue
                 res = cable_interval(params, frozenset(), tau)
-                acc = acc.union(SlopeSet.interval(res.t.low, res.t.high,
-                                                  True, True))
+                acc = acc.union(res.t)
         # the sampled union must sit inside the ray and reach its endpoint
         assert acc.issubset(got)
         pieces = got.affine_pieces()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import loop_reference
-from cableslopes import jn
+from cableslopes import jn, oracle
 from cableslopes.exact import ExtRational
 from cableslopes.jn import decide, extremal_slot_value, witness_search
 from cableslopes.oracle import exhaustive_witness_check
@@ -220,6 +220,37 @@ class TestMatchesLoopReference:
     def test_extremal_slot_value(self, fixed):
         assert (extremal_slot_value(fixed)
                 == loop_reference.extremal_slot_value(fixed))
+
+
+@st.composite
+def deep_slot_lists(draw):
+    """A small slot 1/m, whose cap m or m - 1 lets the other slots' walks
+    run to large denominators, and one or two slots of denominator
+    50-300, in any order."""
+    out = [(ExtRational(1, draw(st.integers(2, 400))), draw(st.booleans()))]
+    for _ in range(draw(st.integers(1, 2))):
+        den = draw(st.integers(50, 300))
+        out.append((ExtRational(draw(st.integers(1, den - 1)), den),
+                    draw(st.booleans())))
+    return draw(st.permutations(out))
+
+
+class TestZiggurat:
+    """The free slot's largest value equals the Jankins-Neumann closed
+    form, a maximum over one common denominator with no witness pair
+    and no walk (``loop_reference.ziggurat_slot_value``).  Deep slots
+    take the walks past the denominators that the loop references and
+    the grid scans reach, where a cap clamp can go wrong.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(deep_slot_lists())
+    def test_solver_and_oracle_match_closed_form(self, fixed):
+        want = loop_reference.ziggurat_slot_value(fixed)
+        assert extremal_slot_value(fixed) == want
+        slots = [(v.num, v.den, strict) for v, strict in fixed]
+        assert (oracle._free_slot_sup(slots, 10**9)
+                == ((want.num, want.den) if want else (0, 1)))
 
 
 def _weights(lo, hi):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cableslopes import cable, oracle
 from cableslopes.cable import bezout
-from cableslopes.exact import (INF, Arc, ExtRational, IntMobius, SlopeSet,
+from cableslopes.exact import (INF, ExtRational, IntMobius, SlopeSet,
                                mobius_set_image)
 from cableslopes.intervals import cable_interval
 from cableslopes.jn import decide, witness_search
@@ -396,8 +396,7 @@ class TestGridScan:
             assert report.tested_points == rows * sum(phi) - 1
 
     def test_mismatch_detection(self):
-        from cableslopes.exact import Arc
-        wrong = Arc(ExtRational(-2), ExtRational(-1))
+        wrong = SlopeSet.interval(-2, -1)
         report = grid_scan_interval(C23, frozenset(), R("1/2"), 8,
                                     expected=wrong)
         assert report.mismatches
@@ -414,7 +413,8 @@ class TestGridScan:
                 t = cable_interval(params, frozenset(), tau).t
                 high = ExtRational(t.high.num + t.high.den, t.high.den)
                 report = grid_scan_interval(params, frozenset(), tau, 24,
-                                            expected=Arc(t.low, high))
+                                            expected=SlopeSet.interval(
+                                                t.low, high))
                 assert report.mismatches, (params, tau)
 
     def test_report_counts_points(self):
@@ -460,14 +460,14 @@ def arcs(draw):
 
 @st.composite
 def expectations(draw):
-    """An interval result Arc, or a SlopeSet: one arc, a union of arcs,
-    its complement, empty or full.
+    """A closed interval, as an interval result t is, or another
+    SlopeSet: one arc, a union of arcs, its complement, empty or full.
     """
     kind = draw(st.sampled_from(("interval", "arc", "set", "complement",
                                  "empty", "full")))
     if kind == "interval":
-        return Arc(*sorted(draw(st.lists(_rationals(), min_size=2,
-                                         max_size=2))))
+        return SlopeSet.interval(*sorted(draw(st.lists(
+            _rationals(), min_size=2, max_size=2))))
     if kind == "arc":
         return draw(arcs())
     if kind == "empty":
@@ -481,8 +481,6 @@ def expectations(draw):
 
 def _reference_scan(params, J, tau, max_denominator, expected):
     """A point-by-point scan: gcd filter, _decide_point and contains."""
-    if isinstance(expected, Arc):
-        expected = SlopeSet.interval(expected.low, expected.high)
     gamma = ExtRational(params.q + params.s, params.q)
     dq = cable_interval(params, J - {2}, tau).quantities
     low = high = None
@@ -514,11 +512,6 @@ def _scanned(params, J, tau, max_denominator, expected):
 
 def _translate(expected, m):
     """The expected set moved by the integer m."""
-    if isinstance(expected, Arc):
-        return Arc(ExtRational(expected.low.num + m * expected.low.den,
-                               expected.low.den),
-                   ExtRational(expected.high.num + m * expected.high.den,
-                               expected.high.den))
     return mobius_set_image(IntMobius(1, m, 0, 1), expected)
 
 
@@ -527,20 +520,18 @@ class TestScanMembership:
     @given(st.sampled_from(COPRIME), st.frozensets(st.integers(1, 2)),
            _rationals(-3, 3, 8), st.integers(1, 24), expectations())
     # a wrong arc: the scan must report its mismatches in order
-    @example((2, 3), frozenset(), R("1/2"), 8,
-             Arc(ExtRational(-2), ExtRational(-1)))
+    @example((2, 3), frozenset(), R("1/2"), 8, SlopeSet.interval(-2, -1))
     # an integer tau: the fixed part has a zero slot, and so has tau'
     # at every integer grid point
     @example((3, 2), frozenset(), ExtRational(1), 6,
-             Arc(ExtRational(-3), R("-1/2")))
+             SlopeSet.interval(-3, R("-1/2")))
     @example((2, 5), frozenset({1}), ExtRational(-2), 5, SlopeSet.full())
     # J = {2}: tau' is strict, so its zero slot is no constraint
     @example((2, 3), frozenset({2}), R("1/2"), 8,
              SlopeSet.interval(R("-3/2"), R("-1/2"), False, False))
     @example((3, 2), frozenset({1, 2}), ExtRational(0), 7, SlopeSet.empty())
     # max_denominator = 1: one row of integers, without num = start
-    @example((2, 3), frozenset(), R("1/2"), 1,
-             Arc(ExtRational(-5), ExtRational(5)))
+    @example((2, 3), frozenset(), R("1/2"), 1, SlopeSet.interval(-5, 5))
     # cuts beyond stop: a ray whose low end lies past the scan, and a
     # wrapped arc with both ends outside it
     @example((2, 3), frozenset(), R("1/2"), 6,
@@ -554,7 +545,7 @@ class TestScanMembership:
     # zeros: the ends -2 and -1 of t sit on multiples of den, next to
     # each span's ends
     @example((3, 2), frozenset(), ExtRational(1), 12,
-             Arc(ExtRational(-2), ExtRational(-1)))
+             SlopeSet.interval(-2, -1))
     # an integral tau in J: arity 2, the one point -7/4 at den = 4
     @example((3, 4), frozenset({1}), ExtRational(1), 12,
              SlopeSet.point(R("-7/4")))
@@ -583,11 +574,11 @@ class TestScanMembership:
     # an integral tau: J = {} and J = {1} share the slots and differ in
     # the zero count
     @example((3, 2), frozenset(), ExtRational(1), 6,
-             Arc(ExtRational(-3), R("-1/2")), -2)
+             SlopeSet.interval(-3, R("-1/2")), -2)
     # J = {} and J = {2} share the slots and differ in tau' strictness
     @example((4, 3), frozenset({2}), R("5/12"), 8, C43_T.t_strict, 3)
-    @example((2, 3), frozenset(), R("1/2"), 8,
-             Arc(ExtRational(-2), ExtRational(-1)), 1)
+    @example((2, 3), frozenset(), R("1/2"), 8, SlopeSet.interval(-2, -1),
+             1)
     def test_translates_match_reference_loop(self, pq, J, tau,
                                              max_denominator, expected, m):
         # tau + m moves b0 by -m, so with the expected set moved by -m
@@ -625,7 +616,7 @@ class TestScanMembership:
 
     def test_reports_share_no_state_with_cache(self):
         # a cached scan hands out a fresh mismatch list every time
-        wrong = Arc(ExtRational(-2), ExtRational(-1))
+        wrong = SlopeSet.interval(-2, -1)
         first = grid_scan_interval(C23, frozenset(), R("1/2"), 8,
                                    expected=wrong)
         want = list(first.mismatches)

@@ -12,10 +12,11 @@ from cableslopes.cable import CableParams
 
 REMOVED = {
     cableslopes: ("WindowClosed", "endpoint_search", "derived_quantities",
-                  "UnsupportedArity"),
+                  "UnsupportedArity", "Arc", "InsufficientData"),
     jn: ("UnsupportedArity", "_least_caps", "_cap_outside"),
-    intervals: ("WindowClosed", "endpoint_search"),
+    intervals: ("WindowClosed", "endpoint_search", "InsufficientData"),
     seifert: ("derived_quantities",),
+    exact: ("Arc",),
     exact.ExtRational: (
         "floor", "frac", "_coerce", "_finite_pair", "__add__", "__radd__",
         "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",

@@ -8,7 +8,7 @@ import pytest
 
 from cableslopes.cable import CableParams
 from cableslopes.cli import CommandResult
-from cableslopes.exact import (_MAX, _MIN, INF, Arc, ExtRational, IntMobius,
+from cableslopes.exact import (_MAX, _MIN, INF, ExtRational, IntMobius,
                                SlopeSet)
 from cableslopes.intervals import RelativeIntervalResult
 from cableslopes.jn import JNResult, JNWitness
@@ -18,7 +18,7 @@ from cableslopes.seifert import DerivedQuantities
 R = ExtRational.parse
 HALF = R("1/2")
 DQ = DerivedQuantities(1, 1, 0, 0, -1, -1)
-T = Arc(R("-3/2"), ExtRational(-1))
+T = SlopeSet.interval(R("-3/2"), ExtRational(-1))
 T_STRICT = SlopeSet.interval(R("-3/2"), ExtRational(-1), False, False)
 
 # class, positional fields, the same fields by keyword, a differing
@@ -39,7 +39,7 @@ CASES = {
         RelativeIntervalResult, (T, T_STRICT, DQ),
         dict(t=T, t_strict=T_STRICT, quantities=DQ),
         RelativeIntervalResult(T, SlopeSet.empty(), DQ),
-        "RelativeIntervalResult(t=Arc([-3/2,-1]), "
+        "RelativeIntervalResult(t=SlopeSet([-3/2,-1]), "
         "t_strict=SlopeSet((-3/2,-1)), quantities=DerivedQuantities("
         "n=1, r1=1, s0=0, b0=0, m0=-1, m1=-1))"),
     "JNWitness": (
