@@ -11,9 +11,10 @@ holds the fiber slope off the inner image, and sends it out as pq.
 
 A piece is an interval of tau, so its union is one ray or the meet of
 two: [l, r], l the end of the rays at its high end, r of those at its
-low end, or infinity.  As det g = -1, [l, r] goes out as the arc from
-g(r) to g(l), into one cut list canonicalised once.  A ray ends where
-one interval does: t(at) when it is weak and includes at, else
+low end, or unbounded.  Each [l, r] that is not empty goes out, with
+the fiber slope, through ``exact._image``, the one step that maps arcs
+through a Moebius map, det g = -1 included.  A ray ends where one
+interval does: t(at) when it is weak and includes at, else
 cable_interval(params, {1}, at).t, whose tau slot is strict.  As
 t(tau + 1) = t(tau) - 1, further unit cells lie past the core end
 -floor(at) - 1, and t(k) = [-k - 1, -k] joins the cells.  In at's cell
@@ -31,8 +32,8 @@ degenerate.  Ends are built from divmod(at.num, at.den).
 import enum
 import math
 
-from .exact import (INF, ExtRational, IntMobius, SlopeSet, _Record, _as_rat,
-                    _directed_cuts, _point_cuts, mobius_set_image)
+from .exact import (ExtRational, IntMobius, SlopeSet, _image, _Record,
+                    _as_rat, mobius_set_image)
 from .intervals import _gates, _window, cable_interval
 
 
@@ -129,26 +130,20 @@ def cable_detected_set(params, input_set, mode):
         raise ValueError("mode must be a DetectionMode")
     inner = mobius_set_image(inner_basis_map(params), input_set)
     strict = mode is DetectionMode.STRONG
-    g = outer_basis_map(params)
-    ivs, inf = [], False
-    if inner.has_infinity:  # the fiber slope passes through in every mode
-        _point_cuts(g.apply(INF), ivs)
+    pieces = []
     for low, low_closed, high, high_closed in inner.affine_pieces():
         # t over the piece is [l, r] (see the module docstring)
-        l, lc = (INF, False) if high is None else _ray_end(
+        l, lc = (None, False) if high is None else _ray_end(
             params, "left", high, high_closed, strict)
-        r, rc = (INF, False) if low is None else _ray_end(
+        r, rc = (None, False) if low is None else _ray_end(
             params, "right", low, low_closed, strict)
-        if l.den and r.den:
+        if l is not None and r is not None:
             cross = l.num * r.den - r.num * l.den
             if cross > 0 or not (cross or lc and rc):
                 continue  # crossing ends, or equal ends not both closed
-            if not cross:
-                inf = _point_cuts(g.apply(l), ivs) or inf
-                continue
-        # det g = -1, so the image runs from g(r) to g(l)
-        inf = _directed_cuts(g.apply(r), rc, g.apply(l), lc, ivs) or inf
-    return SlopeSet(ivs, inf), "contains" if strict else "equals"
+        pieces.append((l, lc, r, rc))
+    return (_image(outer_basis_map(params), pieces, inner.has_infinity),
+            "contains" if strict else "equals")
 
 
 def torus_knot_detected(p, q):

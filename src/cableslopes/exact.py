@@ -570,21 +570,23 @@ def _directed_cuts(u, uc, v, vc, ivs):
 
 
 def mobius_set_image(m, s):
-    """Exact image of a SlopeSet under a Moebius map.
+    """Exact image of a SlopeSet under a Moebius map."""
+    return _image(m, s.affine_pieces(), s.has_infinity)
 
-    Works piece by piece and canonicalises once.  A point maps to a
-    point, and so does the point at infinity when it belongs to s.  Any
-    other affine piece is an arc avoiding infinity; its image is the
-    connected arc between the images of its ends, traversed positively
-    when det > 0 and negatively when det < 0.
+
+def _image(m, pieces, inf):
+    """Image under m of affine pieces (low, low_closed, high,
+    high_closed), None at an unbounded end, plus infinity when ``inf``
+    is set, canonicalised once.  A point maps to a point, and so does
+    infinity.  Any other piece is an arc avoiding infinity; its image
+    is the connected arc between the images of its ends, traversed
+    positively when det > 0 and negatively when det < 0.
     """
     a, b, c, d = m.a, m.b, m.c, m.d
     ivs = []
-    inf = False
-    if s.has_infinity:
-        inf = _point_cuts(ExtRational(a, c), ivs)
+    inf = inf and _point_cuts(ExtRational(a, c), ivs)
     flip = m.det < 0
-    for l, lc, h, hc in s.affine_pieces():
+    for l, lc, h, hc in pieces:
         u = (ExtRational(a, c) if l is None else
              ExtRational(a * l.num + b * l.den, c * l.num + d * l.den))
         if l is not None and l == h:

@@ -34,7 +34,8 @@ exactly the realised grid points; ``_spans`` gives them at b0 = 0.
   e = a + 1 - den.  c = den or a = 0 puts an end on a multiple of
   den, which is no grid point, so needs no case of its own.
 - With zero slots the range ignores the slot values, so every fn != 0
-  shares one range and the span covers its rows whole.
+  shares one range and the span covers its rows whole.  Its end takes
+  the cut of a closed end, m den + 1: m den is no grid point.
 - With one fixed slot v and no zero slot, the two values in (0, 1)
   must add up to b, so the one realised point is tau' = -v, b = 1.
 - For den = 1 the one residue is 0, a zero slot unless tau' is strict.
@@ -46,12 +47,12 @@ point disagrees exactly when an odd number of all these cuts is at
 most num, and sorted they bound the disagreements as [x0, x1),
 [x2, x3), ....  Each cut is built as a column over den, and when the
 columns are the spans' s and e, as for a correct t of a fractional
-tau, every pair cancels and nothing is swept.  Else the sweep reads s
-and e before they shrink to the hull's coprime ends, so it visits only
-numerators between disagreeing cuts.  A scan costs two sups, O(D)
-spans and cuts, a few gcds where a span end could move the hull and
-one per number in a disagreement, while ``tested_points`` still counts
-every grid point, rows times phi(den).
+tau or an integral one outside J, every pair cancels and nothing is
+swept.  Else the sweep reads s and e before they shrink to the hull's
+coprime ends, so it visits only numerators between disagreeing cuts.
+A scan costs two sups, O(D) spans and cuts, a few gcds where a span
+end could move the hull and one per number in a disagreement, while
+``tested_points`` still counts every grid point, rows times phi(den).
 
 The residues of one scan need no witness loop per denominator.  A
 witness for a higher slot value meets a lower one's inequality too, so
@@ -270,7 +271,7 @@ def _spans(fixed, zeros, strict, max_denominator):
     if zeros:
         # with zero slots any slot value gives the same range
         rng = _realisable_range(fixed + ((1, 2, strict),), zeros)
-        return out + [(-rng[-1] * den, (1 - rng[0]) * den) for den in dens]
+        return out + [(-rng[-1] * den, (1 - rng[0]) * den + 1) for den in dens]
     if k < 3:
         # arity 2: tau' = -v for the one fixed slot v = n/d, reduced
         (n, d, _), = fixed
@@ -382,6 +383,7 @@ def _relative_scan(fixed, zeros, strict, max_denominator, ends):
     # the hull so far is [ln/ld, hn/hd], 1/0 and -1/0 while empty; an end
     # shrinks to its first grid point only when it could move the hull
     # and still moves it: only an integer m can shrink, to m den +- 1
+    # (a zero-slot span ends at the cut m den + 1, so its e - 1 is one)
     ln, ld, hn, hd = 1, 0, -1, 0
     for den, (s, e) in enumerate(spans, 1):
         if s < e and s * ld < ln * den:

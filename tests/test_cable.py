@@ -7,9 +7,9 @@ import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 import loop_reference
-from cableslopes import intervals
-from cableslopes.cable import (CableParams, DetectionMode, _ray, bezout,
-                               cable_detected_set, cable_genus_bound,
+from cableslopes import intervals, jn, oracle
+from cableslopes.cable import (CableParams, DetectionMode, _ray, _ray_end,
+                               bezout, cable_detected_set, cable_genus_bound,
                                inner_basis_map, outer_basis_map, ray_union,
                                torus_knot_detected)
 from cableslopes.exact import (INF, ExtRational, IntMobius, SlopeSet,
@@ -187,6 +187,52 @@ class TestTorusKnots:
             assert regular == SlopeSet.ray_below(end).with_infinity()
             assert strong == SlopeSet.ray_below(end, False)
 
+    def test_dehn_filling_net(self):
+        """Torus-knot fillings: LO, the tuple deciders and the strong set.
+
+        For |m - pqn| >= 2, the m/n filling of T(p, q) is Seifert fibred
+        over the sphere with three exceptional fibres of weights
+        w = beta1/p, beta2/q and n/(m - pqn), where beta1 q + beta2 p = 1
+        (Moser 1971).  Its group has c_i^alpha_i h^beta_i = 1, for
+        w_i = beta_i/alpha_i, c_1 c_2 c_3 = 1 and h central.  A
+        horizontal foliation acts on the circle with h a unit shift; its
+        direction is free, and with h = sh(-1) each c_i has rotation
+        number w_i.  Then f_i = c_i sh(-floor(w_i)) has rotation number
+        gamma_i, the fractional part of w_i, and f_1 f_2 f_3 = sh(-b),
+        for b the sum of the floors: the tuple (J = {}; -b; gamma; ()).
+        Such a foliation exists exactly when the filling is LO (BRW
+        2005, BGW 2013), which is membership in the strong set.  Every
+        weight has its numerator coprime to its denominator >= 2, so
+        every gamma lies in (0, 1).  Anchors: T(2, 3)(+1) has weights
+        -1/2, 2/3, -1/5, so b = -2 and e = -1/30: the Poincare sphere,
+        of finite fundamental group, is not realisable.  T(2, 3)(-1),
+        with -1/7 and e = 1/42, is Sigma(2, 3, 7), which is LO.
+        """
+        slopes = 0
+        for p, q in ((2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (3, 7), (4, 5),
+                     (5, 7)):
+            strong = torus_knot_detected(p, q)[1]
+            beta2 = pow(p, -1, q)
+            beta1 = (1 - beta2 * p) // q
+            for n in range(1, 7):
+                for m in range(-60 * n, 60 * n + 1):
+                    if math.gcd(m, n) != 1 or abs(m - p * q * n) < 2:
+                        continue
+                    slopes += 1
+                    weights = (Fraction(beta1, p), Fraction(beta2, q),
+                               Fraction(n, m - p * q * n))
+                    b = sum(math.floor(w) for w in weights)
+                    gammas = [ExtRational(w.numerator % w.denominator,
+                                          w.denominator) for w in weights]
+                    lo = jn.decide(frozenset(), -b, gammas, ()).realizable
+                    assert oracle._decide_point(frozenset(), -b, gammas,
+                                                ()) == lo, (p, q, m, n)
+                    assert strong.contains(ExtRational(m, n)) == lo, (
+                        p, q, m, n)
+                    if (p, q, n) == (2, 3, 1) and abs(m) == 1:
+                        assert lo == (m == -1)
+        assert slopes == 11424
+
 
 class TestGenusBound:
     def test_formula(self):
@@ -285,6 +331,50 @@ class TestStrictRayTables:
                         assert at_tau0[strict].contains(end), (
                             p, q, tau0, side, strict)
         assert closed_rays == 19012
+
+    def test_ray_end_reached_at_or_beside_tau0(self):
+        # the converse of the subset check: every ray ends where t (weak)
+        # or t_strict (strict) ends on its side, at tau0 when tau0 is
+        # included and else at tau0 +- 10**-6 on the ray's side, where
+        # the end has reached its limit for den(tau0) <= 8; an excluded
+        # integral tau0 ends at the core end, a sup that t only
+        # approaches, so that end need only come within 10**-6;
+        # 69,384 rays on the grid of test_closed_end_attained_at_tau0
+        eps = Fraction(1, 10**6)
+        rays = 0
+        for p, q in itertools.product(range(1, 12), range(2, 9)):
+            if math.gcd(p, q) != 1:
+                continue
+            params = bezout(p, q)
+
+            def t_at(tau, strict):
+                tau = ExtRational(tau.numerator, tau.denominator)
+                if strict:
+                    return cable_interval(params, frozenset({1}),
+                                          tau).t_strict
+                return cable_interval(params, frozenset(), tau).t
+
+            for tau0 in {Fraction(n, d) for d in range(1, 9)
+                         for n in range(-4 * d, 4 * d + 1)}:
+                at_tau0 = {strict: t_at(tau0, strict)
+                           for strict in (False, True)}
+                for side, include, strict in itertools.product(
+                        ("right", "left"), (True, False), (False, True)):
+                    rays += 1
+                    end, _ = _ray_end(params, side, ExtRational(
+                        tau0.numerator, tau0.denominator), include, strict)
+                    if include:
+                        t = at_tau0[strict]
+                    else:
+                        t = t_at(tau0 + (eps if side == "right" else -eps),
+                                 strict)
+                    want = t.high if side == "right" else t.low
+                    case = (p, q, tau0, side, include, strict)
+                    if include or tau0.denominator > 1:
+                        assert end == want, case
+                    else:
+                        assert abs(_frac(end) - _frac(want)) <= eps, case
+        assert rays == 69384
 
     def test_closed_integral_endpoint_attained(self):
         # tau0 integral and included: the single point -tau0-gamma is

@@ -344,6 +344,9 @@ class TestIndependence:
                     bound.add(node.id)
         assert sorted(set(ours)) == [".exact", ".intervals"]
         assert "extremal_slot_value" not in bound
+        # nor does it build cut lists or map arcs: exact._image does
+        assert not bound & {"INF", "_point_cuts", "_directed_cuts",
+                            "_low_cut", "_high_cut", "_MIN", "_MAX"}
 
 
 class TestGridScan:
