@@ -85,10 +85,11 @@ def _ray_end(params, side, at, include, strict):
     """
     gamma = params.gamma
     fl, tn = divmod(at.num, at.den)  # at = fl + tn/den, 0 <= tn < den
-    if not tn:
+    if not tn:  # gamma is reduced, so these ends are too
         if include and not strict:
-            return ExtRational(-fl if side == "right" else -fl - 1), True
-        return (ExtRational(-fl * gamma.den - gamma.num, gamma.den),
+            end = -fl if side == "right" else -fl - 1
+            return ExtRational._reduced(end, 1), True
+        return (ExtRational._reduced(-fl * gamma.den - gamma.num, gamma.den),
                 strict and include)
     fixed = [(gamma.num, gamma.den, True),
              (tn, at.den, strict or not include)]

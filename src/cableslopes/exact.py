@@ -19,7 +19,10 @@ ExtRational or an int by cross-multiplying integers, and the SlopeSet
 algebra works in one pass over sorted cut lists (complement and
 intersect build their results already canonical, as do the one-interval
 point, interval and rays; Moebius images apply the map's integers to
-each end and, like unions of many sets, canonicalise once).
+each end and, like unions of many sets, canonicalise once).  A map of
+det +-1 sends a coprime pair to a coprime pair (Graham-Knuth-Patashnik,
+Concrete Mathematics 4.5), so its image ends need a sign and no gcd,
+and the cut rules order ends by one integer cross product.
 """
 
 import math
@@ -526,46 +529,49 @@ class IntMobius(_Record):
 
     def apply(self, x):
         x = _as_rat(x)
-        return ExtRational(self.a * x.num + self.b * x.den,
-                           self.c * x.num + self.d * x.den)
+        return _end(self.a * x.num + self.b * x.den,
+                    self.c * x.num + self.d * x.den, self.det in (1, -1))
 
     def __repr__(self):
         return "IntMobius(%d, %d, %d, %d)" % (self.a, self.b, self.c, self.d)
 
 
+def _end(num, den, unit):
+    """The image end num/den; with ``unit`` (det +-1) it needs no gcd."""
+    if not unit:
+        return ExtRational(num, den)
+    if den < 0:
+        return ExtRational._reduced(-num, -den)
+    return ExtRational._reduced(num, den) if den else INF
+
+
 def _point_cuts(x, ivs):
     """Add the point x to the cut list ivs; True when x is infinity."""
-    if x.is_infinite:
+    if not x.den:
         return True
-    ivs.append((_low_cut(x, True), _high_cut(x, True)))
+    ivs.append(((0, x, 0), (0, x, 1)))
     return False
 
 
 def _directed_cuts(u, uc, v, vc, ivs):
     """Add the directed arc from u to v (positively) to the cut list ivs.
 
-    Returns whether the arc passes through infinity.  Equal ends come
-    only from the affine line, whose image is everything except the
-    image u of infinity.
+    Returns whether the arc passes through infinity.  Ends are reduced,
+    so one cross product orders two finite ends.  Equal ends come only
+    from the affine line, whose ends are open: its image wraps through
+    infinity and leaves out the image u of infinity alone.
     """
-    if u == v:
-        if u.is_infinite:
-            ivs.append((_MIN, _MAX))
-            return False
-        ivs.append((_MIN, _low_cut(u, True)))
-        ivs.append((_high_cut(u, True), _MAX))
-        return True
-    if u.is_infinite:
-        ivs.append((_MIN, _high_cut(v, vc)))
+    lo, hi = (0, u, 0 if uc else 1), (0, v, 1 if vc else 0)
+    if not u.den:
+        ivs.append((_MIN, hi if v.den else _MAX))
         return uc
-    if v.is_infinite:
-        ivs.append((_low_cut(u, uc), _MAX))
+    if not v.den:
+        ivs.append((lo, _MAX))
         return vc
-    if u < v:
-        ivs.append((_low_cut(u, uc), _high_cut(v, vc)))
+    if u.num * v.den < v.num * u.den:
+        ivs.append((lo, hi))
         return False
-    ivs.append((_low_cut(u, uc), _MAX))
-    ivs.append((_MIN, _high_cut(v, vc)))
+    ivs += [(lo, _MAX), (_MIN, hi)]
     return True
 
 
@@ -583,18 +589,21 @@ def _image(m, pieces, inf):
     positively when det > 0 and negatively when det < 0.
     """
     a, b, c, d = m.a, m.b, m.c, m.d
+    det = m.det
+    unit = det in (1, -1)
+    at_inf = _end(a, c, unit)
     ivs = []
-    inf = inf and _point_cuts(ExtRational(a, c), ivs)
-    flip = m.det < 0
+    inf = inf and _point_cuts(at_inf, ivs)
     for l, lc, h, hc in pieces:
-        u = (ExtRational(a, c) if l is None else
-             ExtRational(a * l.num + b * l.den, c * l.num + d * l.den))
-        if l is not None and l == h:
+        u = at_inf if l is None else _end(
+            a * l.num + b * l.den, c * l.num + d * l.den, unit)
+        if (l is not None and h is not None
+                and l.num == h.num and l.den == h.den):
             inf = _point_cuts(u, ivs) or inf
             continue
-        v = (ExtRational(a, c) if h is None else
-             ExtRational(a * h.num + b * h.den, c * h.num + d * h.den))
-        if flip:
+        v = at_inf if h is None else _end(
+            a * h.num + b * h.den, c * h.num + d * h.den, unit)
+        if det < 0:
             u, lc, v, hc = v, hc, u, lc
         inf = _directed_cuts(u, lc, v, hc, ivs) or inf
     return SlopeSet(ivs, inf)

@@ -29,6 +29,18 @@ TAUS = st.integers(1, 30).flatmap(
     lambda d: st.integers(-4 * d, 4 * d).map(lambda n: ExtRational(n, d)))
 
 
+def _seifert_lo(weights):
+    """Whether the tuple (J = {}; -b; frac(w_i); ()) of a Seifert fibred
+    space over the sphere with weights w_i is realisable, b the sum of
+    their floors; ``jn.decide`` and the oracle must agree."""
+    b = sum(math.floor(w) for w in weights)
+    gammas = [ExtRational(w.numerator % w.denominator, w.denominator)
+              for w in weights]
+    lo = jn.decide(frozenset(), -b, gammas, ()).realizable
+    assert oracle._decide_point(frozenset(), -b, gammas, ()) == lo, weights
+    return lo
+
+
 def _arc_text(left, low, high, right):
     """An arc's text; equal ends make a point, so both brackets close
     and no drawn arc is a degenerate open one."""
@@ -219,19 +231,56 @@ class TestTorusKnots:
                     if math.gcd(m, n) != 1 or abs(m - p * q * n) < 2:
                         continue
                     slopes += 1
-                    weights = (Fraction(beta1, p), Fraction(beta2, q),
-                               Fraction(n, m - p * q * n))
-                    b = sum(math.floor(w) for w in weights)
-                    gammas = [ExtRational(w.numerator % w.denominator,
-                                          w.denominator) for w in weights]
-                    lo = jn.decide(frozenset(), -b, gammas, ()).realizable
-                    assert oracle._decide_point(frozenset(), -b, gammas,
-                                                ()) == lo, (p, q, m, n)
+                    lo = _seifert_lo((Fraction(beta1, p), Fraction(beta2, q),
+                                      Fraction(n, m - p * q * n)))
                     assert strong.contains(ExtRational(m, n)) == lo, (
                         p, q, m, n)
                     if (p, q, n) == (2, 3, 1) and abs(m) == 1:
                         assert lo == (m == -1)
         assert slopes == 11424
+
+
+class TestBrieskorn:
+    def test_brieskorn_spheres(self):
+        """Brieskorn spheres: the tuple deciders and Milnor's criterion.
+
+        For pairwise coprime a1 < a2 < a3, Sigma(a1, a2, a3) is Seifert
+        fibred over the sphere with weights beta_i/a_i adding up to
+        e = +-1/(a1 a2 a3), one sign per orientation.  Take beta_i =
+        +-(a_j a_k)^-1 mod a_i for i = 2, 3: then beta_2 a1 a3 and
+        beta_3 a1 a2 are +-1 mod a2 and mod a3, so +-1 - beta_2 a1 a3 -
+        beta_3 a1 a2 is a multiple of a2 a3, and beta_1 is that multiple:
+        the residue +-(a2 a3)^-1 mod a1, shifted by a multiple of a1 so
+        that the weights add up to e.
+        Each weight has its numerator coprime to a_i >= 2, and the tuple
+        (J = {}; -b; frac(w_i); ()) is built as in the torus-knot
+        filling net.  The manifold has a horizontal foliation, and is
+        LO, exactly when 1/a1 + 1/a2 + 1/a3 < 1 (Milnor 1975; BRW 2005):
+        then it is a quotient of the universal cover of PSL2(R); else it
+        is Sigma(2, 3, 5), the Poincare sphere, of finite fundamental
+        group.
+        """
+        cases = 0
+        for a1, a2, a3 in itertools.combinations(range(2, 20), 3):
+            if math.gcd(a1, a2) * math.gcd(a1, a3) * math.gcd(a2, a3) > 1:
+                continue
+            for sign in (1, -1):
+                beta2 = sign * pow(a1 * a3, -1, a2)
+                beta3 = sign * pow(a1 * a2, -1, a3)
+                beta1, rest = divmod(sign - beta2 * a1 * a3 - beta3 * a1 * a2,
+                                     a2 * a3)
+                assert not rest
+                weights = (Fraction(beta1, a1), Fraction(beta2, a2),
+                           Fraction(beta3, a3))
+                assert sum(weights) == Fraction(sign, a1 * a2 * a3)
+                lo = _seifert_lo(weights)
+                hyperbolic = Fraction(1, a1) + Fraction(1, a2) + Fraction(
+                    1, a3) < 1
+                assert lo == hyperbolic, (a1, a2, a3, sign)
+                if (a1, a2) == (2, 3) and a3 in (5, 7):
+                    assert lo == (a3 == 7)
+                cases += 1
+        assert cases == 554
 
 
 class TestGenusBound:

@@ -1,8 +1,10 @@
+import math
 import operator
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from cableslopes.cable import CableParams
 from cableslopes.exact import (INF, ExtRational, IntMobius, SlopeSet,
                                mobius_set_image, parse_slope_set)
 
@@ -400,3 +402,75 @@ class TestMobius:
     @given(mobius_maps, slope_sets())
     def test_set_image_round_trip(self, m, s):
         assert mobius_set_image(_inverse(m), mobius_set_image(m, s)) == s
+
+
+@st.composite
+def unimodular_maps(draw):
+    """Maps of det +-1: the inner and outer maps of a cable with p up to
+    10^30 and q up to 10^15, products of generators of SL2(Z) (S and
+    T^k) or of GL2(Z) (also R: x -> -x), and a fifth with c = 0."""
+    kind = draw(st.integers(0, 4))
+    if kind == 0:
+        return IntMobius(draw(st.sampled_from((1, -1))),
+                         draw(st.integers(-10**12, 10**12)), 0,
+                         draw(st.sampled_from((1, -1))))
+    if kind == 1:
+        p, q = draw(st.integers(1, 10**30)), draw(st.integers(2, 10**15))
+        assume(math.gcd(p, q) == 1)
+        params = CableParams(p, q)
+        return draw(st.sampled_from((params._inner, params._outer)))
+    a, b, c, d = 1, 0, 0, 1
+    for gen in draw(st.lists(st.integers(-10**6, 10**6), min_size=1,
+                             max_size=8)):
+        if gen == 0:  # S: x -> -1/x
+            a, b, c, d = b, -a, d, -c
+        elif gen == 1 and kind == 2:  # R, in GL2(Z) only
+            a, c = -a, -c
+        else:  # T^gen: x -> x + gen
+            b, d = a * gen + b, c * gen + d
+    return IntMobius(a, b, c, d)
+
+
+def _assert_checked(value):
+    # a trusted end is the one the checked constructor builds; == reads
+    # num and den, so a sign or a common factor left over fails
+    assert ExtRational(value.num, value.den) == value
+
+
+def _assert_trusted_ends(s):
+    for cut in (cut for iv in s._ivs for cut in iv if len(cut) == 3):
+        assert cut[1].den > 0
+        _assert_checked(cut[1])
+
+
+class TestTrustedImageEnds:
+    """``mobius_set_image`` and ``IntMobius.apply`` build the ends of a
+    det +-1 map with the trusted ``ExtRational._reduced``, and those of
+    any other map through the gcd; each end equals its checked
+    rebuild."""
+
+    @settings(max_examples=300, deadline=None)
+    @example(IntMobius(0, -1, 1, 0), SlopeSet.full())
+    @example(IntMobius(-1, 5, 0, 1), SlopeSet.reals())
+    @given(st.one_of(unimodular_maps(), mobius_maps), slope_sets())
+    def test_image_ends_equal_checked_rebuild(self, m, s):
+        image = mobius_set_image(m, s)
+        _assert_trusted_ends(image)
+        for x in _endpoints(s) + [INF, ExtRational(0)]:
+            y = m.apply(x)
+            _assert_checked(y)
+            assert image.contains(y) == s.contains(x)
+
+    def test_non_unimodular_maps_keep_the_gcd(self):
+        double = IntMobius(2, 0, 0, 1)
+        image = mobius_set_image(double, parse_slope_set("[1/2,3/2]"))
+        assert image == SlopeSet.interval(1, 3) and str(image) == "[1,3]"
+        assert double.apply(R("1/2")) == 1
+        assert double.apply(R("-3/4")) == R("-3/2")
+        scalar = IntMobius(2, 0, 0, 2)
+        assert scalar.apply(R("1/2")) == R("1/2")
+        assert scalar.apply(INF) == INF
+        for text in ("[1/2,3/2]", "(-inf,-1/3] U {2/3} U {inf}", "[3,-5)"):
+            s = parse_slope_set(text)
+            assert mobius_set_image(scalar, s) == s
+            _assert_trusted_ends(mobius_set_image(scalar, s))
