@@ -11,11 +11,11 @@ holds the fiber slope off the inner image, and sends it out as pq.
 
 A piece is an interval of tau, so its union is one ray or the meet of
 two: [l, r], l the end of the rays at its high end, r of those at its
-low end, or unbounded.  Each [l, r] that is not empty goes out, with
-the fiber slope, through ``exact._image``, the one step that maps arcs
-through a Moebius map, det g = -1 included.  A ray ends where one
-interval does: t(at) when it is weak and includes at, else
-cable_interval(params, {1}, at).t, whose tau slot is strict.  As
+low end, or unbounded.  Each [l, r] goes out, with the fiber slope,
+through ``exact._image``, the one step that maps arcs through a
+Moebius map, det g = -1 included; it drops the empty ones.  A ray
+ends where one interval does: t(at) when it is weak and includes at,
+else cable_interval(params, {1}, at).t, whose tau slot is strict.  As
 t(tau + 1) = t(tau) - 1, further unit cells lie past the core end
 -floor(at) - 1, and t(k) = [-k - 1, -k] joins the cells.  In at's cell
 t's far end is the core end plus or minus the window width w, which
@@ -138,10 +138,6 @@ def cable_detected_set(params, input_set, mode):
             params, "left", high, high_closed, strict)
         r, rc = (None, False) if low is None else _ray_end(
             params, "right", low, low_closed, strict)
-        if l is not None and r is not None:
-            cross = l.num * r.den - r.num * l.den
-            if cross > 0 or not (cross or lc and rc):
-                continue  # crossing ends, or equal ends not both closed
         pieces.append((l, lc, r, rc))
     return (_image(outer_basis_map(params), pieces, inner.has_infinity),
             "contains" if strict else "equals")

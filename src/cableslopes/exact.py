@@ -11,18 +11,20 @@ Values are validated where they enter: by the public constructors and
 at each public entry.  Code that has proved what a check proves builds
 with a trusted constructor: the caller of ``ExtRational._reduced``
 guarantees den > 0 and gcd(num, den) = 1, and the caller of
-``SlopeSet._canonical`` a canonical cut list.  ``_Record``, the base of
-the value types, refuses change.
+``SlopeSet._arc``, which builds every one-arc set, reduced ends; no
+other module writes a cut.  ``_Record``, the base of the value types,
+refuses change.
 
 The hot paths avoid building objects: ExtRational compares another
 ExtRational or an int by cross-multiplying integers, and the SlopeSet
 algebra works in one pass over sorted cut lists (complement and
-intersect build their results already canonical, as do the one-interval
-point, interval and rays; Moebius images apply the map's integers to
-each end and, like unions of many sets, canonicalise once).  A map of
-det +-1 sends a coprime pair to a coprime pair (Graham-Knuth-Patashnik,
-Concrete Mathematics 4.5), so its image ends need a sign and no gcd,
-and the cut rules order ends by one integer cross product.
+intersect build their results already canonical, as ``_arc`` does;
+Moebius images apply the map's integers to each end and, like unions
+of many sets, canonicalise once).  A map of det +-1 sends a coprime
+pair to a coprime pair (Graham-Knuth-Patashnik, Concrete Mathematics
+4.5), so its image ends need a sign and no gcd.  Two ends are ordered
+by one integer cross product, in the cut rules and in ``_arc_empty``,
+the one rule for an empty arc.
 """
 
 import math
@@ -214,19 +216,21 @@ def _arc_text(low, low_closed, high, high_closed):
 
 _MIN = (-1,)  # below every rational
 _MAX = (1,)   # above every rational
-_INFINITE_END = "interval and ray ends must be finite"
 
 
-def _low_cut(value, closed):
-    if value is None:
-        return _MIN
-    return (0, value, 0 if closed else 1)
+def _finite(x):
+    """x as an ExtRational, checked to be finite: an interval or ray end."""
+    x = _as_rat(x)
+    if not x.den:
+        raise ValueError("interval and ray ends must be finite")
+    return x
 
 
-def _high_cut(value, closed):
-    if value is None:
-        return _MAX
-    return (0, value, 1 if closed else 0)
+def _arc_empty(low, low_closed, high, high_closed):
+    """Whether finite, reduced ends bound the empty arc: they cross, or
+    they are equal and not both closed.  One cross product decides."""
+    cross = low.num * high.den - high.num * low.den
+    return cross > 0 or not (cross or low_closed and high_closed)
 
 
 def _merge_cut_intervals(ivs):
@@ -271,42 +275,43 @@ class SlopeSet(_Record):
 
     @classmethod
     def full(cls):
-        return cls([(_MIN, _MAX)], True)
+        return cls.reals().with_infinity()
 
     @classmethod
     def reals(cls):
-        return cls([(_MIN, _MAX)], False)
+        return cls._arc(None, False, None, False)
+
+    @classmethod
+    def _arc(cls, low, low_closed, high, high_closed):
+        """The one arc from low to high, the inverse of ``affine_pieces()``:
+        None marks an unbounded end, and other ends are reduced.  Empty
+        when ``_arc_empty`` says so."""
+        if low is not None and high is not None and _arc_empty(
+                low, low_closed, high, high_closed):
+            return cls._canonical(())
+        return cls._canonical(((
+            _MIN if low is None else (0, low, 0 if low_closed else 1),
+            _MAX if high is None else (0, high, 1 if high_closed else 0)),))
 
     @classmethod
     def point(cls, x):
         x = _as_rat(x)
         if x.is_infinite:
             return cls._canonical((), True)
-        return cls._canonical([(_low_cut(x, True), _high_cut(x, True))])
+        return cls._arc(x, True, x, True)
 
     @classmethod
     def interval(cls, low, high, low_closed=True, high_closed=True):
         """The affine interval between two finite rationals."""
-        low, high = _as_rat(low), _as_rat(high)
-        if not (low.den and high.den):
-            raise ValueError(_INFINITE_END)
-        lo = _low_cut(low, low_closed)
-        hi = _high_cut(high, high_closed)
-        return cls._canonical([(lo, hi)] if lo < hi else [])
+        return cls._arc(_finite(low), low_closed, _finite(high), high_closed)
 
     @classmethod
     def ray_below(cls, high, closed=True):
-        high = _as_rat(high)
-        if not high.den:
-            raise ValueError(_INFINITE_END)
-        return cls._canonical([(_MIN, _high_cut(high, closed))])
+        return cls._arc(None, False, _finite(high), closed)
 
     @classmethod
     def ray_above(cls, low, closed=True):
-        low = _as_rat(low)
-        if not low.den:
-            raise ValueError(_INFINITE_END)
-        return cls._canonical([(_low_cut(low, closed), _MAX)])
+        return cls._arc(_finite(low), closed, None, False)
 
     # -- queries -------------------------------------------------------
 
@@ -338,8 +343,8 @@ class SlopeSet(_Record):
         x = _as_rat(x)
         if x.is_infinite:
             return self._inf
-        lo = _low_cut(x, True)
-        hi = _high_cut(x, True)
+        # the point's own cuts, not _arc's: the tests' membership model
+        lo, hi = (0, x, 0), (0, x, 1)
         return any(a <= lo and hi <= b for a, b in self._ivs)
 
     def __eq__(self, other):
@@ -583,10 +588,11 @@ def mobius_set_image(m, s):
 def _image(m, pieces, inf):
     """Image under m of affine pieces (low, low_closed, high,
     high_closed), None at an unbounded end, plus infinity when ``inf``
-    is set, canonicalised once.  A point maps to a point, and so does
-    infinity.  Any other piece is an arc avoiding infinity; its image
-    is the connected arc between the images of its ends, traversed
-    positively when det > 0 and negatively when det < 0.
+    is set, canonicalised once.  An empty piece (see ``_arc_empty``)
+    is dropped.  A point maps to a point, and so does infinity.  Any
+    other piece is an arc avoiding infinity; its image is the connected
+    arc between the images of its ends, traversed positively when
+    det > 0 and negatively when det < 0.
     """
     a, b, c, d = m.a, m.b, m.c, m.d
     det = m.det
@@ -595,10 +601,12 @@ def _image(m, pieces, inf):
     ivs = []
     inf = inf and _point_cuts(at_inf, ivs)
     for l, lc, h, hc in pieces:
+        finite = l is not None and h is not None
+        if finite and _arc_empty(l, lc, h, hc):
+            continue
         u = at_inf if l is None else _end(
             a * l.num + b * l.den, c * l.num + d * l.den, unit)
-        if (l is not None and h is not None
-                and l.num == h.num and l.den == h.den):
+        if finite and l.num == h.num and l.den == h.den:
             inf = _point_cuts(u, ivs) or inf
             continue
         v = at_inf if h is None else _end(

@@ -17,11 +17,13 @@ Everything else is integer work on the (num, den, strict) slots of
 compares the sum of two slots with 1, the left window complements each
 slot to (den - num, den), and each end m0 - w or m1 + w is built once.
 Those slots are reduced and w is, so every end is a reduced pair with
-den > 0 and is built by ``ExtRational._reduced``, and t and t_strict
-are built from their cut lists by ``SlopeSet._canonical``, with no gcd
-and no merge.  ``extremal_slot_value`` is a public entry and validates
-its slots again, in its pass over the caps.  ``cable._ray_end`` reads
-its ray end off the same gate and window.
+den > 0 and is built by ``ExtRational._reduced``.  Each case of
+``_interval`` finds the two ends and whether t and t_strict close
+them, and ``SlopeSet._arc`` builds both sets from that, with no gcd
+and no merge: t_strict is closed only when it is a point.
+``extremal_slot_value`` is a public entry and validates its slots
+again, in its pass over the caps.  ``cable._ray_end`` reads its ray
+end off the same gate and window.
 """
 
 from .exact import ExtRational, SlopeSet, _Record
@@ -94,30 +96,23 @@ def _interval(dq, fixed):
     A zero slot alone takes the core: m0 = m1 = b0, so t = {b0} and
     t_strict, the open core, is empty.
     """
+    closed, degenerate = True, False  # whether t, t_strict close ends
     if not dq.s0 and dq.n + dq.r1 < 2:
         num, den = fixed[0][:2] if fixed else (0, 1)
-        v = ExtRational._reduced(dq.b0 * den - num, den)
-        point = SlopeSet._canonical([((0, v, 0), (0, v, 1))])
-        return RelativeIntervalResult(
-            point if fixed else SlopeSet._canonical(()), point, dq)
-    if dq.s0 > 0:
+        lo = hi = ExtRational._reduced(dq.b0 * den - num, den)
+        closed, degenerate = bool(fixed), True
+    elif dq.s0:
         # t_strict is the open core (m0, m1), empty when m0 = m1
         lo = ExtRational._reduced(dq.m0, 1)
         hi = ExtRational._reduced(dq.m1, 1)
-        cuts = [((0, lo, 1), (0, hi, 0))] if dq.m0 < dq.m1 else []
     else:
+        # degenerate shuts both windows: lo = m0 = hi
         left_opens, right_opens, degenerate = _gates(fixed)
         lo = _window(fixed, left_opens, dq.m0, -1)
         hi = _window(fixed, right_opens, dq.m1, 1)
-        if degenerate:  # both windows shut: lo = m0 = hi
-            cuts = [((0, lo, 0), (0, lo, 1))]
-        elif lo == hi:
-            cuts = []
-        else:
-            cuts = [((0, lo, 1), (0, hi, 0))]
     return RelativeIntervalResult(
-        SlopeSet._canonical([((0, lo, 0), (0, hi, 1))]),
-        SlopeSet._canonical(cuts), dq)
+        SlopeSet._arc(lo, closed, hi, closed),
+        SlopeSet._arc(lo, degenerate, hi, degenerate), dq)
 
 
 def relative_interval(gammas, taus, J):

@@ -37,7 +37,8 @@ exactly the realised grid points; ``_spans`` gives them at b0 = 0.
   shares one range and the span covers its rows whole.  Its end takes
   the cut of a closed end, m den + 1: m den is no grid point.
 - With one fixed slot v and no zero slot, the two values in (0, 1)
-  must add up to b, so the one realised point is tau' = -v, b = 1.
+  must add up to b, so the one realised point is tau' = -v, b = 1,
+  and each den's span is that point's own member cuts.
 - For den = 1 the one residue is 0, a zero slot unless tau' is strict.
 
 The expected set becomes integer cuts on the numerator, two per affine
@@ -262,7 +263,7 @@ def _spans(fixed, zeros, strict, max_denominator):
     tau' = num/den with num coprime to den is realisable, with the
     (num, den, strict) slots ``fixed``, ``zeros`` zero slots and
     b0 = 0, exactly when s <= num < e; the module docstring derives
-    each case.  An empty span is (0, 0).
+    each case.  A span with s >= e is empty.
     """
     k = len(fixed) + 1
     dens = range(2, max_denominator + 1)
@@ -273,11 +274,10 @@ def _spans(fixed, zeros, strict, max_denominator):
         rng = _realisable_range(fixed + ((1, 2, strict),), zeros)
         return out + [(-rng[-1] * den, (1 - rng[0]) * den + 1) for den in dens]
     if k < 3:
-        # arity 2: tau' = -v for the one fixed slot v = n/d, reduced
+        # arity 2: tau' = -v alone, v = n/d the one fixed slot; each
+        # span is that point's member cuts
         (n, d, _), = fixed
-        g = math.gcd(n, d)
-        return out + [(-(n // g), 1 - n // g) if den == d // g else (0, 0)
-                      for den in dens]
+        return out + [(-(n * den // d), -n * den // d + 1) for den in dens]
     # fn/den has a b = 1 witness when it is <= W = x/y (< W if strict),
     # and its complement one when 1 - fn/den is <= cx/cy (<); W > 0
     # keeps each floor >= 0, and W = 0 gives 0 once strict is dropped

@@ -1,5 +1,6 @@
 import math
 import operator
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -90,8 +91,62 @@ class TestExtRational:
             R("0/0")
 
 
+# ends a float compare cannot tell apart: 1 + 10**-20 < 1 + 1/(10**20 - 1)
+NEAR_LOW = ExtRational(10**20 + 1, 10**20)
+NEAR_HIGH = ExtRational(10**20, 10**20 - 1)
+# an end of an affine piece: None where it is unbounded
+arc_ends = st.one_of(st.none(), st.builds(ExtRational, st.integers(-40, 40),
+                                          st.integers(1, 10)))
+
+
 class TestArc:
-    """The arcs of a SlopeSet, as parsed and printed."""
+    """The arcs of a SlopeSet, as built, parsed and printed."""
+
+    @pytest.mark.parametrize("low, low_closed, high, high_closed, text", [
+        # crossing ends
+        (R("2"), True, R("1"), True, "{}"),
+        (R("1/3"), True, R("-1/2"), True, "{}"),
+        (NEAR_HIGH, True, NEAR_LOW, True, "{}"),
+        # equal ends, closed on both sides or neither
+        (R("3/2"), True, R("3/2"), True, "{3/2}"),
+        (R("3/2"), True, R("3/2"), False, "{}"),
+        (R("3/2"), False, R("3/2"), True, "{}"),
+        (R("3/2"), False, R("3/2"), False, "{}"),
+        (R("-1/2"), False, R("1/3"), True, "(-1/2,1/3]"),
+        (NEAR_LOW, False, NEAR_HIGH, False, "(%s,%s)" % (NEAR_LOW,
+                                                         NEAR_HIGH)),
+        # None ends
+        (None, False, R("7"), True, "(-inf,7]"),
+        (R("-7"), True, None, False, "[-7,inf)"),
+        (None, False, None, False, "(-inf,inf)"),
+    ])
+    def test_arc_table(self, low, low_closed, high, high_closed, text):
+        arc = SlopeSet._arc(low, low_closed, high, high_closed)
+        assert str(arc) == text and not arc.has_infinity
+        _assert_canonical(arc)
+        if arc:  # the inverse of affine_pieces
+            assert arc.affine_pieces() == [(low, low_closed, high,
+                                            high_closed)]
+
+    @settings(max_examples=300, deadline=None)
+    @example(R("3/2"), True, R("3/2"), True)
+    @given(arc_ends, st.booleans(), arc_ends, st.booleans())
+    def test_membership_matches_fraction_model(self, low, low_closed, high,
+                                               high_closed):
+        arc = SlopeSet._arc(low, low_closed, high, high_closed)
+        lo, hi = (None if x is None else Fraction(x.num, x.den)
+                  for x in (low, high))
+        grid = {Fraction(n, 6) for n in range(-246, 247)}
+        for end in (lo, hi):
+            if end is not None:
+                grid |= {end - Fraction(1, 100), end, end + Fraction(1, 100)}
+        for x in grid:
+            inside = ((lo is None or lo < x or lo == x and low_closed)
+                      and (hi is None or x < hi or x == hi and high_closed))
+            assert arc.contains(ExtRational(x.numerator,
+                                            x.denominator)) == inside, x
+        assert not arc.has_infinity
+        _assert_canonical(arc)
 
     def test_contains_plain(self):
         arc = parse_slope_set("[1/2,3)")

@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cableslopes import cable, oracle
+from cableslopes import cable, intervals, oracle
 from cableslopes.cable import bezout
 from cableslopes.exact import (INF, ExtRational, IntMobius, SlopeSet,
                                mobius_set_image)
@@ -144,6 +144,29 @@ class TestSpans:
                 want |= {fl * den + fn for fl in rows if b0 - fl in rng}
             assert {num for num in range(s, e)
                     if math.gcd(num, den) == 1} == want
+
+    def test_one_slot_columns_are_the_spans(self):
+        # with the one fixed slot gamma (an integral tau in J) the span of
+        # each den is the member cuts of the one realised point, so a
+        # correct t passes the scan's column test and is not swept
+        dens = range(1, 25)
+        for p, q in itertools.product(range(1, 8), range(2, 8)):
+            if math.gcd(p, q) != 1:
+                continue
+            params = bezout(p, q)
+            for tau, strict in itertools.product(
+                    map(ExtRational, (-2, 0, 3)), (False, True)):
+                res = cable_interval(params, frozenset({1}), tau)
+                b0, fixed, zeros = oracle._reduce(
+                    {1}, 0, (params.gamma,), (tau,))
+                assert len(fixed) == 1 and not zeros
+                ends = oracle._member_cuts(
+                    (res.t_strict if strict else res.t).affine_pieces(),
+                    b0, *oracle._scan_rows(fixed, zeros))
+                cols = [[(n * den + off) // d for den in dens]
+                        for n, off, d in ends]
+                spans = _spans(fixed, zeros, strict, len(dens))
+                assert cols == list(map(list, zip(*spans))), (p, q, tau)
 
 
 @st.composite
@@ -347,6 +370,19 @@ class TestIndependence:
         # nor does it build cut lists or map arcs: exact._image does
         assert not bound & {"INF", "_point_cuts", "_directed_cuts",
                             "_low_cut", "_high_cut", "_MIN", "_MAX"}
+
+    def test_no_cut_lists_above_exact(self):
+        # every one-arc set is exact's SlopeSet._arc: intervals and cable
+        # name no _canonical and write no (0, end, side) cut literal
+        for module in (intervals, cable):
+            tree = ast.parse(Path(module.__file__).read_text())
+            for node in ast.walk(tree):
+                assert getattr(node, "attr", None) != "_canonical"
+                assert getattr(node, "id", None) != "_canonical"
+                if isinstance(node, ast.Tuple) and len(node.elts) == 3:
+                    first = node.elts[0]
+                    assert not (isinstance(first, ast.Constant)
+                                and first.value == 0), module.__name__
 
 
 class TestGridScan:

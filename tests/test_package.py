@@ -16,7 +16,7 @@ REMOVED = {
     jn: ("UnsupportedArity", "_least_caps", "_cap_outside"),
     intervals: ("WindowClosed", "endpoint_search", "InsufficientData"),
     seifert: ("derived_quantities",),
-    exact: ("Arc",),
+    exact: ("Arc", "_low_cut", "_high_cut"),
     exact.ExtRational: (
         "floor", "frac", "_coerce", "_finite_pair", "__add__", "__radd__",
         "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
