@@ -11,9 +11,10 @@ Values are validated where they enter: by the public constructors and
 at each public entry.  Code that has proved what a check proves builds
 with a trusted constructor: the caller of ``ExtRational._reduced``
 guarantees den > 0 and gcd(num, den) = 1, and the caller of
-``SlopeSet._arc``, which builds every one-arc set, reduced ends; no
-other module writes a cut.  ``_Record``, the base of the value types,
-refuses change.
+``SlopeSet._arc``, which builds every one-arc set, reduced ends.  Every
+cut pair comes from ``_cuts``, bar the point cuts of ``contains``, the
+membership model; no other module writes a cut.  ``_Record``, the base
+of the value types, refuses change.
 
 The hot paths avoid building objects: ExtRational compares another
 ExtRational or an int by cross-multiplying integers, and the SlopeSet
@@ -226,6 +227,12 @@ def _finite(x):
     return x
 
 
+def _cuts(low, low_closed, high, high_closed):
+    """The cut pair of the arc from low to high, None at an unbounded end."""
+    return (_MIN if low is None else (0, low, 0 if low_closed else 1),
+            _MAX if high is None else (0, high, 1 if high_closed else 0))
+
+
 def _arc_empty(low, low_closed, high, high_closed):
     """Whether finite, reduced ends bound the empty arc: they cross, or
     they are equal and not both closed.  One cross product decides."""
@@ -289,9 +296,7 @@ class SlopeSet(_Record):
         if low is not None and high is not None and _arc_empty(
                 low, low_closed, high, high_closed):
             return cls._canonical(())
-        return cls._canonical(((
-            _MIN if low is None else (0, low, 0 if low_closed else 1),
-            _MAX if high is None else (0, high, 1 if high_closed else 0)),))
+        return cls._canonical((_cuts(low, low_closed, high, high_closed),))
 
     @classmethod
     def point(cls, x):
@@ -482,7 +487,7 @@ def _arc_cuts(text, ivs):
     # parse drops the sign of an infinite end, so read it off the text
     if lo.is_infinite and (ends[0].strip().startswith("-")
                            != ends[1].strip().startswith("-")):
-        ivs.append((_MIN, _MAX))
+        ivs.append(_cuts(None, False, None, False))
         return lc or hc
     if not (lc and hc):
         raise ValueError("degenerate open arc")
@@ -554,7 +559,7 @@ def _point_cuts(x, ivs):
     """Add the point x to the cut list ivs; True when x is infinity."""
     if not x.den:
         return True
-    ivs.append(((0, x, 0), (0, x, 1)))
+    ivs.append(_cuts(x, True, x, True))
     return False
 
 
@@ -566,7 +571,7 @@ def _directed_cuts(u, uc, v, vc, ivs):
     from the affine line, whose ends are open: its image wraps through
     infinity and leaves out the image u of infinity alone.
     """
-    lo, hi = (0, u, 0 if uc else 1), (0, v, 1 if vc else 0)
+    lo, hi = _cuts(u, uc, v, vc)
     if not u.den:
         ivs.append((_MIN, hi if v.den else _MAX))
         return uc

@@ -13,9 +13,10 @@ largest N whose 1/N the slot accepts) of the other slots must have an
 integer A in [v_i N, (1 - v_j) N], open at a strict end.  A need not
 be coprime to N: a non-reduced A/N equals some a/n with n < N, and
 1/n > 1/N still suits every other slot, so a/n is a witness too.  So
-the least N in the window decides, and ``_least_window_N`` walks down
-the Stern-Brocot tree to it in O(log) batched steps, with no loop over
-N and no gap argument.
+the least N in the window decides.  ``_descend`` is the module's one
+walk down the Stern-Brocot tree: it finds a window's first node, of
+least N, in O(log) batched steps, with no loop over N and no gap
+argument, and ``_least_window_N`` hands it the pair's window.
 
 The scan works on integers too.  A grid point tau' = num/den, with
 num = fl den + fn and 0 <= fn < den, adds the slot fn/den to the
@@ -66,8 +67,9 @@ other slots' least cap:
   whose window holds an A, from ``_least_window_N``; a grid point
   suits 1/N only if 1/N >= fn/den >= 1/den, so N <= D too;
 - the free slot pairs with fixed slot i and takes (N-A)/N, so W is
-  1 less the least A/N slot i accepts, which ``_least_accepted`` finds
-  in O(log N) steps down the Stern-Brocot tree, with no loop over N.
+  1 less the least A/N slot i accepts: ``_descend`` on the window
+  [v_i, v_i], open at a strict v_i, hits v_i or ends on the least
+  fraction above it.
 
 Each translation class of tau is scanned once.  Moving tau by an
 integer moves b0 the other way, and every span and row is b0 den plus
@@ -144,33 +146,45 @@ def _witness_exists(slots):
 
 def _least_window_N(slot_i, slot_j, bound):
     """The least N <= bound whose window [v_i, 1 - v_j], open at a strict
-    end, holds some A/N, or None: a descent of the Stern-Brocot tree
-    between 0/1 and 1/1, each run of steps to one side in one batch as
-    in ``_least_accepted``, whose first node inside has the least N.
+    end, holds some A/N, or None.  An empty window is refused before
+    ``_descend``, which needs its ends ordered to end.
     """
     ni, di, si = slot_i
     nj, dj, sj = slot_j
     room = (dj - nj) * di - ni * dj
     if room < 0 or room == 0 and (si or sj):
         return None  # the window is empty
+    hit, _, N = _descend(slot_i, (dj - nj, dj, sj), bound)
+    return N if hit else None
+
+
+def _descend(low, high, bound):
+    """The Stern-Brocot descent from 0/1 and 1/1 to the window between
+    ends low and high, each (num, den, open) in (0, 1), in batched runs.
+    Returns (True, A, N) for the window's first node, of least N, or
+    (False, c, e) for the least c/e above it with e <= bound.  Its ends
+    must not cross; (v, v], though empty, ends on the least c/e > v."""
+    ln, ld, lo = low
+    hn, hd, ho = high
     a, b, c, e = 0, 1, 1, 1  # a/b lies below the window and c/e above
     while b + e <= bound:
-        # p/q clears v_i when p di - ni q >= si and 1 - v_j when
-        # (dj - nj) q - p dj >= sj; la, lc and ha, hc are those margins
-        # for a/b and c/e, and the mediant's are their sums
-        la, lc = a * di - ni * b, c * di - ni * e
-        ha, hc = (dj - nj) * b - a * dj, (dj - nj) * e - c * dj
-        if la + lc < si:
+        # p/q clears low when p ld - ln q >= lo and high when
+        # hn q - p hd >= ho; la, lc and ha, hc are those margins for
+        # a/b and c/e, and the mediant's are their sums
+        la, lc = a * ld - ln * b, c * ld - ln * e
+        ha, hc = hn * b - a * hd, hn * e - c * hd
+        if la + lc < lo:
             # a/b moves up by the most steps that keep it below
-            t = min((si - la - 1) // lc, (bound - b) // e)
+            t = min((lo - la - 1) // lc, (bound - b) // e)
             a, b = a + t * c, b + t * e
-        elif ha + hc < sj:
-            # c/e moves down by the most steps that keep it above
-            t = min((sj - hc - 1) // ha, (bound - e) // b)
+        elif ha + hc < ho:
+            # c/e moves down by the most steps that keep it above; a/b
+            # on high (ha = 0, only in (v, v]) lets it go to the bound
+            t = min((ho - hc - 1) // ha if ha else bound, (bound - e) // b)
             c, e = c + t * a, e + t * b
         else:
-            return b + e
-    return None
+            return True, a + c, b + e
+    return False, c, e
 
 
 def _realisable_range(slots, zeros):
@@ -200,28 +214,6 @@ def _realisable_range(slots, zeros):
     return range(low, high + 1)
 
 
-def _least_accepted(slot, bound):
-    """The least A/N with N <= bound that the (num, den, strict) slot
-    accepts, as (A, N): a descent of the Stern-Brocot tree between 0/1
-    and 1/1 that takes each run of steps to one side in one batch.
-    """
-    n, d, st = slot
-    a, b, c, e = 0, 1, 1, 1  # the slot rejects a/b and accepts c/e
-    while b + e <= bound:
-        # A/N is accepted when A d - n N >= st: c/e clears that by hi,
-        # a/b falls short of 0 by lo, and their mediant scores hi - lo
-        lo, hi = n * b - a * d, c * d - n * e
-        if hi - lo >= st:
-            # c/e moves down by the most steps that keep it accepted
-            t = min((hi - st) // lo if lo else bound, (bound - e) // b)
-            c, e = c + t * a, e + t * b
-        else:
-            # a/b moves up by the most steps that keep it rejected
-            t = min((lo + st - 1) // hi if hi else bound, (bound - b) // e)
-            a, b = a + t * c, b + t * e
-    return c, e
-
-
 def _free_slot_sup(fixed, max_denominator):
     """The largest value (X, Y) a free slot takes in a b = 1 witness with
     the (num, den, strict) slots ``fixed``, (0, 1) if none, as far as a
@@ -229,9 +221,11 @@ def _free_slot_sup(fixed, max_denominator):
     """
     caps = [(d - st) // n for n, d, st in fixed]
     x, y = 0, 1
-    for i, slot in enumerate(fixed):
-        # the free slot pairs with i, which takes the least A/N it accepts
-        A, N = _least_accepted(slot, min(caps[:i] + caps[i + 1:]))
+    for i, (n, d, st) in enumerate(fixed):
+        # the free slot pairs with i, which takes the least A/N it
+        # accepts: in the window [v, v], open at v if strict, or above it
+        _, A, N = _descend((n, d, st), (n, d, False),
+                           min(caps[:i] + caps[i + 1:]))
         if (N - A) * y > x * N:
             x, y = N - A, N
     for i in range(len(fixed)):

@@ -16,7 +16,13 @@ case.  The corpus covers what the set and cabling layers compute:
   ``IntMobius.apply`` on one point each: maps of both orientations,
   unimodular and not, a fifth with c = 0;
 - ``parse_slope_set`` on 20,000 ``random_slope_set_text`` inputs, as
-  the cut rules that map arcs are also the ones that parse them.
+  the cut rules that map arcs are also the ones that parse them;
+- the oracle: ``grid_scan_interval`` reports (hull, tested points,
+  mismatches) on 6,000 random cable keys with D <= 30, each against the
+  key's t, its t_strict and a perturbed t; ``_decide_point`` on 20,000
+  random tuples of 3-5 slots; ``_free_slot_sup`` on 20,000 random fixed
+  lists of 2-4 slots; and ``exhaustive_witness_check(values, None)`` on
+  20,000 random lists of 2-4 slots.
 
 Pytest does not collect this file.
 """
@@ -37,7 +43,11 @@ from cableslopes import cli  # noqa: E402
 from cableslopes.cable import (DetectionMode, bezout,  # noqa: E402
                                cable_detected_set, torus_knot_detected)
 from cableslopes.exact import (ExtRational, IntMobius,  # noqa: E402
-                               mobius_set_image, parse_slope_set)
+                               SlopeSet, mobius_set_image, parse_slope_set)
+from cableslopes.intervals import cable_interval  # noqa: E402
+from cableslopes.oracle import (_decide_point,  # noqa: E402
+                                _free_slot_sup, exhaustive_witness_check,
+                                grid_scan_interval)
 from test_readme import EXAMPLES  # noqa: E402
 
 CASES = 20000
@@ -133,8 +143,96 @@ def _parses():
         yield "parse %d %s: %s %r" % (i, text, s, s._ivs)
 
 
+def _rational(rng, lo, hi, max_den):
+    d = rng.randint(1, max_den)
+    return ExtRational(rng.randint(lo * d, hi * d), d)
+
+
+def _slot(rng):
+    """A (num, den, strict) slot, den <= 15 or <= 2,000, its numerator
+    often next to 0, where its cap grows large, or next to den, where
+    its complement's does."""
+    d = rng.randint(2, 15) if rng.random() < 0.5 else rng.randint(2, 2000)
+    n = rng.choice((rng.randint(1, d - 1), rng.randint(1, min(3, d - 1)),
+                    rng.randint(1, min(3, d - 1)),
+                    rng.randint(max(d - 3, 1), d - 1)))
+    g = math.gcd(n, d)
+    return n // g, d // g, rng.random() < 0.5
+
+
+def _perturbed(rng, t):
+    """t with a random point added, a random short arc taken out, or
+    complemented."""
+    x = _rational(rng, -6, 6, 30)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return t.union(SlopeSet.point(x))
+    if kind == 1:
+        y = ExtRational(x.num * 7 + x.den, x.den * 7)
+        return t.difference(SlopeSet.interval(x, y, rng.random() < 0.5,
+                                              rng.random() < 0.5))
+    return t.complement()
+
+
+def _scans():
+    rng = random.Random(35)
+    for i in range(6000):
+        q = rng.randint(2, 12)
+        p = rng.randint(1, 15)
+        while math.gcd(p, q) != 1:
+            p = rng.randint(1, 15)
+        params = bezout(p, q)
+        J = frozenset(j for j in (1, 2) if rng.random() < 0.5)
+        tau = _rational(rng, -3, 3, 12)
+        D = rng.randint(1, 30)
+        res = cable_interval(params, J - {2}, tau)
+        for name, expected in (("t", res.t), ("t_strict", res.t_strict),
+                               ("perturbed", _perturbed(rng, res.t))):
+            r = grid_scan_interval(params, J, tau, D, expected)
+            yield "scan %d %d %d %s %s %d %s %s: %s %s %d %s" % (
+                i, p, q, sorted(J), tau, D, name, expected, r.hull_low,
+                r.hull_high, r.tested_points,
+                [(str(x), got, want) for x, got, want in r.mismatches])
+
+
+def _decisions():
+    rng = random.Random(36)
+    for i in range(CASES):
+        count = rng.randint(3, 5)
+        gammas = tuple(ExtRational(*_slot(rng)[:2])
+                       for _ in range(rng.randint(0, count - 1)))
+        taus = tuple(_rational(rng, -3, 3, 15) if rng.random() < 0.8
+                     else ExtRational(rng.randint(-3, 3))
+                     for _ in range(count - len(gammas)))
+        J = frozenset(j for j in range(1, len(taus) + 1)
+                      if rng.random() < 0.3)
+        b = rng.randint(-2, 6)
+        yield "decide %d %s %d %s %s: %s" % (
+            i, sorted(J), b, [str(g) for g in gammas],
+            [str(t) for t in taus], _decide_point(J, b, gammas, taus))
+
+
+def _sups():
+    rng = random.Random(37)
+    for i in range(CASES):
+        fixed = [_slot(rng) for _ in range(rng.randint(2, 4))]
+        D = rng.randint(1, 40)
+        yield "sup %d %s %d: %s" % (i, fixed, D, _free_slot_sup(fixed, D))
+
+
+def _witness_checks():
+    rng = random.Random(38)
+    for i in range(CASES):
+        values = [(ExtRational(n, d), st) for n, d, st in
+                  (_slot(rng) for _ in range(rng.randint(2, 4)))]
+        yield "no-witness %d %s: %s" % (
+            i, [(str(v), st) for v, st in values],
+            exhaustive_witness_check(values, None))
+
+
 def main():
-    for part in (_pipeline, _readme, _hedden_hom, _torus, _images, _parses):
+    for part in (_pipeline, _readme, _hedden_hom, _torus, _images, _parses,
+                 _scans, _decisions, _sups, _witness_checks):
         for line in part():
             print(line)
 

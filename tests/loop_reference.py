@@ -16,7 +16,9 @@ realisable b is required to hold exactly the b it accepts.
 
 ``least_window_N`` is the oracle's original loop over N for the least
 denominator in a pair's window; the oracle's Stern-Brocot descent is
-required to return the same N.
+required to return the same N.  ``least_accepted`` is a loop over N for
+the least fraction a slot accepts, which the same descent is required
+to return on the window [v, v], open at a strict v.
 
 ``witness_thresholds`` is the oracle's original per-denominator scan
 of the residues with a witness: it brackets each side between Farey
@@ -291,6 +293,20 @@ def least_window_N(slot_i, slot_j, bound):
         if (ni * N + di - 1 + si) // di <= ((dj - nj) * N - sj) // dj:
             return N
     return None
+
+
+def least_accepted(slot, bound):
+    """The least A/N with 1 <= N <= bound that the (num, den, strict)
+    slot accepts, A/N >= num/den (> if strict), as a reduced (A, N)."""
+    n, d, st = slot
+    best = None
+    for N in range(1, bound + 1):
+        # the least A with A d - n N >= st
+        A = -(-(n * N + st) // d)
+        if best is None or A * best[1] < best[0] * N:
+            best = (A, N)
+    g = math.gcd(*best)
+    return best[0] // g, best[1] // g
 
 
 def realisable(b, slots, zeros):

@@ -8,16 +8,18 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cableslopes import cable, intervals, oracle
+from cableslopes import cable, exact, intervals, oracle
 from cableslopes.cable import bezout
 from cableslopes.exact import (INF, ExtRational, IntMobius, SlopeSet,
                                mobius_set_image)
 from cableslopes.intervals import cable_interval
 from cableslopes.jn import decide, witness_search
-from cableslopes.oracle import (ScanReport, _decide_point, _least_window_N,
-                                _realisable_range, _spans, _witness_exists,
-                                exhaustive_witness_check, grid_scan_interval)
-from loop_reference import least_window_N, realisable, witness_thresholds
+from cableslopes.oracle import (ScanReport, _decide_point, _descend,
+                                _least_window_N, _realisable_range, _spans,
+                                _witness_exists, exhaustive_witness_check,
+                                grid_scan_interval)
+from loop_reference import (least_accepted, least_window_N, realisable,
+                            witness_exists, witness_thresholds)
 
 R = ExtRational.parse
 C23 = bezout(2, 3)
@@ -331,6 +333,41 @@ class TestLeastWindowN:
             assert not exhaustive_witness_check(values, None)
 
 
+@st.composite
+def accept_keys(draw):
+    """A (num, den, strict) slot, den <= 600, and a bound 1-500."""
+    d = draw(st.integers(2, 600))
+    slot = (draw(st.integers(1, d - 1)), d, draw(st.booleans()))
+    return slot, draw(st.integers(1, 500))
+
+
+class TestLeastAccepted:
+    """The free-slot sup's query, the least A/N a slot accepts, is
+    ``_descend`` on the window [v, v], open at a strict v."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(accept_keys())
+    @example(((1, 3, True), 10))  # strict: 3/8, the least above 1/3
+    @example(((2, 5, False), 7))  # den <= bound: 2/5 itself
+    @example(((3, 7, False), 5))  # den > bound: 1/2
+    @example(((2, 4, False), 3))  # not reduced: 1/2 itself
+    @example(((1, 2, True), 1))  # one step allowed: 1/1
+    def test_matches_reference_loop(self, key):
+        (n, d, strict), bound = key
+        hit, A, N = _descend((n, d, strict), (n, d, False), bound)
+        assert (A, N) == least_accepted((n, d, strict), bound)
+        # it hits v itself exactly when v is accepted and within reach
+        reach = not strict and d // math.gcd(n, d) <= bound
+        assert hit == (A * d == n * N) == reach
+
+
+def _is_cut_literal(node):
+    """Whether an AST node is a tuple literal (0, end, side)."""
+    return (isinstance(node, ast.Tuple) and len(node.elts) == 3
+            and isinstance(node.elts[0], ast.Constant)
+            and node.elts[0].value == 0)
+
+
 class TestIndependence:
     def test_oracle_imports_only_exact(self):
         # the oracle checks jn, seifert and intervals, so it may share
@@ -379,10 +416,16 @@ class TestIndependence:
             for node in ast.walk(tree):
                 assert getattr(node, "attr", None) != "_canonical"
                 assert getattr(node, "id", None) != "_canonical"
-                if isinstance(node, ast.Tuple) and len(node.elts) == 3:
-                    first = node.elts[0]
-                    assert not (isinstance(first, ast.Constant)
-                                and first.value == 0), module.__name__
+                assert not _is_cut_literal(node), module.__name__
+        # and in exact every cut pair is _cuts', bar the point cuts of
+        # contains, the tests' membership model
+        tree = ast.parse(Path(exact.__file__).read_text())
+        writers = set()
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                if any(map(_is_cut_literal, ast.walk(func))):
+                    writers.add(func.name)
+        assert writers == {"_cuts", "contains"}
 
 
 class TestGridScan:
@@ -682,7 +725,29 @@ class TestScanMembership:
                                    expected=expected)
 
 
+@st.composite
+def slot_values(draw):
+    """2-4 (value, strict) slots, denominators <= 12 or <= 60."""
+    values = []
+    for _ in range(draw(st.integers(2, 4))):
+        d = draw(st.one_of(st.integers(2, 12), st.integers(2, 60)))
+        values.append((ExtRational(draw(st.integers(1, d - 1)), d),
+                       draw(st.booleans())))
+    return tuple(values)
+
+
 class TestExhaustiveWitnessCheck:
+    @settings(max_examples=500, deadline=None)
+    @given(slot_values())
+    @example(((R("1/3"), False), (R("2/3"), False)))  # the point 1/3
+    @example(((R("1/3"), True), (R("2/3"), False)))  # (1/3, 1/3]: empty
+    @example(((R("2/5"), True), (R("1/2"), True)))  # (2/5, 1/2): N = 7
+    def test_nonexistence_matches_reference(self, values):
+        # with two slots nothing caps N: the walk is bounded by di + dj
+        slots = [(v.num, v.den, strict) for v, strict in values]
+        assert exhaustive_witness_check(values, None) == (
+            not witness_exists(slots))
+
     def test_confirms_found_witness(self):
         values = ((R("1/3"), True), (R("1/2"), False), (R("1/2"), False))
         w = witness_search(values)

@@ -24,6 +24,7 @@ REMOVED = {
     exact.IntMobius: ("inverse", "compose"),
     exact.SlopeSet: ("without_infinity",),
     cli: ("_params",),
+    oracle: ("_least_accepted",),
 }
 
 
