@@ -95,7 +95,7 @@ def cmd_interval(args):
                   "J": sorted(_j_set(args.J))}
         refs = ["relative-interval"]
     text = "%s (T), %s (T~)" % (res.t, res.t_strict)
-    payload = {"set": res.t.parts(), "strict_set": str(res.t_strict)}
+    payload = {"set": res.t.parts(), "strict_set": res.t_strict.parts()}
     return CommandResult("interval", inputs, payload, refs, text)
 
 
@@ -128,7 +128,7 @@ def cmd_cable(args):
 def cmd_torus(args):
     regular, strong = torus_knot_detected(args.p, args.q)
     inputs = {"p": args.p, "q": args.q}
-    payload = {"set": regular.parts(), "strong_set": str(strong)}
+    payload = {"set": regular.parts(), "strong_set": strong.parts()}
     text = "%s regular; %s strong" % (regular, strong)
     return CommandResult("torus", inputs, payload,
                          ["torus-closed-form"], text)

@@ -51,10 +51,10 @@ most num, and sorted they bound the disagreements as [x0, x1),
 columns are the spans' s and e, as for a correct t of a fractional
 tau or an integral one outside J, every pair cancels and nothing is
 swept.  Else the sweep reads s and e before they shrink to the hull's
-coprime ends, so it visits only numerators between disagreeing cuts.
-A scan costs two sups, O(D) spans and cuts, a few gcds where a span
-end could move the hull and one per number in a disagreement, while
-``tested_points`` still counts every grid point, rows times phi(den).
+coprime ends and keeps the disagreements as these runs.  A scan costs
+two sups, O(D) spans, cuts and runs and a few gcds where a span end
+could move the hull, while ``tested_points`` still counts every grid
+point, rows times phi(den); a report pays one gcd per numerator in a run.
 
 The residues of one scan need no witness loop per denominator.  A
 witness for a higher slot value meets a lower one's inequality too, so
@@ -79,9 +79,9 @@ b0 = 0, on the expected set's cuts less b0 den, and
 ``grid_scan_interval`` adds b0 den back into fresh objects.
 ``_relative_scan`` is the scan's one memo, keyed on (slots, zeros,
 strict, max_denominator, cuts): a translate whose expected set moves
-with it is a cache hit.  It holds at most 256 entries, each the
-integers of one report: the hull ends and one (num, den, got) triple
-per disagreement.  Beneath it only ``_coprime_count`` is cached.
+with it is a cache hit.  It holds at most 256 entries, each the hull
+ends and O(D) runs per expected piece, however many points they hold.
+Beneath it only ``_coprime_count`` is cached.
 """
 
 import math
@@ -351,8 +351,9 @@ def _relative_scan(fixed, zeros, strict, max_denominator, ends):
 
     ``ends`` are the expected set's cuts from ``_member_cuts``, or None.
     Returns (low, high, tested, found): the hull ends as (num, den) or
-    None, the grid point count, and the disagreements as (num, den,
-    got) triples in (den, num) order.
+    None, the point count, and disagreement runs (x0, x1, den, got) in
+    (den, num) order, of the num coprime to den in [x0, x1); no cut, s
+    and e among them, lies in a run clipped to the rows, so got is fixed.
     """
     lo, hi = _scan_rows(fixed, zeros)
     spans = _spans(fixed, zeros, strict, max_denominator)
@@ -365,15 +366,13 @@ def _relative_scan(fixed, zeros, strict, max_denominator, ends):
         if cols != se:
             for den, (s, e), cuts in zip(dens, spans, zip(*cols, *se)):
                 # the grid is the num coprime to den in [start, stop);
-                # the shrink below drops no grid point, so the raw span
-                # will do
+                # the hull's shrink drops no grid point: raw s, e will do
                 start, stop = lo * den + 1, hi * den
                 cuts = iter(sorted(cuts))
                 for x0, x1 in zip(cuts, cuts):
+                    x0, x1 = max(x0, start), min(x1, stop)
                     if x0 < x1:
-                        for num in range(max(x0, start), min(x1, stop)):
-                            if math.gcd(num, den) == 1:
-                                found.append((num, den, s <= num < e))
+                        found.append((x0, x1, den, s <= x0 < e))
     # the hull so far is [ln/ld, hn/hd], 1/0 and -1/0 while empty; an end
     # shrinks to its first grid point only when it could move the hull
     # and still moves it: only an integer m can shrink, to m den +- 1
@@ -421,9 +420,10 @@ def grid_scan_interval(params, J, tau, max_denominator=24, expected=None):
                               *_scan_rows(fixed, zeros)))
     low, high, tested, found = _relative_scan(fixed, zeros, 2 in J,
                                               max_denominator, ends)
-    # every num here is coprime to its den, and so is num + b0 den
+    # a run's grid points are its num coprime to den, as is num + b0 den
     mismatches = [(ExtRational._reduced(num + b0 * den, den), got, not got)
-                  for num, den, got in found]
+                  for x0, x1, den, got in found for num in range(x0, x1)
+                  if math.gcd(num, den) == 1]
     if low is None:
         return ScanReport(None, None, tested, mismatches)
     return ScanReport(ExtRational._reduced(low[0] + b0 * low[1], low[1]),

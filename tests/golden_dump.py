@@ -19,7 +19,9 @@ case.  The corpus covers what the set and cabling layers compute:
   the cut rules that map arcs are also the ones that parse them;
 - the oracle: ``grid_scan_interval`` reports (hull, tested points,
   mismatches) on 6,000 random cable keys with D <= 30, each against the
-  key's t, its t_strict and a perturbed t; ``_decide_point`` on 20,000
+  key's t, its t_strict and a perturbed t; wrong scans whose runs span
+  many numerators, the full circle and t moved up by 1, on 10 fixed
+  keys with D = 40-80, one line per mismatch; ``_decide_point`` on 20,000
   random tuples of 3-5 slots; ``_free_slot_sup`` on 20,000 random fixed
   lists of 2-4 slots; and ``exhaustive_witness_check(values, None)`` on
   20,000 random lists of 2-4 slots.
@@ -195,6 +197,30 @@ def _scans():
                 [(str(x), got, want) for x, got, want in r.mismatches])
 
 
+# (p, q, J, tau, D) keys of the wrong scans with long runs
+LONG_SCANS = ((2, 3, (), "1/2", 80), (3, 2, (), "1", 64),
+              (4, 3, (1,), "5/12", 48), (5, 2, (), "2/3", 72),
+              (7, 5, (2,), "-7/6", 40), (3, 4, (1,), "-1/3", 56),
+              (5, 3, (1, 2), "2", 60), (7, 2, (), "-5/3", 44),
+              (9, 4, (2,), "1/5", 52), (11, 7, (1,), "3/4", 68))
+
+
+def _long_scans():
+    for p, q, J, tau, D in LONG_SCANS:
+        params, J, tau = bezout(p, q), frozenset(J), ExtRational.parse(tau)
+        res = cable_interval(params, J - {2}, tau)
+        t = res.t_strict if 2 in J else res.t
+        for name, expected in (("full", SlopeSet.full()), ("shifted", (
+                mobius_set_image(IntMobius(1, 1, 0, 1), t)))):
+            r = grid_scan_interval(params, J, tau, D, expected)
+            yield "long-scan %d %d %s %s %d %s: %s %s %d %d" % (
+                p, q, sorted(J), tau, D, name, r.hull_low, r.hull_high,
+                r.tested_points, len(r.mismatches))
+            for x, got, want in r.mismatches:
+                yield "long-scan %d %d %s %s: %s %s %s" % (
+                    p, q, tau, name, x, got, want)
+
+
 def _decisions():
     rng = random.Random(36)
     for i in range(CASES):
@@ -232,7 +258,7 @@ def _witness_checks():
 
 def main():
     for part in (_pipeline, _readme, _hedden_hom, _torus, _images, _parses,
-                 _scans, _decisions, _sups, _witness_checks):
+                 _scans, _long_scans, _decisions, _sups, _witness_checks):
         for line in part():
             print(line)
 

@@ -585,6 +585,10 @@ class TestPipelineLaws:
 
 
 class TestPipeline:
+    def test_mode_must_be_a_detection_mode(self):
+        with pytest.raises(ValueError, match="DetectionMode"):
+            cable_detected_set(bezout(5, 2), SlopeSet.full(), "regular")
+
     def test_regular_golden(self):
         out, tag = cable_detected_set(bezout(5, 2),
                                       parse_slope_set("[-inf,1]"),

@@ -2,12 +2,18 @@ import contextlib
 import io
 import json
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cableslopes import cli
+from cableslopes.cable import (DetectionMode, bezout, cable_detected_set,
+                               ray_union, torus_knot_detected)
 from cableslopes.cli import main
 from cableslopes.exact import parse_slope_set
+from cableslopes.intervals import cable_interval, relative_interval
+from test_readme import EXAMPLES
 
 
 def run(capsys, *argv):
@@ -270,6 +276,12 @@ class TestExitCodes:
         assert code == 3
         assert one_line(err)
 
+    def test_ray_union_takes_one_tau(self, capsys):
+        code, _, err = run(capsys, "ray-union", "--p", "2", "--q", "3",
+                           "--tau", "1/2,1/3", "--direction", "geq")
+        assert code == 3
+        assert err == "error: ray-union takes exactly one --tau"
+
     def test_oracle_needs_a_denominator(self, capsys):
         code, _, err = run(capsys, "oracle", "--p", "2", "--q", "3",
                            "--tau", "1/2", "--max-denominator", "0")
@@ -345,3 +357,80 @@ class TestArgvFuzz:
                 code = exc.code
         assert code in (0, 2, 3, 4)
         assert len(err.getvalue().splitlines()) <= 1
+
+
+# each command's sets in its text output, by result key
+TEXT_SETS = {
+    "interval": (r"(.*) \(T\), (.*) \(T~\)", ("set", "strict_set")),
+    "torus": (r"(.*) regular; (.*) strong", ("set", "strong_set")),
+    "cable": (r"(.*) \((?:equals|contains)\)", ("set",)),
+    "ray-union": (r"(.*)", ("set",)),
+}
+
+
+def _api_sets(args):
+    """The sets the API returns for parsed arguments, by result key."""
+    if args.command == "interval":
+        J, taus = cli._j_set(args.J), cli._rat_list(args.tau)
+        res = (relative_interval(cli._rat_list(args.gamma), taus, J)
+               if args.p is None else
+               cable_interval(bezout(args.p, args.q), J, taus[0]))
+        return {"set": res.t, "strict_set": res.t_strict}
+    if args.command == "torus":
+        regular, strong = torus_knot_detected(args.p, args.q)
+        return {"set": regular, "strong_set": strong}
+    params = bezout(args.p, args.q)
+    if args.command == "cable":
+        return {"set": cable_detected_set(params, parse_slope_set(args.input),
+                                          DetectionMode(args.mode))[0]}
+    return {"set": ray_union(params, args.direction,
+                             cli._rat_list(args.tau)[0])}
+
+
+def _outputs(argv):
+    """(exit code, text output, JSON document) of argv in both formats."""
+    argv = [a for i, a in enumerate(argv) if not a.startswith("--format")
+            and (i == 0 or argv[i - 1] != "--format")]
+    outs = []
+    for fmt in ("text", "json"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv + ["--format", fmt])
+            except SystemExit as exc:
+                code = exc.code
+        outs.append(out.getvalue().strip())
+    return code, outs[0], json.loads(outs[1]) if code == 0 else None
+
+
+def _check_sets(argv):
+    """Check argv's JSON sets when it exits 0; return its exit code."""
+    code, text, doc = _outputs(argv)
+    if code != 0 or doc["command"] not in TEXT_SETS:
+        return code
+    pattern, keys = TEXT_SETS[doc["command"]]
+    api = _api_sets(cli.build_parser().parse_args(argv))
+    assert set(api) == set(keys)
+    for key, shown in zip(keys, re.fullmatch(pattern, text).groups()):
+        parts = doc["result"][key]
+        assert isinstance(parts, list), key
+        got = parse_slope_set("∪".join(parts))
+        assert got == parse_slope_set(shown) == api[key], (key, argv)
+    return code
+
+
+class TestJsonSetContract:
+    """Every JSON set is a parts() list that reads back as the set in the
+    text output and the set the API returns."""
+
+    @pytest.mark.parametrize("argv", [a for a, _ in EXAMPLES],
+                             ids=[" ".join(a) for a, _ in EXAMPLES])
+    def test_readme_examples(self, argv):
+        assert _check_sets(argv) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(argvs())
+    @example(["interval", "--gamma", "", "--tau", "9/7,5/7", "--J", "1,2"])
+    @example(["interval", "--tau", "2", "--J", "1"])
+    def test_argv_fuzz(self, argv):
+        _check_sets(argv)

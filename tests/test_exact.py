@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from cableslopes import exact
 from cableslopes.cable import CableParams
 from cableslopes.exact import (INF, ExtRational, IntMobius, SlopeSet,
                                mobius_set_image, parse_slope_set)
@@ -302,6 +303,10 @@ class TestSlopeSetAlgebra:
         assert SlopeSet.full().complement().is_empty
         assert SlopeSet.reals().with_infinity().is_full
 
+    def test_parse_skips_empty_chunks(self):
+        assert parse_slope_set("[0,1] U U {2}") == parse_slope_set(
+            "[0,1] U {2}")
+
     def test_parse_round_trip(self):
         for text in ("[-inf,7]", "(-inf,7)", "[-3/2,-1] ∪ {2}",
                      "{inf}", "[-inf,inf]", "(0,1) ∪ [2,3]"):
@@ -435,6 +440,18 @@ def _inverse(m):
 
 
 class TestMobius:
+    def test_degenerate_map_rejected(self):
+        with pytest.raises(ValueError, match="degenerate"):
+            IntMobius(1, 2, 2, 4)
+
+    def test_image_drops_empty_pieces(self):
+        # a crossing piece and an equal-ended half-open one map to
+        # nothing; the piece between them still maps
+        pieces = [(R("2"), True, R("1"), True), (R("0"), True, R("1"), True),
+                  (R("1"), True, R("1"), False)]
+        got = exact._image(IntMobius(1, 1, 0, 1), pieces, False)
+        assert got == SlopeSet.interval(1, 2)
+
     def test_apply_basics(self):
         m = IntMobius(0, 1, 1, 0)  # x -> 1/x
         assert m.apply(ExtRational(2)) == R("1/2")

@@ -401,6 +401,10 @@ class TestSpecialSlopeInterval:
         with pytest.raises(ValueError):
             special_slope_interval(C52, 3, strict=True)
 
+    def test_negative_b_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            special_slope_interval(C52, -1)
+
 
 class TestRayUnion:
     def _check(self, params, direction, tau0, den=8, span=6):

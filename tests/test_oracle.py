@@ -2,6 +2,7 @@ import ast
 import functools
 import itertools
 import math
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -506,6 +507,72 @@ class TestGridScan:
         assert report.ok
 
 
+def _deep_keys():
+    """(params, tau) keys of the deep scan: the interval-ladder's special
+    slopes tau = (bs + r)/(p - qb) on both branches, cables with p near
+    10**15, and integral and fractional tau, the last three with t's
+    ends of denominator 995 to 3,001, beyond the reference loops."""
+    keys = []
+    for q, d, high in ((2, 1, False), (2, 145, False), (3, 86, False),
+                       (3, 14, True)):
+        b = (d + q) // q + 1 if high else 1
+        params = bezout(q * b - d if high else d + q, q)
+        keys.append((params, ExtRational(b * params.s + params.r,
+                                         params.p - q * b)))
+    big = bezout(10**15 - 1, 10**15)
+    keys += [(bezout(10**15 + 1, 3), R("1/3")),
+             (big, ExtRational(big.r, big.p)), (big, R("-7/2")),
+             (bezout(4, 3), R("5/12")), (bezout(4, 3), ExtRational(1)),
+             (bezout(3, 2), ExtRational(-2)), (bezout(4, 3), R("1/997")),
+             (bezout(11, 7), R("-1/2999")), (bezout(3, 2), R("1500/2999"))]
+    return keys
+
+
+def _grid_points_above(h, w, max_denominator):
+    """The grid points x of (h, h + w], in (den, num) order, each den's
+    numerators counted one by one."""
+    top = Fraction(h.num, h.den) + w
+    return [Fraction(num, den) for den in range(1, max_denominator + 1)
+            for num in range(h.num * den // h.den + 1,
+                             top.numerator * den // top.denominator + 1)
+            if math.gcd(num, den) == 1]
+
+
+class TestDeepScan:
+    """The interval path against the grid at D = 2,000 and 10,000, where
+    the reference loops stop at D <= 40."""
+
+    @pytest.mark.parametrize("params, tau", _deep_keys(), ids=[
+        "%d,%d,%s" % (params.p % 10**4, params.q % 10**4, tau)
+        for params, tau in _deep_keys()])
+    def test_intervals_match_deep_grid(self, params, tau):
+        for J in (frozenset(), frozenset({1})):
+            res = cable_interval(params, J, tau)
+            for D in (2000, 10000):
+                for J2, want in ((J, res.t), (J | {2}, res.t_strict)):
+                    report = grid_scan_interval(params, J2, tau, D, want)
+                    assert report.mismatches == [], (J2, D)
+                # closed ends of denominator <= D are the hull's
+                report = grid_scan_interval(params, J, tau, D, res.t)
+                if max(res.t.low.den, res.t.high.den) <= D:
+                    assert (report.hull_low, report.hull_high) == (
+                        res.t.low, res.t.high)
+        # t widened by 2/D above its high end, which holds a grid point:
+        # each one in the widening is a mismatch, and nothing else is
+        t = cable_interval(params, frozenset(), tau).t
+        D, w = 10000, Fraction(2, 10000)
+        top = Fraction(t.high.num, t.high.den) + w
+        widened = t.union(SlopeSet.interval(
+            t.high, ExtRational(top.numerator, top.denominator), False))
+        report = grid_scan_interval(params, frozenset(), tau, D, widened)
+        points = _grid_points_above(t.high, w, D)
+        assert points
+        assert len(report.mismatches) == len(points)
+        assert report.mismatches == [
+            (ExtRational(x.numerator, x.denominator), False, True)
+            for x in points]
+
+
 def _rationals(lo=-5, hi=5, max_den=12):
     return st.integers(1, max_den).flatmap(
         lambda d: st.integers(lo * d, hi * d).map(
@@ -696,6 +763,22 @@ class TestScanMembership:
             assert _scanned(params, J2, moved, max_denominator, want) == (
                 _reference_scan(params, J2, moved, max_denominator, want))
 
+    def test_memo_keeps_runs_not_points(self):
+        # the full circle disagrees at 44,851 grid points at D = 200; the
+        # cached scan keeps at most two runs per den, not one entry each
+        params, tau, D = bezout(5, 2), R("2/3"), 200
+        report = grid_scan_interval(params, frozenset(), tau, D,
+                                    expected=SlopeSet.full())
+        assert len(report.mismatches) == 44851
+        gamma = ExtRational(params.q + params.s, params.q)
+        b0, fixed, zeros = oracle._reduce(frozenset(), 0, (gamma,), (tau,))
+        ends = oracle._member_cuts(SlopeSet.full().affine_pieces(), b0,
+                                   *oracle._scan_rows(fixed, zeros))
+        hits = oracle._relative_scan.cache_info().hits
+        entry = oracle._relative_scan(fixed, zeros, False, D, ends)
+        assert oracle._relative_scan.cache_info().hits == hits + 1
+        assert len(entry[3]) <= 2 * D
+
     def test_reports_share_no_state_with_cache(self):
         # a cached scan hands out a fresh mismatch list every time
         wrong = SlopeSet.interval(-2, -1)
@@ -781,6 +864,10 @@ class TestExhaustiveWitnessCheck:
         others = ((R("1/2"), False), (R("1/4"), True))
         assert not exhaustive_witness_check(((R("1/3"), True),) + others, w)
         assert exhaustive_witness_check(((R("1/3"), False),) + others, w)
+
+    def test_needs_two_slots(self):
+        with pytest.raises(ValueError, match="two slots"):
+            exhaustive_witness_check(((R("1/2"), False),), None)
 
     def test_validates_input_range(self):
         # infinity has no order, so it must be refused before a compare
