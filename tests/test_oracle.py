@@ -528,6 +528,9 @@ def _deep_keys():
     return keys
 
 
+DEEP_KEYS = _deep_keys()
+
+
 def _grid_points_above(h, w, max_denominator):
     """The grid points x of (h, h + w], in (den, num) order, each den's
     numerators counted one by one."""
@@ -542,9 +545,9 @@ class TestDeepScan:
     """The interval path against the grid at D = 2,000 and 10,000, where
     the reference loops stop at D <= 40."""
 
-    @pytest.mark.parametrize("params, tau", _deep_keys(), ids=[
+    @pytest.mark.parametrize("params, tau", DEEP_KEYS, ids=[
         "%d,%d,%s" % (params.p % 10**4, params.q % 10**4, tau)
-        for params, tau in _deep_keys()])
+        for params, tau in DEEP_KEYS])
     def test_intervals_match_deep_grid(self, params, tau):
         for J in (frozenset(), frozenset({1})):
             res = cable_interval(params, J, tau)
@@ -552,11 +555,11 @@ class TestDeepScan:
                 for J2, want in ((J, res.t), (J | {2}, res.t_strict)):
                     report = grid_scan_interval(params, J2, tau, D, want)
                     assert report.mismatches == [], (J2, D)
-                # closed ends of denominator <= D are the hull's
-                report = grid_scan_interval(params, J, tau, D, res.t)
-                if max(res.t.low.den, res.t.high.den) <= D:
-                    assert (report.hull_low, report.hull_high) == (
-                        res.t.low, res.t.high)
+                    # closed ends of denominator <= D are the hull's
+                    if want is res.t and max(want.low.den,
+                                             want.high.den) <= D:
+                        assert (report.hull_low, report.hull_high) == (
+                            want.low, want.high)
         # t widened by 2/D above its high end, which holds a grid point:
         # each one in the widening is a mismatch, and nothing else is
         t = cable_interval(params, frozenset(), tau).t
