@@ -10,7 +10,8 @@ import sys
 
 from .cable import (DetectionMode, bezout, cable_detected_set, ray_union,
                     torus_knot_detected)
-from .exact import _INTEGER, ExtRational, _Record, parse_slope_set
+from .exact import (_INTEGER, ExtRational, SlopeSet, _Record,
+                    parse_slope_set)
 from .intervals import cable_interval, relative_interval
 from .jn import decide
 from .oracle import grid_scan_interval
@@ -44,21 +45,23 @@ def integer(text):
 
 def _rat_list(text):
     text = text.strip()
-    if not text:
-        return ()
-    return tuple(ExtRational.parse(x) for x in text.split(","))
+    return tuple(map(ExtRational.parse, text.split(","))) if text else ()
 
 
 def _j_set(text):
-    text = (text or "").strip()
-    if not text:
-        return frozenset()
-    return frozenset(integer(x) for x in text.split(","))
+    text = text.strip()
+    return frozenset(map(integer, text.split(","))) if text else frozenset()
+
+
+def _one_tau(args):
+    taus = _rat_list(args.tau)
+    if len(taus) != 1:
+        raise ValueError("%s takes exactly one --tau" % args.command)
+    return taus[0]
 
 
 def cmd_jn(args):
-    res = decide(_j_set(args.J), args.b, _rat_list(args.gamma),
-                 _rat_list(args.tau))
+    res = decide(args.J, args.b, _rat_list(args.gamma), _rat_list(args.tau))
     text = "true" if res.realizable else "false"
     payload = {"realizable": res.realizable, "rule": res.rule}
     if res.witness is not None:
@@ -69,9 +72,7 @@ def cmd_jn(args):
             "N": w.N, "A": w.A,
             "assignment": [str(v) for v in w.assignment],
         }
-    inputs = {"J": sorted(_j_set(args.J)), "b": args.b,
-              "gamma": args.gamma, "tau": args.tau}
-    return CommandResult("jn", inputs, payload, [res.rule], text)
+    return payload, text, [res.rule]
 
 
 def cmd_interval(args):
@@ -80,94 +81,63 @@ def cmd_interval(args):
             raise ValueError("--p and --q must be given together")
         if args.gamma.strip():
             raise ValueError("--gamma cannot be given with --p and --q")
-        params = bezout(args.p, args.q)
-        taus = _rat_list(args.tau)
-        if len(taus) != 1:
-            raise ValueError("cable intervals take exactly one --tau")
-        res = cable_interval(params, _j_set(args.J), taus[0])
-        inputs = {"p": args.p, "q": args.q, "J": sorted(_j_set(args.J)),
-                  "tau": args.tau}
+        res = cable_interval(bezout(args.p, args.q), args.J, _one_tau(args))
         refs = ["cable-interval"]
     else:
         res = relative_interval(_rat_list(args.gamma), _rat_list(args.tau),
-                                _j_set(args.J))
-        inputs = {"gamma": args.gamma, "tau": args.tau,
-                  "J": sorted(_j_set(args.J))}
+                                args.J)
         refs = ["relative-interval"]
-    text = "%s (T), %s (T~)" % (res.t, res.t_strict)
-    payload = {"set": res.t.parts(), "strict_set": res.t_strict.parts()}
-    return CommandResult("interval", inputs, payload, refs, text)
+    return ({"set": res.t.parts(), "strict_set": res.t_strict.parts()},
+            "%s (T), %s (T~)" % (res.t, res.t_strict), refs)
 
 
 def cmd_ray_union(args):
-    params = bezout(args.p, args.q)
-    taus = _rat_list(args.tau)
-    if len(taus) != 1:
-        raise ValueError("ray-union takes exactly one --tau")
-    out = ray_union(params, args.direction, taus[0])
-    inputs = {"p": args.p, "q": args.q, "direction": args.direction,
-              "tau": args.tau}
-    payload = {"set": out.parts()}
-    return CommandResult("ray-union", inputs, payload,
-                         ["ray-union"], str(out))
+    out = ray_union(bezout(args.p, args.q), args.direction, _one_tau(args))
+    return {"set": out.parts()}, str(out), ["ray-union"]
 
 
 def cmd_cable(args):
-    params = bezout(args.p, args.q)
-    input_set = parse_slope_set(args.input)
-    mode = DetectionMode(args.mode)
-    out, tag = cable_detected_set(params, input_set, mode)
-    inputs = {"p": args.p, "q": args.q, "input": args.input,
-              "mode": args.mode}
-    payload = {"set": out.parts(), "exactness": tag}
-    text = "%s (%s)" % (out, tag)
-    return CommandResult("cable", inputs, payload,
-                         ["cable-pipeline", "ray-union"], text)
+    out, tag = cable_detected_set(bezout(args.p, args.q),
+                                  parse_slope_set(args.input),
+                                  DetectionMode(args.mode))
+    return ({"set": out.parts(), "exactness": tag}, "%s (%s)" % (out, tag),
+            ["cable-pipeline", "ray-union"])
 
 
 def cmd_torus(args):
     regular, strong = torus_knot_detected(args.p, args.q)
-    inputs = {"p": args.p, "q": args.q}
-    payload = {"set": regular.parts(), "strong_set": strong.parts()}
-    text = "%s regular; %s strong" % (regular, strong)
-    return CommandResult("torus", inputs, payload,
-                         ["torus-closed-form"], text)
+    return ({"set": regular.parts(), "strong_set": strong.parts()},
+            "%s regular; %s strong" % (regular, strong),
+            ["torus-closed-form"])
 
 
 def cmd_oracle(args):
-    params = bezout(args.p, args.q)
-    taus = _rat_list(args.tau)
-    if len(taus) != 1:
-        raise ValueError("oracle takes exactly one --tau")
-    expected = cable_interval(params, _j_set(args.J), taus[0]).t
-    report = grid_scan_interval(params, _j_set(args.J), taus[0],
-                                args.max_denominator, expected=expected)
-    inputs = {"p": args.p, "q": args.q, "J": sorted(_j_set(args.J)),
-              "tau": args.tau, "max_denominator": args.max_denominator}
-    hull = ("empty" if report.hull_low is None
-            else "[%s,%s]" % (report.hull_low, report.hull_high))
+    params, tau = bezout(args.p, args.q), _one_tau(args)
+    # tau' has index 2, and its slot is strict when 2 is in J
+    res = cable_interval(params, args.J - {2}, tau)
+    report = grid_scan_interval(params, args.J, tau, args.max_denominator,
+                                res.t_strict if 2 in args.J else res.t)
+    hull = (SlopeSet.empty() if report.hull_low is None
+            else SlopeSet.interval(report.hull_low, report.hull_high))
     text = "hull %s tested %d mismatches %d" % (
         hull, report.tested_points, len(report.mismatches))
     payload = {
-        "hull": hull,
+        "hull": hull.parts(),
         "tested_points": report.tested_points,
         "mismatches": [[str(p), got, exp]
                        for p, got, exp in report.mismatches],
     }
-    code = 4 if report.mismatches else 0
-    return CommandResult("oracle", inputs, payload,
-                         ["grid-scan", "cable-interval"], text, code)
+    return (payload, text, ["grid-scan", "cable-interval"],
+            4 if report.mismatches else 0)
 
 
 def cmd_bezout(args):
     params = bezout(args.p, args.q)
-    inputs = {"p": args.p, "q": args.q}
     payload = {"p": params.p, "q": params.q, "r": params.r, "s": params.s,
                "gamma": str(params.gamma)}
     text = "p=%d q=%d r=%d s=%d gamma=%s" % (
         params.p, params.q, params.r, params.s, params.gamma)
-    return CommandResult("bezout", inputs, payload,
-                         ["bezout-normalization"], text)
+    return payload, text, ["bezout-normalization"]
 
 
 def _add_common(sub, *names, pq_required=True):
@@ -175,10 +145,10 @@ def _add_common(sub, *names, pq_required=True):
         sub.add_argument("--p", type=integer, required=pq_required)
     if "q" in names:
         sub.add_argument("--q", type=integer, required=pq_required)
-    if "b" in names:
-        sub.add_argument("--b", type=integer, default=0)
     if "J" in names:
         sub.add_argument("--J", default="")
+    if "b" in names:
+        sub.add_argument("--b", type=integer, default=0)
     if "gamma" in names:
         sub.add_argument("--gamma", default="")
     if "tau" in names:
@@ -234,13 +204,21 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command.  Each ``cmd_*`` reads the parsed flags, --J as a
+    set, and returns (result, text, refs), the oracle also its exit
+    code; main builds the one CommandResult from them."""
+    args = build_parser().parse_args(argv)
     try:
-        result = args.func(args)
+        if "J" in args:
+            args.J = _j_set(args.J)
+        payload, text, refs, *code = args.func(args)
     except (ValueError, ZeroDivisionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
+    # every flag of the command as parsed, in declaration order
+    inputs = {k: sorted(v) if k == "J" else v for k, v in vars(args).items()
+              if k not in ("command", "format", "func")}
+    result = CommandResult(args.command, inputs, payload, refs, text, *code)
     print(result.to_json() if args.format == "json" else result.text)
     return result.exit_code
 

@@ -584,6 +584,55 @@ class TestPipelineLaws:
         assert f(a, DetectionMode.STRONG).issubset(weak)
 
 
+def _sample_taus(inner):
+    """Each closed finite end of a piece of ``inner``, and each point of
+    denominator <= 4 inside a piece, unbounded pieces cut at -6 and 6."""
+    taus = set()
+    for low, low_closed, high, high_closed in inner.affine_pieces():
+        for end, closed in ((low, low_closed), (high, high_closed)):
+            if end is not None and closed:
+                taus.add(end)
+        lo = ExtRational(-6) if low is None else low
+        hi = ExtRational(6) if high is None else high
+        for den in range(1, 5):
+            for num in range(-(-lo.num * den // lo.den),
+                             hi.num * den // hi.den + 1):
+                x = ExtRational(num, den)
+                if inner.contains(x):
+                    taus.add(x)
+    return sorted(taus)
+
+
+class TestOraclePointsInOutput:
+    """Every oracle point lies in the cabling output.  The grid scan
+    tests tau' with the decision procedure alone, never the interval
+    path, so for each sampled tau of the inner image the outer image of
+    its closed hull at J = {} must lie in the weak output, which regular
+    mode computes too.  Strong mode, and the converse (each end of the
+    output attained), are not checked here."""
+
+    CABLES = ((5, 2), (3, 2), (7, 3), (2, 3), (11, 4), (4, 5))
+    INPUTS = ("[-inf,1]", "[-inf,-1]", "{0}", "[0,1] U {inf}", "(-1,2)",
+              "[-inf,3] U {inf}", "{1/2} U [2,5)", "[-inf,inf]")
+
+    def test_scan_hull_inside_output(self):
+        checks = 0
+        for (p, q), text in itertools.product(self.CABLES, self.INPUTS):
+            params, s = bezout(p, q), parse_slope_set(text)
+            inner = mobius_set_image(inner_basis_map(params), s)
+            outs = [cable_detected_set(params, s, mode)[0]
+                    for mode in (DetectionMode.WEAK, DetectionMode.REGULAR)]
+            for tau in _sample_taus(inner):
+                r = oracle.grid_scan_interval(params, frozenset(), tau, 12)
+                hull = (SlopeSet.empty() if r.hull_low is None
+                        else SlopeSet.interval(r.hull_low, r.hull_high))
+                image = mobius_set_image(outer_basis_map(params), hull)
+                for out in outs:
+                    assert image.issubset(out), (p, q, text, tau, hull, out)
+                    checks += 1
+        assert checks > 3000
+
+
 class TestPipeline:
     def test_mode_must_be_a_detection_mode(self):
         with pytest.raises(ValueError, match="DetectionMode"):

@@ -11,8 +11,9 @@ from cableslopes import cli
 from cableslopes.cable import (DetectionMode, bezout, cable_detected_set,
                                ray_union, torus_knot_detected)
 from cableslopes.cli import main
-from cableslopes.exact import parse_slope_set
+from cableslopes.exact import SlopeSet, parse_slope_set
 from cableslopes.intervals import cable_interval, relative_interval
+from cableslopes.oracle import grid_scan_interval
 from test_readme import EXAMPLES
 
 
@@ -114,6 +115,25 @@ class TestJsonFormat:
         code, out, _ = run(capsys, "interval", *argv, "--format", "json")
         assert code == 0
         assert json.loads(out)["refs"] == refs
+
+    @pytest.mark.parametrize("argv, inputs", [
+        (("interval", "--p", "2", "--q", "3", "--tau", "1/2", "--J", "1"),
+         {"p": 2, "q": 3, "J": [1], "gamma": "", "tau": "1/2"}),
+        (("interval", "--gamma", "1/2", "--tau", "1/3,1/4", "--J", "2,1"),
+         {"p": None, "q": None, "J": [1, 2], "gamma": "1/2",
+          "tau": "1/3,1/4"}),
+        (("jn", "--gamma", "1/2", "--tau", "1/3,1/4", "--b", "+1"),
+         {"J": [], "b": 1, "gamma": "1/2", "tau": "1/3,1/4"}),
+        (("ray-union", "--direction", "leq", "--p", "2", "--q", "3",
+          "--tau", "1/2"),
+         {"p": 2, "q": 3, "tau": "1/2", "direction": "leq"}),
+    ])
+    def test_inputs_echo_parsed_flags(self, capsys, argv, inputs):
+        # every flag of the command, in declaration order, J sorted
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert list(json.loads(out)["inputs"].items()) == list(
+            inputs.items())
 
     def test_cable_json_has_exactness(self, capsys):
         code, out, _ = run(capsys, "cable", "--p", "5", "--q", "2",
@@ -261,6 +281,32 @@ class TestExitCodes:
         assert code == 0
         assert "mismatches 0" in out
 
+    @pytest.mark.parametrize("J, hull", [("2", "[-16/11,-13/12]"),
+                                         ("1,2", "[-13/11,-13/12]")])
+    def test_oracle_checks_t_strict(self, capsys, J, hull):
+        # tau' has index 2: with 2 in J its slot is strict, and the scan
+        # is checked against the T~ that interval prints
+        code, out, _ = run(capsys, "oracle", "--p", "2", "--q", "3",
+                           "--tau", "1/2", "--J", J, "--max-denominator",
+                           "12")
+        assert code == 0
+        assert out == "hull %s tested 183 mismatches 0" % hull
+
+    def test_oracle_j_names_no_tau(self, capsys):
+        code, out, err = run(capsys, "oracle", "--p", "2", "--q", "3",
+                             "--tau", "1/2", "--J", "3")
+        assert code == 3 and out == ""
+        assert err == "error: J must contain 1-based tau indices"
+
+    @pytest.mark.parametrize("D, hull", [("2", "{}"), ("3", "{-5/3}")])
+    def test_oracle_hull_is_a_set(self, capsys, D, hull):
+        # with J = {1} and integral tau, t is the one point -5/3: a grid
+        # of denominators up to 2 misses it
+        code, out, _ = run(capsys, "oracle", "--p", "2", "--q", "3",
+                           "--tau", "1", "--J", "1", "--max-denominator", D)
+        assert code == 0
+        assert out.startswith("hull %s tested " % hull)
+
     @pytest.mark.parametrize("argv", [
         ("torus", "--p", "3"),
         ("cable", "--q", "3", "--input", "[0,1]"),
@@ -282,6 +328,20 @@ class TestExitCodes:
         assert code == 3
         assert err == "error: ray-union takes exactly one --tau"
 
+    @pytest.mark.parametrize("command", ["interval", "oracle"])
+    def test_takes_one_tau(self, capsys, command):
+        code, _, err = run(capsys, command, "--p", "2", "--q", "3",
+                           "--tau", "1/2,1/3")
+        assert code == 3
+        assert err == "error: %s takes exactly one --tau" % command
+
+    def test_bad_j_part_comes_first(self, capsys):
+        # --J is read before the command runs, so before its p and q
+        code, _, err = run(capsys, "oracle", "--p", "2", "--q", "4",
+                           "--tau", "1/2", "--J", "x")
+        assert code == 3
+        assert err == "error: cannot parse integer: 'x'"
+
     def test_oracle_needs_a_denominator(self, capsys):
         code, _, err = run(capsys, "oracle", "--p", "2", "--q", "3",
                            "--tau", "1/2", "--max-denominator", "0")
@@ -290,9 +350,12 @@ class TestExitCodes:
 
 
 FRACTIONS = st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 7))
+FINITE = st.one_of(FRACTIONS, st.integers(-9, 9).map(str))
 RATIONALS = st.one_of(
-    FRACTIONS, FRACTIONS, FRACTIONS, st.integers(-9, 9).map(str),
-    st.sampled_from(["inf", "0/0", "1/0", "x", "1.5", "", "2/-3"]))
+    FINITE, st.sampled_from(["inf", "0/0", "1/0", "x", "1.5", "", "2/-3"]))
+# a gamma weight lies strictly between 0 and 1
+WEIGHTS = st.integers(2, 7).flatmap(
+    lambda d: st.integers(1, d - 1).map(lambda n: "%d/%d" % (n, d)))
 COPRIME = st.sampled_from([(str(p), str(q)) for p in range(1, 10)
                            for q in range(2, 10) if math.gcd(p, q) == 1])
 SMALL_INTS = st.sampled_from("2 3 5 7 4 9 1 6 8 0 -1 x".split())
@@ -302,8 +365,10 @@ OPTIONS = {
     "--p": SMALL_INTS,
     "--q": SMALL_INTS,
     "--b": st.integers(-3, 3).map(str),
-    "--J": st.sampled_from(["", "1", "", "1", "2", "1,2", "3", "x"]),
-    "--gamma": st.lists(RATIONALS, max_size=3).map(",".join),
+    "--J": st.sampled_from(["", "1", "", "1", "", "1", "2", "1,2", "3",
+                            "x"]),
+    "--gamma": st.lists(st.one_of(WEIGHTS, RATIONALS),
+                        max_size=3).map(",".join),
     "--tau": st.one_of(RATIONALS,
                        st.lists(RATIONALS, max_size=3).map(",".join)),
     "--input": st.one_of(
@@ -315,30 +380,35 @@ OPTIONS = {
     "--max-denominator": st.integers(0, 6).map(str),
     "--format": st.sampled_from(["text", "json"]),
 }
-COMMAND_OPTIONS = {
-    "jn": ("--b", "--J", "--gamma", "--tau"),
-    "interval": ("--p", "--q", "--J", "--gamma", "--tau"),
-    "ray-union": ("--p", "--q", "--tau", "--direction"),
-    "cable": ("--p", "--q", "--input", "--mode"),
-    "torus": ("--p", "--q"),
-    "oracle": ("--p", "--q", "--J", "--tau", "--max-denominator"),
-    "bezout": ("--p", "--q"),
+# each command's forms, by their flags: interval takes --p and --q, or
+# --gamma, and a form with --p and --tau takes exactly one --tau
+COMMAND_FORMS = {
+    "jn": (("--b", "--J", "--gamma", "--tau"),),
+    "interval": (("--p", "--q", "--J", "--tau"), ("--J", "--gamma", "--tau")),
+    "ray-union": (("--p", "--q", "--tau", "--direction"),),
+    "cable": (("--p", "--q", "--input", "--mode"),),
+    "torus": (("--p", "--q"),),
+    "oracle": (("--p", "--q", "--J", "--tau", "--max-denominator"),),
+    "bezout": (("--p", "--q"),),
 }
 MOSTLY = st.sampled_from((True,) * 19 + (False,))
 
 
 @st.composite
 def argvs(draw):
-    """Mostly the command's own flags; sometimes one missing or one stray."""
-    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
-    flags = [f for f in COMMAND_OPTIONS[command] + ("--format",)
-             if draw(MOSTLY)]
+    """Mostly one form's own flags, with one rational for a one-tau form;
+    sometimes one flag missing or one stray."""
+    command = draw(st.sampled_from(sorted(COMMAND_FORMS)))
+    form = draw(st.sampled_from(COMMAND_FORMS[command]))
+    flags = [f for f in form + ("--format",) if draw(MOSTLY)]
     if not draw(MOSTLY):
         flags.append(draw(st.sampled_from(sorted(OPTIONS))))
-    pq = dict(zip(("--p", "--q"), draw(COPRIME))) if draw(MOSTLY) else {}
+    fixed = dict(zip(("--p", "--q"), draw(COPRIME))) if draw(MOSTLY) else {}
+    if {"--p", "--tau"} <= set(form) and draw(MOSTLY):
+        fixed["--tau"] = draw(FINITE)
     argv = [command]
     for flag in flags:
-        value = pq[flag] if flag in pq else draw(OPTIONS[flag])
+        value = fixed[flag] if flag in fixed else draw(OPTIONS[flag])
         # "--tau -1/2" is an argparse usage error; "--tau=-1/2" is not
         argv += ["%s=%s" % (flag, value)] if draw(MOSTLY) else [flag, value]
     return argv
@@ -365,6 +435,7 @@ TEXT_SETS = {
     "torus": (r"(.*) regular; (.*) strong", ("set", "strong_set")),
     "cable": (r"(.*) \((?:equals|contains)\)", ("set",)),
     "ray-union": (r"(.*)", ("set",)),
+    "oracle": (r"hull (.*) tested \d+ mismatches \d+", ("hull",)),
 }
 
 
@@ -380,6 +451,12 @@ def _api_sets(args):
         regular, strong = torus_knot_detected(args.p, args.q)
         return {"set": regular, "strong_set": strong}
     params = bezout(args.p, args.q)
+    if args.command == "oracle":
+        r = grid_scan_interval(params, cli._j_set(args.J),
+                               cli._rat_list(args.tau)[0],
+                               args.max_denominator)
+        return {"hull": SlopeSet.empty() if r.hull_low is None
+                else SlopeSet.interval(r.hull_low, r.hull_high)}
     if args.command == "cable":
         return {"set": cable_detected_set(params, parse_slope_set(args.input),
                                           DetectionMode(args.mode))[0]}
@@ -432,5 +509,9 @@ class TestJsonSetContract:
     @given(argvs())
     @example(["interval", "--gamma", "", "--tau", "9/7,5/7", "--J", "1,2"])
     @example(["interval", "--tau", "2", "--J", "1"])
+    @example(["oracle", "--p", "2", "--q", "3", "--tau", "1/2", "--J", "2",
+              "--max-denominator", "12"])
+    @example(["oracle", "--p", "2", "--q", "3", "--tau", "1", "--J", "1",
+              "--max-denominator", "2"])
     def test_argv_fuzz(self, argv):
         _check_sets(argv)
