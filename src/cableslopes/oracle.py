@@ -22,39 +22,37 @@ The scan works on integers too.  A grid point tau' = num/den, with
 num = fl den + fn and 0 <= fn < den, adds the slot fn/den to the
 fixed slots of gamma and tau and puts b at b0 - fl, b0 being the shift
 left by tau's floor.  The realisable b of one slot list form an integer
-interval, ``_realisable_range``, so per denominator the realised
-numerators form one span [s, e): its members coprime to den are
-exactly the realised grid points; ``_spans`` gives them at b0 = 0.
+interval, ``_realisable_range``, so at b0 = 0 the realised tau' of
+every den >= 2 are the grid points of one interval [L, H], which
+``_spans`` gives:
 
 - k >= 3 slots with tau' and no zero slot: 2 <= b <= k - 2 always,
-  b = 1 when fn has a b = 1 witness, fn <= a, and b = k - 1 when its
-  complement has one, fn >= c, for a and c read off the two sups below.
-  b = -fl falls as the row fl rises, so the row of b = k - 1 keeps
-  the suffix fn >= c, the rows between keep every residue and the row
-  of b = 1 the prefix fn <= a: s = (1 - k) den + c and
-  e = a + 1 - den.  c = den or a = 0 puts an end on a multiple of
-  den, which is no grid point, so needs no case of its own.
-- With zero slots the range ignores the slot values, so every fn != 0
-  shares one range and the span covers its rows whole.  Its end takes
-  the cut of a closed end, m den + 1: m den is no grid point.
+  b = 1 when fn/den has a b = 1 witness, fn/den <= x/y, and b = k - 1
+  when its complement has one, 1 - fn/den <= cx/cy, for the two sups
+  below, so [L, H] = [(2 - k) - cx/cy, x/y - 1].  It is open when
+  tau' is strict and a sup is non-zero, closed else.
+- With zero slots the range ignores the slot values, so [L, H] is
+  [-max b, 1 - min b] of it, open when tau' is strict.
 - With one fixed slot v and no zero slot, the two values in (0, 1)
-  must add up to b, so the one realised point is tau' = -v, b = 1,
-  and each den's span is that point's own member cuts.
-- For den = 1 the one residue is 0, a zero slot unless tau' is strict.
+  must add up to b, so [L, H] is the point -v, b = 1, closed.
+- For den = 1 the one residue is 0, a zero slot unless tau' is strict,
+  and the realised numerators form the span [s, e) of its range.
 
-The expected set becomes integer cuts on the numerator, two per affine
-piece, and num/den lies in it exactly when an odd number of cuts is at
-most num; it is realised exactly when one of s and e is.  So a grid
-point disagrees exactly when an odd number of all these cuts is at
-most num, and sorted they bound the disagreements as [x0, x1),
-[x2, x3), ....  Each cut is built as a column over den, and when the
-columns are the spans' s and e, as for a correct t of a fractional
-tau or an integral one outside J, every pair cancels and nothing is
-swept.  Else the sweep reads s and e before they shrink to the hull's
-coprime ends and keeps the disagreements as these runs.  A scan costs
-two sups, O(D) spans, cuts and runs and a few gcds where a span end
-could move the hull, while ``tested_points`` still counts every grid
-point, rows times phi(den); a report pays one gcd per numerator in a run.
+One rule writes both sides: ``_member_cuts`` turns an end n/d of the
+expected set into a triple (n, off, d) whose cut (n den + off) // d is
+the least num inside the set or above it, and writes [L, H] so too.
+num/den lies in the expected set exactly when an odd number of its
+cuts is at most num, and is realised exactly when one of s and e is,
+the cuts of den 1's span or of [L, H].  So sorted, all these cuts
+bound the disagreements as [x0, x1), [x2, x3), ....  A correct t or
+t_strict has [L, H]'s triples: every pair cancels at every den >= 2,
+and one comparison of the two lists stands for the sweep there.  A
+wrong set, or a sup that max_denominator cut short, is swept den by
+den.  The hull needs no sweep: ``_least_above`` walks ``_descend`` to
+[L, H]'s least and greatest grid points.  So a correct scan costs two
+sups and two walks whatever D, and a sweep O(D) cuts and runs, while
+``tested_points`` still counts every grid point, rows times phi(den);
+a report pays one gcd per numerator in a run.
 
 The residues of one scan need no witness loop per denominator.  A
 witness for a higher slot value meets a lower one's inequality too, so
@@ -192,9 +190,7 @@ def _realisable_range(slots, zeros):
 
     With zeros: [2 - zeros, k + zeros - 2].  For k < 3: the slot sum if
     it is an integer.  Else [2, k - 2], widened to 1 by a b = 1 witness
-    of the slots and to k - 1 by one of their complements.  The grid
-    scan reads it only for tau' = 0 and for slots with zeros; for the
-    others ``_spans`` reads the two sups or the slot sum.
+    of the slots and to k - 1 by one of their complements.
     """
     k = len(slots)
     if zeros:
@@ -252,35 +248,31 @@ def _coprime_count(max_denominator):
 
 
 def _spans(fixed, zeros, strict, max_denominator):
-    """Per denominator 1, 2, ..., the numerator span [s, e) of tau'.
-
-    tau' = num/den with num coprime to den is realisable, with the
-    (num, den, strict) slots ``fixed``, ``zeros`` zero slots and
-    b0 = 0, exactly when s <= num < e; the module docstring derives
-    each case.  A span with s >= e is empty.
-    """
-    k = len(fixed) + 1
-    dens = range(2, max_denominator + 1)
+    """The realised tau' at b0 = 0, with the (num, den, strict) slots
+    ``fixed`` and ``zeros`` zero slots: den 1's numerator span [s, e),
+    and L, H and closed of the interval [L, H] of every den >= 2."""
     rng = _realisable_range(fixed, zeros + (not strict))  # tau' = 0
-    out = [(-rng[-1], 1 - rng[0]) if rng else (0, 0)]
+    s, e = (-rng[-1], 1 - rng[0]) if rng else (0, 0)
+    closed = not strict
     if zeros:
         # with zero slots any slot value gives the same range
         rng = _realisable_range(fixed + ((1, 2, strict),), zeros)
-        return out + [(-rng[-1] * den, (1 - rng[0]) * den + 1) for den in dens]
-    if k < 3:
-        # arity 2: tau' = -v alone, v = n/d the one fixed slot; each
-        # span is that point's member cuts
+        low, high = ExtRational(-rng[-1]), ExtRational(1 - rng[0])
+    elif len(fixed) < 2:
+        # arity 2: tau' = -v alone, v = n/d the one fixed slot
         (n, d, _), = fixed
-        return out + [(-(n * den // d), -n * den // d + 1) for den in dens]
-    # fn/den has a b = 1 witness when it is <= W = x/y (< W if strict),
-    # and its complement one when 1 - fn/den is <= cx/cy (<); W > 0
-    # keeps each floor >= 0, and W = 0 gives 0 once strict is dropped
-    x, y = _free_slot_sup(fixed, max_denominator)
-    cx, cy = _free_slot_sup(tuple((d - n, d, st) for n, d, st in fixed),
-                            max_denominator)
-    sa, sc = strict if x else 0, strict if cx else 0
-    return out + [((2 - k) * den - (cx * den - sc) // cy,
-                   (x * den - sa) // y + 1 - den) for den in dens]
+        low = high = ExtRational(-n, d)
+        closed = True
+    else:
+        # fn/den has a b = 1 witness when it is <= W = x/y (< W if
+        # strict), and its complement one when 1 - fn/den is <= cx/cy (<)
+        x, y = _free_slot_sup(fixed, max_denominator)
+        cx, cy = _free_slot_sup(tuple((d - n, d, st) for n, d, st in fixed),
+                                max_denominator)
+        low = ExtRational._reduced((1 - len(fixed)) * cy - cx, cy)
+        high = ExtRational._reduced(x - y, y)
+        closed = not (strict and (x or cx))
+    return (s, e), low, high, closed
 
 
 def _reduce(J, b, gammas, taus):
@@ -316,15 +308,10 @@ def _decide_point(J, b, gammas, taus):
 
 
 def _member_cuts(pieces, b0, lo, hi):
-    """Integer cuts on num for membership of num/den in affine pieces.
-
-    Each piece (low, low_closed, high, high_closed) gives the least num
-    inside it and the least num above it.  For an end n/d that is a
-    ceil or a floor + 1 of n den / d, so each cut is a triple (n, off, d)
-    that sits at (n den + off) // d; an unbounded end gives the scan
-    limit lo or hi, as (lo, 0, 1) or (hi, 0, 1).  All of it is less
-    b0 den: a triple holds n - b0 d for n, and lo and hi are rows less b0.
-    """
+    """The cut triples (n, off, d) of affine pieces (low, low_closed,
+    high, high_closed): a ceil (off = d - 1) or a floor + 1 (off = d) of
+    n den / d, or the scan limit (lo, 0, 1) or (hi, 0, 1) at an unbounded
+    end, all less b0 den: n - b0 d for n, and lo and hi rows less b0."""
     cuts = []
     for l, lc, h, hc in pieces:
         cuts.append((lo, 0, 1) if l is None
@@ -332,6 +319,19 @@ def _member_cuts(pieces, b0, lo, hi):
         cuts.append((hi, 0, 1) if h is None
                     else (h.num - b0 * h.den, h.den - (not hc), h.den))
     return tuple(cuts)
+
+
+def _least_above(n, d, strict, bound):
+    """The least fraction (num, den), 2 <= den <= bound, at or above
+    n/d, or above it if ``strict``: ``_descend`` on the window [v, v]
+    of the fractional part v, or else the next integer plus 1/bound."""
+    fl, fn = divmod(n, d)
+    if fn:
+        _, A, N = _descend((fn, d, strict), (fn, d, False), bound)
+        if A < N:
+            return fl * N + A, N
+        fl += 1
+    return fl * bound + 1, bound
 
 
 def _scan_rows(fixed, zeros):
@@ -356,39 +356,39 @@ def _relative_scan(fixed, zeros, strict, max_denominator, ends):
     and e among them, lies in a run clipped to the rows, so got is fixed.
     """
     lo, hi = _scan_rows(fixed, zeros)
-    spans = _spans(fixed, zeros, strict, max_denominator)
+    (s1, e1), low, high, closed = _spans(fixed, zeros, strict,
+                                         max_denominator)
+    cuts = _member_cuts(((low, closed, high, closed),), 0, None, None)
     found = []
     if ends is not None:
-        dens = range(1, max_denominator + 1)
-        cols = [[(n * den + off) // d for den in dens] for n, off, d in ends]
-        # cuts equal to the span ends cancel in pairs: no disagreement
-        se = list(map(list, zip(*spans)))
-        if cols != se:
-            for den, (s, e), cuts in zip(dens, spans, zip(*cols, *se)):
-                # the grid is the num coprime to den in [start, stop);
-                # the hull's shrink drops no grid point: raw s, e will do
+        # den 1 keeps its own row; equal cut lists give equal columns,
+        # which cancel in pairs
+        for dens, span in ((range(1, 2), ((s1, 0, 1), (e1, 0, 1))),
+                           (range(2, max_denominator + 1), cuts)):
+            if ends == span:
+                continue
+            cols = [[(n * den + off) // d for den in dens]
+                    for n, off, d in ends + span]
+            for den, col in zip(dens, zip(*cols)):
+                # the grid is the num coprime to den in [start, stop)
+                s, e = col[-2:]
                 start, stop = lo * den + 1, hi * den
-                cuts = iter(sorted(cuts))
-                for x0, x1 in zip(cuts, cuts):
+                col = iter(sorted(col))
+                for x0, x1 in zip(col, col):
                     x0, x1 = max(x0, start), min(x1, stop)
                     if x0 < x1:
                         found.append((x0, x1, den, s <= x0 < e))
-    # the hull so far is [ln/ld, hn/hd], 1/0 and -1/0 while empty; an end
-    # shrinks to its first grid point only when it could move the hull
-    # and still moves it: only an integer m can shrink, to m den +- 1
-    # (a zero-slot span ends at the cut m den + 1, so its e - 1 is one)
-    ln, ld, hn, hd = 1, 0, -1, 0
-    for den, (s, e) in enumerate(spans, 1):
-        if s < e and s * ld < ln * den:
-            while s < e and math.gcd(s, den) != 1:
-                s += 1
-            if s < e:
-                ln, ld = s, den
-        if s < e and (e - 1) * hd > hn * den:
-            while s < e and math.gcd(e - 1, den) != 1:
-                e -= 1
-            if s < e:
-                hn, hd = e - 1, den
+    # the hull [ln/ld, hn/hd], 1/0 and -1/0 while empty: den 1's ends,
+    # then [L, H]'s least and greatest fractions of den 2 to D
+    ln, ld, hn, hd = (s1, 1, e1 - 1, 1) if s1 < e1 else (1, 0, -1, 0)
+    if max_denominator > 1:
+        a, b = _least_above(low.num, low.den, not closed, max_denominator)
+        c, d = _least_above(-high.num, high.den, not closed, max_denominator)
+        if a * d <= -c * b:
+            if a * ld < ln * b:
+                ln, ld = a, b
+            if -c * hd > hn * d:
+                hn, hd = -c, d
     # every den has (hi - lo) phi(den) grid points, but den = 1 lacks lo
     tested = (hi - lo) * _coprime_count(max_denominator) - 1
     if not ld:

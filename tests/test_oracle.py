@@ -16,7 +16,8 @@ from cableslopes.exact import (INF, ExtRational, IntMobius, SlopeSet,
 from cableslopes.intervals import cable_interval
 from cableslopes.jn import decide, witness_search
 from cableslopes.oracle import (ScanReport, _decide_point, _descend,
-                                _least_window_N, _realisable_range, _spans,
+                                _least_above, _least_window_N,
+                                _realisable_range, _spans,
                                 _witness_exists, exhaustive_witness_check,
                                 grid_scan_interval)
 from loop_reference import (least_accepted, least_window_N, realisable,
@@ -118,6 +119,20 @@ ALL_YES = (((1, 15, False),) * 3, 0, False, 15)
 ALL_NO = (((1, 2, True), (1, 2, True)), 0, False, 30)
 
 
+def _span_list(fixed, zeros, strict, max_denominator):
+    """Each den's span (s, e), den 1's first, then [L, H]'s member cuts
+    placed on den 2 to max_denominator as the scan places them."""
+    first, low, high, closed = _spans(fixed, zeros, strict, max_denominator)
+    cuts = oracle._member_cuts(((low, closed, high, closed),), 0, None, None)
+    return [first] + [tuple((n * den + off) // d for n, off, d in cuts)
+                      for den in range(2, max_denominator + 1)]
+
+
+# every reduced tau of denominator <= 4 in [-2, 2]
+SMALL_TAUS = [ExtRational(n, d) for d in range(1, 5)
+              for n in range(-2 * d, 2 * d + 1) if math.gcd(n, d) == 1]
+
+
 class TestSpans:
     @settings(max_examples=200, deadline=None)
     @given(scan_keys(), st.integers(-3, 3))
@@ -129,7 +144,7 @@ class TestSpans:
         # moved span's coprime members must be exactly the nums whose
         # own key's range holds b = b0 - fl
         fixed, zeros, strict, max_denominator = key
-        spans = _spans(fixed, zeros, strict, max_denominator)
+        spans = _span_list(*key)
         assert len(spans) == max_denominator
         spans = [(s + b0 * den, e + b0 * den)
                  for den, (s, e) in enumerate(spans, 1)]
@@ -148,28 +163,29 @@ class TestSpans:
             assert {num for num in range(s, e)
                     if math.gcd(num, den) == 1} == want
 
-    def test_one_slot_columns_are_the_spans(self):
-        # with the one fixed slot gamma (an integral tau in J) the span of
-        # each den is the member cuts of the one realised point, so a
-        # correct t passes the scan's column test and is not swept
-        dens = range(1, 25)
+    def test_expected_cuts_are_the_spans(self):
+        # every cable key of p <= 7, 2 <= q <= 7 and a tau of SMALL_TAUS,
+        # with t as the expected set, or t_strict when tau' is strict:
+        # two fixed slots, strict or not, a zero slot, one fixed slot
+        # (an integral tau in J) and the point t = {-1} of the (5, 2)
+        # cable at tau = 1/2.  The expected set's cuts are the spans'
+        # at every den >= 2, so a correct scan sweeps den 1 alone
+        D = 24
         for p, q in itertools.product(range(1, 8), range(2, 8)):
             if math.gcd(p, q) != 1:
                 continue
             params = bezout(p, q)
-            for tau, strict in itertools.product(
-                    map(ExtRational, (-2, 0, 3)), (False, True)):
-                res = cable_interval(params, frozenset({1}), tau)
+            for tau, J in itertools.product(SMALL_TAUS, (
+                    frozenset(), {1}, {2}, {1, 2})):
+                res = cable_interval(params, frozenset(J) - {2}, tau)
                 b0, fixed, zeros = oracle._reduce(
-                    {1}, 0, (params.gamma,), (tau,))
-                assert len(fixed) == 1 and not zeros
+                    frozenset(J) - {2}, 0, (params.gamma,), (tau,))
                 ends = oracle._member_cuts(
-                    (res.t_strict if strict else res.t).affine_pieces(),
+                    (res.t_strict if 2 in J else res.t).affine_pieces(),
                     b0, *oracle._scan_rows(fixed, zeros))
-                cols = [[(n * den + off) // d for den in dens]
-                        for n, off, d in ends]
-                spans = _spans(fixed, zeros, strict, len(dens))
-                assert cols == list(map(list, zip(*spans))), (p, q, tau)
+                assert [tuple((n * den + off) // d for n, off, d in ends)
+                        for den in range(2, D + 1)] == _span_list(
+                    fixed, zeros, 2 in J, D)[1:], (p, q, tau, J)
 
 
 @st.composite
@@ -197,10 +213,12 @@ SMALL_SLOTS = [(n, d, st_) for d in range(2, 9) for n in range(1, d)
 def _thresholds(fixed, strict, max_denominator):
     """(a, c) of each den >= 2, read back off the spans of two or more
     fixed slots: s = (1 - k) den + c and e = a + 1 - den.  The span of
-    den = 1 is tau' = 0's, which no threshold gives."""
+    den = 1 is tau' = 0's, which no threshold gives.  A strict side
+    with no witness ends open on a multiple of den, no grid point, and
+    reads a = -1 or c = den + 1: the reference's 0 and den."""
     k = len(fixed) + 1
-    spans = _spans(fixed, 0, strict, max_denominator)
-    return tuple((e - 1 + den, s + (k - 1) * den)
+    spans = _span_list(fixed, 0, strict, max_denominator)
+    return tuple((max(e - 1 + den, 0), min(s + (k - 1) * den, den))
                  for den, (s, e) in enumerate(spans, 1))[1:]
 
 
@@ -233,7 +251,7 @@ class TestWitnessThresholds:
             _spans(fixed, 0, strict, 1)
             at_zero = list(calls)
             del calls[:]
-            spans = _spans(fixed, 0, strict, max_denominator)
+            spans = _span_list(fixed, 0, strict, max_denominator)
         assert len(spans) == max_denominator
         assert calls == at_zero
 
@@ -360,6 +378,25 @@ class TestLeastAccepted:
         # it hits v itself exactly when v is accepted and within reach
         reach = not strict and d // math.gcd(n, d) <= bound
         assert hit == (A * d == n * N) == reach
+
+
+class TestLeastAbove:
+    """The hull's query: the least fraction of denominator 2 to bound at
+    or above n/d, or above it when strict."""
+
+    def test_matches_reference_loop(self):
+        # v in [-2, 2]: integers, ends just below an integer and bounds
+        # under d too; every answer lies below 3 + 1/den
+        for d in range(1, 13):
+            for n, strict, bound in itertools.product(
+                    range(-2 * d, 2 * d + 1), (False, True), range(2, 9)):
+                v = Fraction(n, d)
+                want = min(Fraction(num, den) for den in range(2, bound + 1)
+                           for num in range(-3 * den, 3 * den + 2)
+                           if math.gcd(num, den) == 1
+                           and (num > v * den if strict else num >= v * den))
+                assert _least_above(n, d, strict, bound) == (
+                    want.numerator, want.denominator), (n, d, strict, bound)
 
 
 def _is_cut_literal(node):
@@ -510,8 +547,11 @@ class TestGridScan:
 def _deep_keys():
     """(params, tau) keys of the deep scan: the interval-ladder's special
     slopes tau = (bs + r)/(p - qb) on both branches, cables with p near
-    10**15, and integral and fractional tau, the last three with t's
-    ends of denominator 995 to 3,001, beyond the reference loops."""
+    10**15, and integral and fractional tau, three with t's ends of
+    denominator 995 to 3,001, beyond the reference loops.  The last,
+    the (5, 2) cable at tau = 1/2, has gamma = 1 - frac(tau), so
+    t = t_strict = {-1}: the one strict key whose realised tau' form a
+    closed interval."""
     keys = []
     for q, d, high in ((2, 1, False), (2, 145, False), (3, 86, False),
                        (3, 14, True)):
@@ -524,7 +564,8 @@ def _deep_keys():
              (big, ExtRational(big.r, big.p)), (big, R("-7/2")),
              (bezout(4, 3), R("5/12")), (bezout(4, 3), ExtRational(1)),
              (bezout(3, 2), ExtRational(-2)), (bezout(4, 3), R("1/997")),
-             (bezout(11, 7), R("-1/2999")), (bezout(3, 2), R("1500/2999"))]
+             (bezout(11, 7), R("-1/2999")), (bezout(3, 2), R("1500/2999")),
+             (bezout(5, 2), R("1/2"))]
     return keys
 
 
