@@ -46,28 +46,32 @@ cuts is at most num, and is realised exactly when one of s and e is,
 the cuts of den 1's span or of [L, H].  So sorted, all these cuts
 bound the disagreements as [x0, x1), [x2, x3), ....  A correct t or
 t_strict has [L, H]'s triples: every pair cancels at every den >= 2,
-and one comparison of the two lists stands for the sweep there.  A
-wrong set, or a sup that max_denominator cut short, is swept den by
-den.  The hull needs no sweep: ``_least_above`` walks ``_descend`` to
-[L, H]'s least and greatest grid points.  So a correct scan costs two
-sups and two walks whatever D, and a sweep O(D) cuts and runs, while
-``tested_points`` still counts every grid point, rows times phi(den);
-a report pays one gcd per numerator in a run.
+and one comparison of the two lists stands for the sweep there.  Only
+a wrong set is swept den by den.  The hull needs no sweep:
+``_least_above`` walks ``_descend`` to [L, H]'s least and greatest grid
+points.  So a correct scan costs two sups and two walks whatever D,
+and a sweep O(D) cuts and runs, while ``tested_points`` still counts
+every grid point, rows times phi(den); a report pays one gcd per
+numerator in a run.
 
 The residues of one scan need no witness loop per denominator.  A
 witness for a higher slot value meets a lower one's inequality too, so
 with the other slots fixed tau' has a b = 1 witness exactly when it
 suits W, the largest value a witness gives its slot, and its complement
 has one exactly when it suits the complement slots' W.
-``_free_slot_sup`` takes W over two witness shapes, N bounded by the
-other slots' least cap:
+``_free_slot_sup`` takes the exact W over two witness shapes, N bounded
+by the least cap of the slots outside the pair, or with none by
+di + dj, as a non-empty window holds the mediant of its ends:
 - a fixed pair takes A/N and (N-A)/N, the free slot 1/N at the least N
-  whose window holds an A, from ``_least_window_N``; a grid point
-  suits 1/N only if 1/N >= fn/den >= 1/den, so N <= D too;
+  over the pairs whose window holds an A, from ``_least_window_N``;
 - the free slot pairs with fixed slot i and takes (N-A)/N, so W is
   1 less the least A/N slot i accepts: ``_descend`` on the window
   [v_i, v_i], open at a strict v_i, hits v_i or ends on the least
   fraction above it.
+No bound D enters W: a grid point at or below 1/N has den >= N, so it
+would change no decision, only move [L, H] off the expected set's ends.
+``_witness_exists`` reads W too: k >= 3 slots have a witness exactly
+when the last suits the others' W, so one loop runs over slot pairs.
 
 Each translation class of tau is scanned once.  Moving tau by an
 integer moves b0 the other way, and every span and row is b0 den plus
@@ -127,19 +131,13 @@ def _gamma_slot(g):
 
 def _witness_exists(slots):
     """Whether two or more (num, den, strict) slots admit a b = 1 witness:
-    a pair (i, j) takes A/N and (N - A)/N, and N runs up to the least cap
-    (den - strict) // num among the other slots, each of which takes 1/N.
-    """
-    caps = [(d - st) // n for n, d, st in slots]
-    for i in range(len(slots)):
-        for j in range(i + 1, len(slots)):
-            rest = caps[:i] + caps[i + 1:j] + caps[j + 1:]
-            # with no rest nothing bounds N, and a non-empty window
-            # holds the mediant of its ends, of denominator di + dj
-            bound = min(rest) if rest else slots[i][1] + slots[j][1]
-            if _least_window_N(slots[i], slots[j], bound):
-                return True
-    return False
+    two when their window holds a fraction, more when the last one suits
+    the others' free-slot sup W, n/d <= W (< W if strict)."""
+    if len(slots) == 2:
+        return _least_window_N(*slots, slots[0][1] + slots[1][1]) is not None
+    x, y = _free_slot_sup(slots[:-1])
+    n, d, st = slots[-1]
+    return x * d - n * y >= st
 
 
 def _least_window_N(slot_i, slot_j, bound):
@@ -210,11 +208,9 @@ def _realisable_range(slots, zeros):
     return range(low, high + 1)
 
 
-def _free_slot_sup(fixed, max_denominator):
+def _free_slot_sup(fixed):
     """The largest value (X, Y) a free slot takes in a b = 1 witness with
-    the (num, den, strict) slots ``fixed``, (0, 1) if none, as far as a
-    grid point of denominator <= max_denominator can tell.
-    """
+    two or more (num, den, strict) slots ``fixed``, (0, 1) if none."""
     caps = [(d - st) // n for n, d, st in fixed]
     x, y = 0, 1
     for i, (n, d, st) in enumerate(fixed):
@@ -226,12 +222,11 @@ def _free_slot_sup(fixed, max_denominator):
             x, y = N - A, N
     for i in range(len(fixed)):
         for j in range(i + 1, len(fixed)):
-            # the pair (i, j) takes A/N and (N-A)/N and the free slot 1/N,
-            # which beats W = x/y only for N x < y
+            # the pair (i, j) takes A/N and (N-A)/N and the free slot 1/N
             rest = caps[:i] + caps[i + 1:j] + caps[j + 1:]
-            rest += [max_denominator, (y - 1) // x if x else max_denominator]
-            N = _least_window_N(fixed[i], fixed[j], min(rest))
-            if N:
+            N = _least_window_N(fixed[i], fixed[j],
+                                min(rest, default=fixed[i][1] + fixed[j][1]))
+            if N and N * x < y:
                 x, y = 1, N
     return x, y
 
@@ -247,7 +242,7 @@ def _coprime_count(max_denominator):
     return sum(phi[1:])
 
 
-def _spans(fixed, zeros, strict, max_denominator):
+def _spans(fixed, zeros, strict):
     """The realised tau' at b0 = 0, with the (num, den, strict) slots
     ``fixed`` and ``zeros`` zero slots: den 1's numerator span [s, e),
     and L, H and closed of the interval [L, H] of every den >= 2."""
@@ -266,9 +261,8 @@ def _spans(fixed, zeros, strict, max_denominator):
     else:
         # fn/den has a b = 1 witness when it is <= W = x/y (< W if
         # strict), and its complement one when 1 - fn/den is <= cx/cy (<)
-        x, y = _free_slot_sup(fixed, max_denominator)
-        cx, cy = _free_slot_sup(tuple((d - n, d, st) for n, d, st in fixed),
-                                max_denominator)
+        x, y = _free_slot_sup(fixed)
+        cx, cy = _free_slot_sup(tuple((d - n, d, st) for n, d, st in fixed))
         low = ExtRational._reduced((1 - len(fixed)) * cy - cx, cy)
         high = ExtRational._reduced(x - y, y)
         closed = not (strict and (x or cx))
@@ -356,8 +350,7 @@ def _relative_scan(fixed, zeros, strict, max_denominator, ends):
     and e among them, lies in a run clipped to the rows, so got is fixed.
     """
     lo, hi = _scan_rows(fixed, zeros)
-    (s1, e1), low, high, closed = _spans(fixed, zeros, strict,
-                                         max_denominator)
+    (s1, e1), low, high, closed = _spans(fixed, zeros, strict)
     cuts = _member_cuts(((low, closed, high, closed),), 0, None, None)
     found = []
     if ends is not None:
@@ -437,9 +430,9 @@ def exhaustive_witness_check(values, claimed):
     ``values`` lists (value, strict) slot constraints with at least two
     slots.  A claimed witness is checked directly against the slot
     inequalities and the required multiset shape; claimed=None is
-    confirmed when no pair's window holds a fraction of denominator up
-    to the other slots' caps (with two slots, when the pair's window is
-    empty), each found by a walk of O(log) steps.
+    confirmed when two slots' window is empty, or when the last of
+    three or more slots lies above the others' free-slot sup (or on it,
+    if strict), which walks of O(log) steps find.
     """
     values = [(v if isinstance(v, ExtRational) else ExtRational(v), bool(st))
               for v, st in values]

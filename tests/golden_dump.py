@@ -22,9 +22,10 @@ case.  The corpus covers what the set and cabling layers compute:
   key's t, its t_strict and a perturbed t; wrong scans whose runs span
   many numerators, the full circle and t moved up by 1, on 10 fixed
   keys with D = 40-80, one line per mismatch; ``_decide_point`` on 20,000
-  random tuples of 3-5 slots; ``_free_slot_sup`` on 20,000 random fixed
-  lists of 2-4 slots; and ``exhaustive_witness_check(values, None)`` on
-  20,000 random lists of 2-4 slots.
+  random tuples of 3-5 slots; ``_free_slot_sup``, an exact sup with no
+  denominator bound, on 20,000 random fixed lists of 2-4 slots; and
+  ``exhaustive_witness_check(values, None)`` on 20,000 random lists of
+  2-4 slots.
 
 Pytest does not collect this file.
 """
@@ -242,8 +243,8 @@ def _sups():
     rng = random.Random(37)
     for i in range(CASES):
         fixed = [_slot(rng) for _ in range(rng.randint(2, 4))]
-        D = rng.randint(1, 40)
-        yield "sup %d %s %d: %s" % (i, fixed, D, _free_slot_sup(fixed, D))
+        rng.randint(1, 40)  # drawn but unused: keeps older dumps' lists
+        yield "sup %d %s: %s" % (i, fixed, _free_slot_sup(fixed))
 
 
 def _witness_checks():

@@ -608,8 +608,9 @@ class TestOraclePointsInOutput:
     tests tau' with the decision procedure alone, never the interval
     path, so for each sampled tau of the inner image the outer image of
     its closed hull at J = {} must lie in the weak output, which regular
-    mode computes too.  Strong mode, and the converse (each end of the
-    output attained), are not checked here."""
+    mode computes too, and the outer image of each point realised at
+    J = {1, 2}, both slots strict, in the strong output.  The converse
+    (each end of the output attained) is not checked here."""
 
     CABLES = ((5, 2), (3, 2), (7, 3), (2, 3), (11, 4), (4, 5))
     INPUTS = ("[-inf,1]", "[-inf,-1]", "{0}", "[0,1] U {inf}", "(-1,2)",
@@ -631,6 +632,24 @@ class TestOraclePointsInOutput:
                     assert image.issubset(out), (p, q, text, tau, hull, out)
                     checks += 1
         assert checks > 3000
+
+    def test_strict_points_inside_strong_output(self):
+        # against the empty set every realised point is a mismatch, so
+        # the report lists them all
+        points = 0
+        for (p, q), text in itertools.product(self.CABLES, self.INPUTS):
+            params, s = bezout(p, q), parse_slope_set(text)
+            inner = mobius_set_image(inner_basis_map(params), s)
+            out, _ = cable_detected_set(params, s, DetectionMode.STRONG)
+            outer = outer_basis_map(params)
+            for tau in _sample_taus(inner):
+                r = oracle.grid_scan_interval(params, {1, 2}, tau, 12,
+                                              SlopeSet.empty())
+                for x, got, _ in r.mismatches:
+                    assert got and out.contains(outer.apply(x)), (
+                        p, q, text, tau, x)
+                points += len(r.mismatches)
+        assert points > 10000
 
 
 class TestPipeline:

@@ -249,7 +249,7 @@ class TestZiggurat:
         want = loop_reference.ziggurat_slot_value(fixed)
         assert extremal_slot_value(fixed) == want
         slots = [(v.num, v.den, strict) for v, strict in fixed]
-        assert (oracle._free_slot_sup(slots, 10**9)
+        assert (oracle._free_slot_sup(slots)
                 == ((want.num, want.den) if want else (0, 1)))
 
 

@@ -122,7 +122,7 @@ ALL_NO = (((1, 2, True), (1, 2, True)), 0, False, 30)
 def _span_list(fixed, zeros, strict, max_denominator):
     """Each den's span (s, e), den 1's first, then [L, H]'s member cuts
     placed on den 2 to max_denominator as the scan places them."""
-    first, low, high, closed = _spans(fixed, zeros, strict, max_denominator)
+    first, low, high, closed = _spans(fixed, zeros, strict)
     cuts = oracle._member_cuts(((low, closed, high, closed),), 0, None, None)
     return [first] + [tuple((n * den + off) // d for n, off, d in cuts)
                       for den in range(2, max_denominator + 1)]
@@ -165,27 +165,27 @@ class TestSpans:
 
     def test_expected_cuts_are_the_spans(self):
         # every cable key of p <= 7, 2 <= q <= 7 and a tau of SMALL_TAUS,
-        # with t as the expected set, or t_strict when tau' is strict:
-        # two fixed slots, strict or not, a zero slot, one fixed slot
-        # (an integral tau in J) and the point t = {-1} of the (5, 2)
-        # cable at tau = 1/2.  The expected set's cuts are the spans'
-        # at every den >= 2, so a correct scan sweeps den 1 alone
-        D = 24
-        for p, q in itertools.product(range(1, 8), range(2, 8)):
-            if math.gcd(p, q) != 1:
-                continue
-            params = bezout(p, q)
-            for tau, J in itertools.product(SMALL_TAUS, (
-                    frozenset(), {1}, {2}, {1, 2})):
-                res = cable_interval(params, frozenset(J) - {2}, tau)
-                b0, fixed, zeros = oracle._reduce(
-                    frozenset(J) - {2}, 0, (params.gamma,), (tau,))
-                ends = oracle._member_cuts(
-                    (res.t_strict if 2 in J else res.t).affine_pieces(),
-                    b0, *oracle._scan_rows(fixed, zeros))
-                assert [tuple((n * den + off) // d for n, off, d in ends)
-                        for den in range(2, D + 1)] == _span_list(
-                    fixed, zeros, 2 in J, D)[1:], (p, q, tau, J)
+        # and every deep key, with t as the expected set, or t_strict
+        # when tau' is strict: two fixed slots, strict or not, a zero
+        # slot, one fixed slot (an integral tau in J), the point
+        # t = {-1} of the (5, 2) cable at tau = 1/2, and ends of t of
+        # denominator up to 10**15.  The expected set's cut triples are
+        # [L, H]'s, so a correct scan at any D, 2,000 and 10,000
+        # included, sweeps den 1 alone
+        keys = [(bezout(p, q), tau)
+                for p, q in itertools.product(range(1, 8), range(2, 8))
+                if math.gcd(p, q) == 1 for tau in SMALL_TAUS]
+        for (params, tau), J in itertools.product(keys + DEEP_KEYS, (
+                frozenset(), {1}, {2}, {1, 2})):
+            res = cable_interval(params, frozenset(J) - {2}, tau)
+            b0, fixed, zeros = oracle._reduce(
+                frozenset(J) - {2}, 0, (params.gamma,), (tau,))
+            _, low, high, closed = _spans(fixed, zeros, 2 in J)
+            assert oracle._member_cuts(
+                (res.t_strict if 2 in J else res.t).affine_pieces(),
+                b0, *oracle._scan_rows(fixed, zeros)) == oracle._member_cuts(
+                ((low, closed, high, closed),), 0, None, None), (
+                params, tau, J)
 
 
 @st.composite
@@ -243,17 +243,14 @@ class TestWitnessThresholds:
     def test_makes_no_witness_loop(self, key):
         # both sides come from one sup each, whatever the denominator
         # bound: no per-denominator witness loop runs, and only the
-        # range of tau' = 0, the one span at max_denominator 1, may run
-        # one (with three fixed slots and tau' strict)
+        # range of tau' = 0 runs one per side (with three fixed slots
+        # and tau' strict)
         fixed, _, strict, max_denominator = key
         calls = []
         with mock.patch.object(oracle, "_witness_exists", calls.append):
-            _spans(fixed, 0, strict, 1)
-            at_zero = list(calls)
-            del calls[:]
             spans = _span_list(fixed, 0, strict, max_denominator)
         assert len(spans) == max_denominator
-        assert calls == at_zero
+        assert len(calls) == (2 if strict and len(fixed) == 3 else 0)
 
     def test_cable_scans_make_no_witness_loop(self):
         # a cable scan has two fixed slots, gamma and frac(tau), or one
@@ -854,9 +851,9 @@ class TestScanMembership:
 
 @st.composite
 def slot_values(draw):
-    """2-4 (value, strict) slots, denominators <= 12 or <= 60."""
+    """2-5 (value, strict) slots, denominators <= 12 or <= 60."""
     values = []
-    for _ in range(draw(st.integers(2, 4))):
+    for _ in range(draw(st.integers(2, 5))):
         d = draw(st.one_of(st.integers(2, 12), st.integers(2, 60)))
         values.append((ExtRational(draw(st.integers(1, d - 1)), d),
                        draw(st.booleans())))
@@ -869,8 +866,12 @@ class TestExhaustiveWitnessCheck:
     @example(((R("1/3"), False), (R("2/3"), False)))  # the point 1/3
     @example(((R("1/3"), True), (R("2/3"), False)))  # (1/3, 1/3]: empty
     @example(((R("2/5"), True), (R("1/2"), True)))  # (2/5, 1/2): N = 7
+    # four 1/5 slots cap N at 5, and no A/N of N <= 5 lies above 4/5
+    @example(((R("1/5"), False),) * 4 + ((R("4/5"), True),))
+    @example(((R("1/5"), False),) * 4 + ((R("4/5"), False),))
     def test_nonexistence_matches_reference(self, values):
-        # with two slots nothing caps N: the walk is bounded by di + dj
+        # with two slots nothing caps N: the walk is bounded by di + dj;
+        # with more the last slot is checked against the others' sup
         slots = [(v.num, v.den, strict) for v, strict in values]
         assert exhaustive_witness_check(values, None) == (
             not witness_exists(slots))
